@@ -1,10 +1,21 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-Every operation builds a node in an implicit computation graph; node ids
-are assigned at creation time, so creation order is already a topological
-order (inputs always precede consumers). `backward` replays that order in
-reverse, accumulating gradients with `+=` so that tensors feeding several
-consumers sum their contributions.
+An operation on tensors records a node only when one of its inputs requires
+a gradient. The node keeps its parents and a `_backward(g)` function that
+maps the gradient of the node's output to one gradient per parent, in
+`parents` order. `_backward` reads the parents and the values saved in the
+forward pass, never the output tensor, so a graph holds no reference cycle:
+reference counting frees it as soon as the caller drops the loss.
+
+Node ids are assigned at creation time, so creation order is already a
+topological order (inputs always precede consumers). `backward` replays
+that order in reverse and owns all gradient accumulation. It sums the
+contributions to each node in a dict local to the call and drops each sum
+once it has been passed on. It writes `.grad` on leaves only, where
+gradients keep accumulating across calls until `zero_grads` resets them.
+Gradients flowing between nodes may alias each other (views, or one array
+handed to two parents), so `backward` never sums into one in place and
+copies a leaf's first gradient before storing it.
 
 All arithmetic is 64-bit: the finite-difference oracle in `grad_check`
 needs the headroom, and desk-scale models do not need the speed.
@@ -16,7 +27,7 @@ import itertools
 
 import numpy as np
 
-from .errors import ContractError, EmptyPoolError, NumericError, ShapeError
+from .errors import ContractError, EmptyPoolError, ShapeError
 
 _NODE_IDS = itertools.count()
 
@@ -29,11 +40,12 @@ _GELU_A = 0.044715
 
 
 class Tensor:
-    """N-d float64 array with an optional gradient buffer.
+    """N-d float64 array: a leaf, or the result of an op.
 
-    Leaf tensors are created directly; op results carry a backward closure
-    and references to their parents. `grad` is allocated lazily on the
-    first accumulation and has the same shape as `data`.
+    Leaf tensors are created directly. An op result keeps its parents and a
+    `_backward(g)` function only when some parent requires a gradient.
+    `grad` is set on leaves with `requires_grad` only: `backward` allocates
+    it on the first gradient, with the shape of `data`.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "node_id", "op", "parents", "_backward")
@@ -57,12 +69,6 @@ class Tensor:
 
     def item(self):
         return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
-
-    def backward(self):
-        backward(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
@@ -94,14 +100,6 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _accum(t: Tensor, g: np.ndarray):
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
-
-
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Sum a gradient down to `shape` after numpy broadcasting in the forward."""
     extra = g.ndim - len(shape)
@@ -113,9 +111,13 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-def _node(data, op, parents) -> Tensor:
+def _node(data, op, parents, bw) -> Tensor:
+    """An op result; it records `parents` and `bw` only if a parent needs a gradient."""
     req = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=req, op=op, parents=parents if req else ())
+    out = Tensor(data, requires_grad=req, op=op, parents=parents if req else ())
+    if req:
+        out._backward = bw
+    return out
 
 
 class ComputationGraph:
@@ -139,39 +141,30 @@ class ComputationGraph:
         nodes.sort(key=lambda t: t.node_id)
         return cls(nodes)
 
-    def backward(self, root: Tensor):
-        # Reset op-node grads so re-running one graph does not compound
-        # intermediate state; leaf grads persist and accumulate by design.
-        for t in self.nodes:
-            if t._backward is not None:
-                t.grad = None
-        root.grad = np.ones_like(root.data)
-        for t in reversed(self.nodes):
-            if t._backward is not None and t.grad is not None:
-                t._backward()
-
 
 def backward(loss: Tensor):
-    """Fill gradient buffers of every tracked tensor the loss depends on."""
+    """Add d(loss)/d(leaf) to `.grad` of every leaf with `requires_grad`
+    that the scalar `loss` depends on."""
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.data.shape}")
-    ComputationGraph.trace(loss).backward(loss)
+    grads = {id(loss): np.ones_like(loss.data)}
+    for t in reversed(ComputationGraph.trace(loss).nodes):
+        g = grads.pop(id(t), None)
+        if g is None:
+            continue
+        if t._backward is None:
+            if t.requires_grad:
+                t.grad = np.array(g, order="C") if t.grad is None else t.grad + g
+            continue
+        for p, gp in zip(t.parents, t._backward(g)):
+            if p.requires_grad:
+                k = id(p)
+                grads[k] = grads[k] + gp if k in grads else gp
 
 
 def zero_grads(tensors):
     for t in tensors:
         t.grad = None
-
-
-def assert_all_finite(named, context=""):
-    """Raise NumericError naming the first non-finite entry in (name, array) pairs."""
-    for name, arr in named:
-        if arr is None:
-            continue
-        a = arr.data if isinstance(arr, Tensor) else arr
-        if not np.all(np.isfinite(a)):
-            where = f" during {context}" if context else ""
-            raise NumericError(f"non-finite values in {name!r}{where}")
 
 
 # ---------------------------------------------------------------------------
@@ -180,38 +173,21 @@ def assert_all_finite(named, context=""):
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = _node(a.data + b.data, "add", (a, b))
-    if out.requires_grad:
-        def _bw():
-            g = out.grad
-            _accum(a, _unbroadcast(g, a.data.shape))
-            _accum(b, _unbroadcast(g, b.data.shape))
-        out._backward = _bw
-    return out
+    return _node(a.data + b.data, "add", (a, b),
+                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = _node(a.data - b.data, "sub", (a, b))
-    if out.requires_grad:
-        def _bw():
-            g = out.grad
-            _accum(a, _unbroadcast(g, a.data.shape))
-            _accum(b, _unbroadcast(-g, b.data.shape))
-        out._backward = _bw
-    return out
+    return _node(a.data - b.data, "sub", (a, b),
+                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = _node(a.data * b.data, "mul", (a, b))
-    if out.requires_grad:
-        def _bw():
-            g = out.grad
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
-        out._backward = _bw
-    return out
+    return _node(a.data * b.data, "mul", (a, b),
+                 lambda g: (_unbroadcast(g * b.data, a.data.shape),
+                            _unbroadcast(g * a.data, b.data.shape)))
 
 
 def matmul(a, b) -> Tensor:
@@ -224,25 +200,15 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.data.shape} and {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} vs {b.data.shape}")
-    out = _node(a.data @ b.data, "matmul", (a, b))
-    if out.requires_grad:
-        def _bw():
-            g = out.grad
-            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
-        out._backward = _bw
-    return out
+    return _node(a.data @ b.data, "matmul", (a, b),
+                 lambda g: (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape),
+                            _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)))
 
 
 def tanh(x) -> Tensor:
     x = as_tensor(x)
     t = np.tanh(x.data)
-    out = _node(t, "tanh", (x,))
-    if out.requires_grad:
-        def _bw():
-            _accum(x, out.grad * (1.0 - t * t))
-        out._backward = _bw
-    return out
+    return _node(t, "tanh", (x,), lambda g: (g * (1.0 - t * t),))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -258,12 +224,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
     s = _sigmoid(x.data)
-    out = _node(s, "sigmoid", (x,))
-    if out.requires_grad:
-        def _bw():
-            _accum(x, out.grad * s * (1.0 - s))
-        out._backward = _bw
-    return out
+    return _node(s, "sigmoid", (x,), lambda g: (g * s * (1.0 - s),))
 
 
 def gelu(x) -> Tensor:
@@ -272,14 +233,12 @@ def gelu(x) -> Tensor:
     v = x.data
     u = _GELU_C * (v + _GELU_A * v ** 3)
     t = np.tanh(u)
-    out = _node(0.5 * v * (1.0 + t), "gelu", (x,))
-    if out.requires_grad:
-        def _bw():
-            du = _GELU_C * (1.0 + 3.0 * _GELU_A * v ** 2)
-            dydx = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du
-            _accum(x, out.grad * dydx)
-        out._backward = _bw
-    return out
+
+    def _bw(g):
+        du = _GELU_C * (1.0 + 3.0 * _GELU_A * v ** 2)
+        dydx = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du
+        return (g * dydx,)
+    return _node(0.5 * v * (1.0 + t), "gelu", (x,), _bw)
 
 
 def softmax(x, axis=-1) -> Tensor:
@@ -290,14 +249,11 @@ def softmax(x, axis=-1) -> Tensor:
     z = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=axis, keepdims=True)
-    out = _node(p, "softmax", (x,))
-    if out.requires_grad:
-        def _bw():
-            g = out.grad
-            dot = (g * p).sum(axis=axis, keepdims=True)
-            _accum(x, p * (g - dot))
-        out._backward = _bw
-    return out
+
+    def _bw(g):
+        dot = (g * p).sum(axis=axis, keepdims=True)
+        return (p * (g - dot),)
+    return _node(p, "softmax", (x,), _bw)
 
 
 def layer_norm(x, gain, bias, eps=1e-5) -> Tensor:
@@ -312,22 +268,26 @@ def layer_norm(x, gain, bias, eps=1e-5) -> Tensor:
     var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
-    out = _node(gain.data * xhat + bias.data, "layer_norm", (x, gain, bias))
-    if out.requires_grad:
-        def _bw():
-            g = out.grad
-            dxhat = g * gain.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            _accum(x, inv * (dxhat - m1 - xhat * m2))
-            _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
-            _accum(bias, _unbroadcast(g, bias.data.shape))
-        out._backward = _bw
-    return out
+
+    def _bw(g):
+        dxhat = g * gain.data
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        return (inv * (dxhat - m1 - xhat * m2),
+                _unbroadcast(g * xhat, gain.data.shape),
+                _unbroadcast(g, bias.data.shape))
+    return _node(gain.data * xhat + bias.data, "layer_norm", (x, gain, bias), _bw)
 
 
 # ---------------------------------------------------------------------------
 # indexing / shaping
+
+
+def _scatter_rows(shape, idx, g) -> np.ndarray:
+    """Zeros of `shape` with the rows of `g` added at `idx` (repeats sum)."""
+    out = np.zeros(shape)
+    np.add.at(out, idx, g)
+    return out
 
 
 def embedding(table, ids) -> Tensor:
@@ -336,100 +296,65 @@ def embedding(table, ids) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     if np.any(ids < 0) or np.any(ids >= table.data.shape[0]):
         raise ShapeError(f"embedding ids out of range [0, {table.data.shape[0]})")
-    out = _node(table.data[ids], "embedding", (table,))
-    if out.requires_grad:
-        def _bw():
-            g = out.grad.reshape(-1, table.data.shape[1])
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, ids.reshape(-1), g)
-        out._backward = _bw
-    return out
+    shape = table.data.shape
+    return _node(table.data[ids], "embedding", (table,),
+                 lambda g: (_scatter_rows(shape, ids.reshape(-1), g.reshape(-1, shape[1])),))
 
 
 def gather_rows(x, idx) -> Tensor:
     """Select rows of a 2-d tensor; gradient scatter-adds back."""
     x = as_tensor(x)
     idx = np.asarray(idx, dtype=np.int64)
-    out = _node(x.data[idx], "gather_rows", (x,))
-    if out.requires_grad:
-        def _bw():
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            np.add.at(x.grad, idx, out.grad)
-        out._backward = _bw
-    return out
+    return _node(x.data[idx], "gather_rows", (x,),
+                 lambda g: (_scatter_rows(x.data.shape, idx, g),))
 
 
 def reshape(x, shape) -> Tensor:
     x = as_tensor(x)
-    out = _node(x.data.reshape(shape), "reshape", (x,))
-    if out.requires_grad:
-        def _bw():
-            _accum(x, out.grad.reshape(x.data.shape))
-        out._backward = _bw
-    return out
+    return _node(x.data.reshape(shape), "reshape", (x,),
+                 lambda g: (g.reshape(x.data.shape),))
 
 
 def swap_axes(x, a, b) -> Tensor:
     x = as_tensor(x)
-    out = _node(np.swapaxes(x.data, a, b), "swap_axes", (x,))
-    if out.requires_grad:
-        def _bw():
-            _accum(x, np.swapaxes(out.grad, a, b))
-        out._backward = _bw
-    return out
+    return _node(np.swapaxes(x.data, a, b), "swap_axes", (x,),
+                 lambda g: (np.swapaxes(g, a, b),))
 
 
 def concat(parts, axis=-1) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    out = _node(np.concatenate([p.data for p in parts], axis=axis), "concat", tuple(parts))
-    if out.requires_grad:
-        sizes = [p.data.shape[axis] for p in parts]
-        splits = np.cumsum(sizes)[:-1]
-        def _bw():
-            for p, g in zip(parts, np.split(out.grad, splits, axis=axis)):
-                _accum(p, g)
-        out._backward = _bw
-    return out
+    parts = tuple(as_tensor(p) for p in parts)
+    splits = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
+    return _node(np.concatenate([p.data for p in parts], axis=axis), "concat", parts,
+                 lambda g: np.split(g, splits, axis=axis))
 
 
 def slice_last(x, start, stop) -> Tensor:
     """View of x[..., start:stop] with gradient scattered into the slice."""
     x = as_tensor(x)
-    out = _node(x.data[..., start:stop], "slice_last", (x,))
-    if out.requires_grad:
-        def _bw():
-            g = np.zeros_like(x.data)
-            g[..., start:stop] = out.grad
-            _accum(x, g)
-        out._backward = _bw
-    return out
+
+    def _bw(g):
+        gx = np.zeros_like(x.data)
+        gx[..., start:stop] = g
+        return (gx,)
+    return _node(x.data[..., start:stop], "slice_last", (x,), _bw)
 
 
 def time_slice(x, t) -> Tensor:
     """x[:, t, :] for a (B, T, d) tensor -> (B, d)."""
     x = as_tensor(x)
-    out = _node(x.data[:, t, :], "time_slice", (x,))
-    if out.requires_grad:
-        def _bw():
-            g = np.zeros_like(x.data)
-            g[:, t, :] = out.grad
-            _accum(x, g)
-        out._backward = _bw
-    return out
+
+    def _bw(g):
+        gx = np.zeros_like(x.data)
+        gx[:, t, :] = g
+        return (gx,)
+    return _node(x.data[:, t, :], "time_slice", (x,), _bw)
 
 
 def stack_time(steps) -> Tensor:
     """Stack a list of (B, d) tensors into (B, T, d)."""
-    steps = [as_tensor(s) for s in steps]
-    out = _node(np.stack([s.data for s in steps], axis=1), "stack_time", tuple(steps))
-    if out.requires_grad:
-        def _bw():
-            for t, s in enumerate(steps):
-                _accum(s, out.grad[:, t, :])
-        out._backward = _bw
-    return out
+    steps = tuple(as_tensor(s) for s in steps)
+    return _node(np.stack([s.data for s in steps], axis=1), "stack_time", steps,
+                 lambda g: [g[:, t, :] for t in range(len(steps))])
 
 
 # ---------------------------------------------------------------------------
@@ -455,16 +380,13 @@ def max_over_time(x, mask) -> Tensor:
     neg = np.where(m[:, :, None], data, -np.inf)
     am = neg.argmax(axis=1)                              # (B, d)
     pooled = np.take_along_axis(data, am[:, None, :], axis=1)[:, 0, :]
-    out_data = pooled[0] if squeeze else pooled
-    out = _node(out_data, "max_over_time", (x,))
-    if out.requires_grad:
-        def _bw():
-            g = out.grad[None] if squeeze else out.grad
-            gx = np.zeros_like(data)
-            np.put_along_axis(gx, am[:, None, :], g[:, None, :], axis=1)
-            _accum(x, gx[0] if squeeze else gx)
-        out._backward = _bw
-    return out
+
+    def _bw(g):
+        g = g[None] if squeeze else g
+        gx = np.zeros_like(data)
+        np.put_along_axis(gx, am[:, None, :], g[:, None, :], axis=1)
+        return (gx[0] if squeeze else gx,)
+    return _node(pooled[0] if squeeze else pooled, "max_over_time", (x,), _bw)
 
 
 def cross_entropy(logits, targets) -> Tensor:
@@ -482,14 +404,12 @@ def cross_entropy(logits, targets) -> Tensor:
     e = np.exp(z)
     p = e / e.sum(axis=1, keepdims=True)
     nll = -(z[np.arange(n), targets] - np.log(e.sum(axis=1)))
-    out = _node(np.float64(nll.mean()), "cross_entropy", (logits,))
-    if out.requires_grad:
-        def _bw():
-            d = p.copy()
-            d[np.arange(n), targets] -= 1.0
-            _accum(logits, float(out.grad) * d / n)
-        out._backward = _bw
-    return out
+
+    def _bw(g):
+        d = p.copy()
+        d[np.arange(n), targets] -= 1.0
+        return (float(g) * d / n,)
+    return _node(np.float64(nll.mean()), "cross_entropy", (logits,), _bw)
 
 
 def mse_loss(pred, gold) -> Tensor:
@@ -498,34 +418,23 @@ def mse_loss(pred, gold) -> Tensor:
     if pred.data.shape != gold.data.shape:
         raise ShapeError(f"mse_loss length mismatch: {pred.data.shape} vs {gold.data.shape}")
     diff = pred.data - gold.data
-    out = _node(np.float64((diff ** 2).mean()), "mse_loss", (pred, gold))
-    if out.requires_grad:
-        def _bw():
-            g = float(out.grad) * 2.0 * diff / diff.size
-            _accum(pred, g)
-            _accum(gold, -g)
-        out._backward = _bw
-    return out
+
+    def _bw(g):
+        d = float(g) * 2.0 * diff / diff.size
+        return (d, -d)
+    return _node(np.float64((diff ** 2).mean()), "mse_loss", (pred, gold), _bw)
 
 
 def mean_all(x) -> Tensor:
     x = as_tensor(x)
-    out = _node(np.float64(x.data.mean()), "mean_all", (x,))
-    if out.requires_grad:
-        def _bw():
-            _accum(x, np.full_like(x.data, float(out.grad) / x.data.size))
-        out._backward = _bw
-    return out
+    return _node(np.float64(x.data.mean()), "mean_all", (x,),
+                 lambda g: (np.full_like(x.data, float(g) / x.data.size),))
 
 
 def sum_all(x) -> Tensor:
     x = as_tensor(x)
-    out = _node(np.float64(x.data.sum()), "sum_all", (x,))
-    if out.requires_grad:
-        def _bw():
-            _accum(x, np.full_like(x.data, float(out.grad)))
-        out._backward = _bw
-    return out
+    return _node(np.float64(x.data.sum()), "sum_all", (x,),
+                 lambda g: (np.full_like(x.data, float(g)),))
 
 
 def dropout(x, rate, rng) -> Tensor:
@@ -536,12 +445,7 @@ def dropout(x, rate, rng) -> Tensor:
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
     keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    out = _node(x.data * keep, "dropout", (x,))
-    if out.requires_grad:
-        def _bw():
-            _accum(x, out.grad * keep)
-        out._backward = _bw
-    return out
+    return _node(x.data * keep, "dropout", (x,), lambda g: (g * keep,))
 
 
 # ---------------------------------------------------------------------------

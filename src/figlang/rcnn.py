@@ -120,7 +120,12 @@ def full_forward(params, cfg: ModelConfig, ids, mask, *, train=False,
 def predict(params, cfg: ModelConfig, tokenizer: TokenizerModel,
             texts: list[str], batch_size: int = 32) -> list[dict]:
     """Per-text prediction records: {"text", "label", "probs"} for the binary
-    head, {"text", "score"} (clamped to the score range) for regression."""
+    head, {"text", "score"} (clamped to the score range) for regression.
+
+    The forward pass runs on untracked tensors that share the parameter
+    arrays, so no op records a backward graph and `params` is left as it is.
+    """
+    params = {name: Tensor(p.data) for name, p in params.items()}
     results = []
     for start in range(0, len(texts), batch_size):
         chunk = texts[start:start + batch_size]

@@ -154,23 +154,25 @@ def pretrain_mlm(lines: list[str], tokenizer: TokenizerModel, model_cfg: ModelCo
     state = AdamState()
     step = 0
     done = False
-    for epoch in range(train_cfg.epochs):
-        if done:
-            break
-        for idx in _batches(len(seqs), train_cfg.batch_size, streams["shuffle"]):
-            batch_seqs = [seqs[i] for i in idx]
-            outcomes = [dynamic_mask(s, streams["mask"], model_cfg.vocab_size)
-                        for s in batch_seqs]
-            batch = collate_mlm(batch_seqs, outcomes)
-            _, loss = mlm_forward(params, model_cfg, batch,
-                                  train=True, rng=streams["dropout"])
-            val = _optim_step(params, state, train_cfg, loss)
-            step += 1
-            log.add(step, epoch, val)
-            if train_cfg.max_steps is not None and step >= train_cfg.max_steps:
-                done = True
+    try:
+        for epoch in range(train_cfg.epochs):
+            if done:
                 break
-    log.close()
+            for idx in _batches(len(seqs), train_cfg.batch_size, streams["shuffle"]):
+                batch_seqs = [seqs[i] for i in idx]
+                outcomes = [dynamic_mask(s, streams["mask"], model_cfg.vocab_size)
+                            for s in batch_seqs]
+                batch = collate_mlm(batch_seqs, outcomes)
+                _, loss = mlm_forward(params, model_cfg, batch,
+                                      train=True, rng=streams["dropout"])
+                val = _optim_step(params, state, train_cfg, loss)
+                step += 1
+                log.add(step, epoch, val)
+                if train_cfg.max_steps is not None and step >= train_cfg.max_steps:
+                    done = True
+                    break
+    finally:
+        log.close()
     return params, log
 
 
@@ -212,24 +214,26 @@ def finetune(examples, tokenizer: TokenizerModel, model_cfg: ModelConfig,
     state = AdamState()
     step = 0
     done = False
-    for epoch in range(train_cfg.epochs):
-        if done:
-            break
-        for idx in _batches(len(examples), train_cfg.batch_size, streams["shuffle"]):
-            ids = all_ids[idx]
-            mask = all_mask[idx]
-            out = full_forward(params, model_cfg, ids, mask,
-                               train=True, rng=streams["dropout"])
-            if task == BINARY:
-                loss = ad.cross_entropy(out, all_targets[idx])
-            else:
-                pred = ad.reshape(out, (len(idx),))
-                loss = ad.mse_loss(pred, Tensor(all_targets[idx]))
-            val = _optim_step(params, state, train_cfg, loss)
-            step += 1
-            log.add(step, epoch, val)
-            if train_cfg.max_steps is not None and step >= train_cfg.max_steps:
-                done = True
+    try:
+        for epoch in range(train_cfg.epochs):
+            if done:
                 break
-    log.close()
+            for idx in _batches(len(examples), train_cfg.batch_size, streams["shuffle"]):
+                ids = all_ids[idx]
+                mask = all_mask[idx]
+                out = full_forward(params, model_cfg, ids, mask,
+                                   train=True, rng=streams["dropout"])
+                if task == BINARY:
+                    loss = ad.cross_entropy(out, all_targets[idx])
+                else:
+                    pred = ad.reshape(out, (len(idx),))
+                    loss = ad.mse_loss(pred, Tensor(all_targets[idx]))
+                val = _optim_step(params, state, train_cfg, loss)
+                step += 1
+                log.add(step, epoch, val)
+                if train_cfg.max_steps is not None and step >= train_cfg.max_steps:
+                    done = True
+                    break
+    finally:
+        log.close()
     return params, log

@@ -1,13 +1,17 @@
 """Autodiff core: forward oracles frozen from closed forms, backward checked
 against central finite differences, and graph bookkeeping contracts."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from figlang import autodiff as ad
-from figlang.autodiff import ComputationGraph, Tensor, backward, grad_check
-from figlang.errors import ContractError, EmptyPoolError, NumericError, ShapeError
+from figlang.autodiff import ComputationGraph, Tensor, backward, grad_check, zero_grads
+from figlang.errors import ContractError, EmptyPoolError, ShapeError
+from figlang.training import clip_grad_norm
 
 RNG = np.random.default_rng(20260817)
 
@@ -222,7 +226,7 @@ def test_repeated_backward_accumulates_until_reset():
     backward(loss)
     backward(loss)
     np.testing.assert_allclose(x.grad, [8.0])  # 2 * (2x)
-    x.zero_grad()
+    zero_grads([x])
     backward(loss)
     np.testing.assert_allclose(x.grad, [4.0])
 
@@ -240,10 +244,50 @@ def test_multi_consumer_grads_sum():
     assert grad_check(build, [x]) < 1e-10
 
 
-def test_assert_all_finite_names_offender():
-    bad = t([np.nan])
-    with pytest.raises(NumericError, match="theta"):
-        ad.assert_all_finite([("theta", bad.data)], "test")
+@pytest.mark.parametrize("run_backward", [True, False])
+def test_graph_is_freed_without_the_cycle_collector(run_backward):
+    # no op keeps its own output alive, so dropping the loss and the
+    # intermediate frees the intermediate's array by reference counting
+    x = t(RNG.normal(size=(4, 3)))
+    w = t(RNG.normal(size=(3, 2)))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        hidden = ad.tanh(ad.matmul(x, w))
+        loss = ad.sum_all(ad.mul(hidden, hidden))
+        if run_backward:
+            backward(loss)
+        ref = weakref.ref(hidden.data)
+        del loss, hidden
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+    if run_backward:
+        assert x.grad is not None and w.grad is not None
+
+
+def test_grads_only_on_leaves():
+    x = t([1.0, 2.0])
+    mid = ad.tanh(x)
+    frozen = t([3.0, 4.0], grad=False)
+    backward(ad.sum_all(ad.mul(mid, frozen)))
+    assert x.grad is not None
+    assert mid.grad is None and frozen.grad is None
+
+
+def test_shared_add_gradient_is_clipped_once_per_leaf():
+    # add hands one array to both parents; each leaf must own its copy, or
+    # clipping in place scales the shared buffer twice
+    a = t([3.0])
+    b = t([4.0])
+    backward(ad.sum_all(ad.add(a, b)))
+    params = {"a.weight": a, "b.weight": b}
+    norm = clip_grad_norm(params, max_norm=0.5)
+    assert norm == pytest.approx(np.sqrt(2.0))
+    scale = 0.5 / np.sqrt(2.0)
+    np.testing.assert_allclose(a.grad, [scale], rtol=1e-15)
+    np.testing.assert_allclose(b.grad, [scale], rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +357,7 @@ def test_grad_embedding_scatter():
     table = t(RNG.normal(size=(11, 4)))
     ids = np.array([[0, 3, 3], [10, 0, 5]])  # repeats must accumulate
     _gc(lambda: ad.sum_all(ad.tanh(ad.embedding(table, ids))), [table])
-    table.zero_grad()
+    zero_grads([table])
     backward(ad.sum_all(ad.embedding(table, ids)))
     assert table.grad[3].sum() == pytest.approx(8.0)  # two lookups x 4 dims
     assert table.grad[7].sum() == 0.0

@@ -282,8 +282,7 @@ def test_mlm_grads_ignore_pad_slots():
     backward(loss)
     assert np.abs(params["embed.token.weight"].grad).sum() > 0
     grads = {k: t.grad.copy() for k, t in params.items()}
-    for t in params.values():
-        t.zero_grad()
+    ad.zero_grads(params.values())
 
     junk = batch.ids.copy()
     junk[~batch.mask] = rng.integers(N_SPECIALS, V, size=(~batch.mask).sum())

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from figlang import autodiff as ad
+from figlang import rcnn
 from figlang.autodiff import Tensor
 from figlang.bpe import CLS_ID, N_SPECIALS, PAD_ID, SEP_ID, bpe_train, encode
 from figlang.config import BINARY, REGRESSION, ModelConfig, TrainConfig
@@ -354,6 +355,24 @@ def test_predict_batching_is_transparent(tok):
     for a, b in zip(one, five):
         np.testing.assert_allclose(a["probs"], b["probs"], atol=1e-9)
         assert a["label"] == b["label"]
+
+
+def test_predict_records_no_tape(tok, monkeypatch):
+    cfg = head_cfg(vocab_size=tok.size, max_seq_len=16)
+    params = init_model_params(cfg, np.random.default_rng(23))
+    want = predict(params, cfg, tok, ["the cat sees the ball ."])
+    seen = []
+    real = rcnn.rcnn_forward
+
+    def spy(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+    monkeypatch.setattr(rcnn, "rcnn_forward", spy)
+    got = predict(params, cfg, tok, ["the cat sees the ball ."])
+    assert got == want
+    assert len(seen) == 1
+    assert seen[0].parents == () and not seen[0].requires_grad
+    assert all(p.requires_grad and p.grad is None for p in params.values())
 
 
 def test_predict_regression_clamps(tok):

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from figlang import training
 from figlang.autodiff import Tensor
 from figlang.bpe import bpe_train
 from figlang.config import ModelConfig, TrainConfig, toy_scale
@@ -257,6 +258,24 @@ def test_trainlog_jsonl_mirror(tmp_path, small):
     assert rows == log.records
     assert [r["step"] for r in rows] == [1, 2]
     assert all(set(r) == {"step", "epoch", "loss"} for r in rows)
+
+
+@pytest.mark.parametrize("train", ["pretrain", "finetune"])
+def test_trainlog_closed_when_training_raises(tmp_path, small, monkeypatch, train):
+    lines, tok, cfg = small
+    tc = TrainConfig(batch_size=6, epochs=1, learning_rate=1e-3, seed=4)
+    log = TrainLog(tmp_path / "log.jsonl")
+    fh = log._fh
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("optimizer failed")
+    monkeypatch.setattr(training, "adam_step", boom)
+    with pytest.raises(RuntimeError, match="optimizer failed"):
+        if train == "pretrain":
+            pretrain_mlm(lines, tok, cfg, tc, log=log)
+        else:
+            finetune(labeled(lines), tok, cfg, tc, log=log)
+    assert fh.closed
 
 
 def test_finetune_determinism_and_learning(small):
