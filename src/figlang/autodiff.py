@@ -362,31 +362,28 @@ def stack_time(steps) -> Tensor:
 
 
 def max_over_time(x, mask) -> Tensor:
-    """Per-feature max over unmasked time steps.
+    """Per-feature max over unmasked time steps: (B, T, d) with mask (B, T)
+    gives (B, d).
 
-    Accepts (T, d) with mask (T,) or (B, T, d) with mask (B, T). Gradient
-    routes 1 to each argmax position, first index on ties; masked positions
-    never receive gradient.
+    Gradient routes 1 to each argmax position, first index on ties; masked
+    positions never receive gradient.
     """
     x = as_tensor(x)
     mask = np.asarray(mask, dtype=bool)
-    squeeze = x.ndim == 2
-    data = x.data[None] if squeeze else x.data
-    m = mask[None] if squeeze else mask
-    if m.shape != data.shape[:2]:
-        raise ShapeError(f"mask shape {mask.shape} does not match input {x.data.shape}")
-    if not m.any(axis=1).all():
+    if x.ndim != 3 or mask.shape != x.data.shape[:2]:
+        raise ShapeError(f"max_over_time expects (B, T, d) with mask (B, T), "
+                         f"got {x.data.shape} and {mask.shape}")
+    if not mask.any(axis=1).all():
         raise EmptyPoolError("max_over_time: a sequence has every position masked")
-    neg = np.where(m[:, :, None], data, -np.inf)
+    neg = np.where(mask[:, :, None], x.data, -np.inf)
     am = neg.argmax(axis=1)                              # (B, d)
-    pooled = np.take_along_axis(data, am[:, None, :], axis=1)[:, 0, :]
+    pooled = np.take_along_axis(x.data, am[:, None, :], axis=1)[:, 0, :]
 
     def _bw(g):
-        g = g[None] if squeeze else g
-        gx = np.zeros_like(data)
+        gx = np.zeros_like(x.data)
         np.put_along_axis(gx, am[:, None, :], g[:, None, :], axis=1)
-        return (gx[0] if squeeze else gx,)
-    return _node(pooled[0] if squeeze else pooled, "max_over_time", (x,), _bw)
+        return (gx,)
+    return _node(pooled, "max_over_time", (x,), _bw)
 
 
 def cross_entropy(logits, targets) -> Tensor:

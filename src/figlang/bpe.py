@@ -5,6 +5,10 @@ into chunks (a single leading space attaches to the following word, other
 whitespace runs stand alone) and merges never cross chunk boundaries, so
 decode(encode(text)) reproduces the normalized text byte for byte.
 
+`encode` returns one sequence's ids, unpadded; `pad_batch` right-pads a list
+of them to the longest in the batch and is the only place a padded batch is
+built.
+
 Id layout: specials 0..3 (<cls>, <sep>, <pad>, <mask>), the 256 byte tokens
 4..259, learned merges from 260 upward in rank order. `vocab_size` passed to
 training budgets the non-special part (256 byte tokens + merges); specials
@@ -161,11 +165,13 @@ def bpe_train(lines, vocab_size: int) -> TokenizerModel:
 
 @dataclass
 class EncodedSequence:
-    """Token ids with a prefix-true attention mask, right-padded."""
+    """One sequence's token ids, cls and sep included, without padding."""
 
-    ids: np.ndarray    # (max_seq_len,) int64
-    mask: np.ndarray   # (max_seq_len,) bool
-    length: int        # true length before padding, cls and sep included
+    ids: np.ndarray    # (length,) int64
+
+    @property
+    def length(self) -> int:
+        return len(self.ids)
 
 
 def _segment(model: TokenizerModel, text: str) -> list[bytes]:
@@ -187,17 +193,28 @@ def _segment(model: TokenizerModel, text: str) -> list[bytes]:
 
 
 def encode(model: TokenizerModel, text: str, max_seq_len: int) -> EncodedSequence:
-    """normalize -> BPE segment -> [cls] ... [sep] -> truncate -> right-pad."""
+    """normalize -> BPE segment -> [cls] ... [sep] -> truncate to max_seq_len.
+
+    The result is not padded; `pad_batch` pads a batch of them.
+    """
     if max_seq_len < 2:
         raise ConfigError(f"max_seq_len must be at least 2 (cls + sep), got {max_seq_len}")
     content = [model.vocab[t] for t in _segment(model, normalize(text))]
     content = content[:max_seq_len - 2]
     ids = [model.cls_id] + content + [model.sep_id]
-    length = len(ids)
-    ids = ids + [model.pad_id] * (max_seq_len - length)
-    mask = np.zeros(max_seq_len, dtype=bool)
-    mask[:length] = True
-    return EncodedSequence(ids=np.array(ids, dtype=np.int64), mask=mask, length=length)
+    return EncodedSequence(ids=np.array(ids, dtype=np.int64))
+
+
+def pad_batch(seqs: list[EncodedSequence]) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad to the longest sequence in the batch: ids (B, T) int64 filled
+    with PAD_ID, and the prefix-true attention mask (B, T) bool."""
+    T = max(s.length for s in seqs)
+    ids = np.full((len(seqs), T), PAD_ID, dtype=np.int64)
+    mask = np.zeros((len(seqs), T), dtype=bool)
+    for b, s in enumerate(seqs):
+        ids[b, :s.length] = s.ids
+        mask[b, :s.length] = True
+    return ids, mask
 
 
 def decode(model: TokenizerModel, ids) -> str:

@@ -111,6 +111,9 @@ def load_checkpoint(ckpt_dir) -> CheckpointBundle:
             raise DataError(f"weights.bin truncated at tensor {entry['name']!r}")
         arr = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"]).astype(np.float64)
         params[entry["name"]] = Tensor(arr, requires_grad=True)
+    end = max((e["offset"] + e["nbytes"] for e in manifest["tensors"]), default=0)
+    if len(blob) != end:
+        raise DataError(f"weights.bin is {len(blob)} bytes but its tensors end at byte {end}")
 
     model_config = ModelConfig.from_dict(manifest["model_config"])
     tc = manifest.get("train_config")

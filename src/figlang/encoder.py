@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .bpe import EncodedSequence, MASK_ID, N_SPECIALS
+from .bpe import EncodedSequence, MASK_ID, N_SPECIALS, pad_batch
 from .config import ModelConfig
 from .errors import ConfigError, ContractError, MaskingError
 
@@ -121,7 +121,7 @@ def encoder_forward(params, cfg: ModelConfig, ids, attn_mask, *,
 class MaskingOutcome:
     """One fresh masking draw: where, what was there, what replaced it."""
 
-    positions: np.ndarray        # sorted indices into the padded sequence
+    positions: np.ndarray        # sorted indices into the sequence
     original_ids: np.ndarray
     replacement_ids: np.ndarray
     categories: list[str]        # "mask" | "random" | "unchanged", parallel
@@ -171,9 +171,8 @@ class MlmBatch:
 
 def collate_mlm(sequences: list[EncodedSequence],
                 outcomes: list[MaskingOutcome]) -> MlmBatch:
-    T = len(sequences[0].ids)
-    ids = np.stack([s.ids for s in sequences]).copy()
-    mask = np.stack([s.mask for s in sequences])
+    ids, mask = pad_batch(sequences)
+    T = ids.shape[1]
     flat, targets = [], []
     for b, (s, o) in enumerate(zip(sequences, outcomes)):
         ids[b, o.positions] = o.replacement_ids

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .bpe import TokenizerModel, encode
+from .bpe import TokenizerModel, encode, pad_batch
 from .config import ModelConfig, BINARY, SCORE_MAX, SCORE_MIN
 from .encoder import INIT_STD, encoder_forward, init_encoder_params
 
@@ -129,9 +129,7 @@ def predict(params, cfg: ModelConfig, tokenizer: TokenizerModel,
     results = []
     for start in range(0, len(texts), batch_size):
         chunk = texts[start:start + batch_size]
-        seqs = [encode(tokenizer, t, cfg.max_seq_len) for t in chunk]
-        ids = np.stack([s.ids for s in seqs])
-        mask = np.stack([s.mask for s in seqs])
+        ids, mask = pad_batch([encode(tokenizer, t, cfg.max_seq_len) for t in chunk])
         out = full_forward(params, cfg, ids, mask, train=False)
         if cfg.task_head == BINARY:
             probs = ad.softmax(out, axis=-1).data

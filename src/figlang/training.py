@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, backward, zero_grads
-from .bpe import TokenizerModel, encode
+from .bpe import TokenizerModel, encode, pad_batch
 from .config import BINARY, ModelConfig, TrainConfig
 from .encoder import collate_mlm, dynamic_mask, mlm_forward
 from .errors import DataError, NumericError
@@ -163,9 +163,10 @@ def pretrain_mlm(lines: list[str], tokenizer: TokenizerModel, model_cfg: ModelCo
                 outcomes = [dynamic_mask(s, streams["mask"], model_cfg.vocab_size)
                             for s in batch_seqs]
                 batch = collate_mlm(batch_seqs, outcomes)
-                _, loss = mlm_forward(params, model_cfg, batch,
-                                      train=True, rng=streams["dropout"])
+                loss = mlm_forward(params, model_cfg, batch,
+                                   train=True, rng=streams["dropout"])[1]
                 val = _optim_step(params, state, train_cfg, loss)
+                del loss    # free this step's graph before the next forward
                 step += 1
                 log.add(step, epoch, val)
                 if train_cfg.max_steps is not None and step >= train_cfg.max_steps:
@@ -174,22 +175,6 @@ def pretrain_mlm(lines: list[str], tokenizer: TokenizerModel, model_cfg: ModelCo
     finally:
         log.close()
     return params, log
-
-
-def _encode_labeled(examples, tokenizer, model_cfg, task: str):
-    ids, mask, targets = [], [], []
-    for ex in examples:
-        seq = encode(tokenizer, ex.text, model_cfg.max_seq_len)
-        ids.append(seq.ids)
-        mask.append(seq.mask)
-        targets.append(ex.target)
-    ids = np.stack(ids)
-    mask = np.stack(mask)
-    if task == BINARY:
-        targets = np.asarray(targets, dtype=np.int64)
-    else:
-        targets = np.asarray(targets, dtype=np.float64)
-    return ids, mask, targets
 
 
 def finetune(examples, tokenizer: TokenizerModel, model_cfg: ModelConfig,
@@ -209,7 +194,9 @@ def finetune(examples, tokenizer: TokenizerModel, model_cfg: ModelConfig,
                 p.requires_grad = False
 
     task = model_cfg.task_head
-    all_ids, all_mask, all_targets = _encode_labeled(examples, tokenizer, model_cfg, task)
+    seqs = [encode(tokenizer, ex.text, model_cfg.max_seq_len) for ex in examples]
+    targets = np.asarray([ex.target for ex in examples],
+                         dtype=np.int64 if task == BINARY else np.float64)
     log = log or TrainLog()
     state = AdamState()
     step = 0
@@ -219,16 +206,15 @@ def finetune(examples, tokenizer: TokenizerModel, model_cfg: ModelConfig,
             if done:
                 break
             for idx in _batches(len(examples), train_cfg.batch_size, streams["shuffle"]):
-                ids = all_ids[idx]
-                mask = all_mask[idx]
+                ids, mask = pad_batch([seqs[i] for i in idx])
                 out = full_forward(params, model_cfg, ids, mask,
                                    train=True, rng=streams["dropout"])
                 if task == BINARY:
-                    loss = ad.cross_entropy(out, all_targets[idx])
+                    loss = ad.cross_entropy(out, targets[idx])
                 else:
-                    pred = ad.reshape(out, (len(idx),))
-                    loss = ad.mse_loss(pred, Tensor(all_targets[idx]))
+                    loss = ad.mse_loss(ad.reshape(out, (len(idx),)), Tensor(targets[idx]))
                 val = _optim_step(params, state, train_cfg, loss)
+                del out, loss   # free this step's graph before the next forward
                 step += 1
                 log.add(step, epoch, val)
                 if train_cfg.max_steps is not None and step >= train_cfg.max_steps:

@@ -253,7 +253,7 @@ def test_c04_dynamic_masking():
         ids[0] = CLS_ID
         ids[1:1 + n_content] = rng.integers(N_SPECIALS, 300, size=n_content)
         ids[1 + n_content] = SEP_ID
-        seq = EncodedSequence(ids=ids, mask=np.ones(T, dtype=bool), length=T)
+        seq = EncodedSequence(ids=ids)
         first = dynamic_mask(seq, rng, 300)
         second = dynamic_mask(seq, rng, 300)
         for out in (first, second):

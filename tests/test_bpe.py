@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from figlang.bpe import (CLS_ID, MASK_ID, N_SPECIALS, PAD_ID, SEP_ID,
                          bpe_train, decode, encode, load_tokenizer, normalize,
-                         save_tokenizer)
+                         pad_batch, save_tokenizer)
 from figlang.errors import ConfigError, DataError, VocabError
 
 
@@ -92,9 +92,11 @@ def test_train_input_validation():
 
 def test_encode_empty_string(toy_tok):
     seq = encode(toy_tok, "", 8)
-    assert seq.ids.tolist() == [CLS_ID, SEP_ID] + [PAD_ID] * 6
-    assert seq.mask.tolist() == [True, True] + [False] * 6
+    assert seq.ids.tolist() == [CLS_ID, SEP_ID]
     assert seq.length == 2
+    ids, mask = pad_batch([seq, encode(toy_tok, "the cat sees the dog " * 30, 8)])
+    assert ids[0].tolist() == [CLS_ID, SEP_ID] + [PAD_ID] * 6
+    assert mask[0].tolist() == [True, True] + [False] * 6
     assert decode(toy_tok, seq.ids) == ""
 
 
@@ -104,13 +106,15 @@ def test_encode_truncates_long_text(toy_tok):
     assert seq.length == 16
     assert seq.ids[0] == CLS_ID
     assert seq.ids[15] == SEP_ID
-    assert seq.mask.all()
+    assert pad_batch([seq])[1].all()
 
 
 def test_encode_mask_is_prefix(toy_tok):
     seq = encode(toy_tok, "the cat", 16)
-    m = seq.mask
+    ids, mask = pad_batch([seq, encode(toy_tok, "the cat sees the dog " * 30, 16)])
+    m = mask[0]
     assert m[:seq.length].all() and not m[seq.length:].any()
+    assert (ids[0, seq.length:] == PAD_ID).all()
 
 
 def test_encode_rejects_tiny_window(toy_tok):

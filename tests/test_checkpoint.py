@@ -95,6 +95,15 @@ def test_truncated_weights_detected(tmp_path, tok_path):
         load_checkpoint(out)
 
 
+def test_trailing_bytes_detected(tmp_path, tok_path):
+    out = save_checkpoint(tmp_path / "ckpt", fresh_params(), model_config=CFG,
+                          task="binary", tokenizer_path=tok_path)
+    with open(out / "weights.bin", "ab") as f:
+        f.write(b"\0" * 4)
+    with pytest.raises(DataError, match="tensors end at byte"):
+        load_checkpoint(out)
+
+
 def test_missing_manifest(tmp_path):
     with pytest.raises(DataError, match="manifest"):
         load_checkpoint(tmp_path)

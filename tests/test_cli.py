@@ -4,6 +4,7 @@ cli.main() in process."""
 
 import io
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -247,6 +248,17 @@ def test_missing_data_file_is_data_error(ws, capsys):
     assert cli.main(["bpe-train", "--corpus", "/nonexistent/corpus.txt",
                      "--vocab-size", "280", "--out", "/tmp/never.json"]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+def test_weights_with_trailing_bytes_are_data_error(ws, capsys, tmp_path):
+    ckpt = tmp_path / "fine"
+    shutil.copytree(ws["fine"], ckpt)
+    with open(ckpt / "weights.bin", "ab") as f:
+        f.write(b"\0" * 4)
+    inp = tmp_path / "inputs.txt"
+    inp.write_text("oh great, rain again\n", encoding="utf-8")
+    assert cli.main(["predict", "--checkpoint", str(ckpt), "--input", str(inp)]) == 2
+    assert "tensors end at byte" in capsys.readouterr().err
 
 
 def test_mismatched_labels_are_data_errors(ws, capsys):

@@ -154,9 +154,7 @@ def content_seq(rng, n_content, T=None):
     ids[0] = CLS_ID
     ids[1:1 + n_content] = rng.integers(N_SPECIALS, V, size=n_content)
     ids[1 + n_content] = SEP_ID
-    mask = np.zeros(T, dtype=bool)
-    mask[:n_content + 2] = True
-    return EncodedSequence(ids=ids, mask=mask, length=n_content + 2)
+    return EncodedSequence(ids=ids[:n_content + 2])
 
 
 @pytest.mark.parametrize("n,want", [(1, 1), (3, 1), (6, 1), (7, 1),
@@ -241,7 +239,7 @@ def test_collate_applies_replacements():
     cfg = tiny_cfg()
     rng = np.random.default_rng(5)
     seqs, outs, batch = mlm_batch_for(cfg, rng, [8, 5])
-    T = cfg.max_seq_len
+    T = batch.ids.shape[1]
     k = 0
     for b, (seq, out) in enumerate(zip(seqs, outs)):
         for pos, orig, repl in zip(out.positions, out.original_ids,
@@ -255,7 +253,33 @@ def test_collate_applies_replacements():
     for b, (seq, out) in enumerate(zip(seqs, outs)):
         keep = np.ones(len(seq.ids), dtype=bool)
         keep[list(out.positions)] = False
-        np.testing.assert_array_equal(batch.ids[b][keep], seq.ids[keep])
+        np.testing.assert_array_equal(batch.ids[b, :seq.length][keep], seq.ids[keep])
+
+
+def test_mlm_batch_padding_matches_max_seq_len_padding():
+    # collate_mlm pads to the longest sequence in the batch; the loss and
+    # logits equal those of the same batch padded to max_seq_len by hand
+    from figlang.encoder import MlmBatch
+    cfg = tiny_cfg()
+    rng = np.random.default_rng(9)
+    params = init_encoder_params(cfg, rng)
+    seqs, outs, batch = mlm_batch_for(cfg, rng, [6, 3, 5])
+    T = cfg.max_seq_len
+    assert batch.ids.shape[1] == 8 < T
+    ids = np.full((len(seqs), T), PAD_ID, dtype=np.int64)
+    mask = np.zeros((len(seqs), T), dtype=bool)
+    flat = []
+    for b, (seq, out) in enumerate(zip(seqs, outs)):
+        ids[b, :seq.length] = seq.ids
+        ids[b, out.positions] = out.replacement_ids
+        mask[b, :seq.length] = True
+        flat.extend(b * T + out.positions)
+    ref = MlmBatch(ids=ids, mask=mask, flat_positions=np.array(flat, dtype=np.int64),
+                   targets=batch.targets)
+    got_logits, got = mlm_forward(params, cfg, batch)
+    want_logits, want = mlm_forward(params, cfg, ref)
+    np.testing.assert_allclose(got_logits.data, want_logits.data, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.item(), want.item(), rtol=1e-12, atol=0)
 
 
 def test_mlm_initial_loss_near_log_vocab():
@@ -333,7 +357,7 @@ def test_mlm_requires_masked_positions():
     params = init_encoder_params(cfg, rng)
     seqs = [content_seq(rng, 4, T=cfg.max_seq_len)]
     from figlang.encoder import MlmBatch
-    empty = MlmBatch(ids=np.stack([seqs[0].ids]), mask=np.stack([seqs[0].mask]),
+    empty = MlmBatch(ids=np.stack([seqs[0].ids]), mask=np.ones((1, seqs[0].length), dtype=bool),
                      flat_positions=np.array([], dtype=np.int64),
                      targets=np.array([], dtype=np.int64))
     with pytest.raises(ContractError):

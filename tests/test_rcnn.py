@@ -8,7 +8,8 @@ import pytest
 from figlang import autodiff as ad
 from figlang import rcnn
 from figlang.autodiff import Tensor
-from figlang.bpe import CLS_ID, N_SPECIALS, PAD_ID, SEP_ID, bpe_train, encode
+from figlang.bpe import (CLS_ID, N_SPECIALS, PAD_ID, SEP_ID, bpe_train, encode,
+                         pad_batch)
 from figlang.config import BINARY, REGRESSION, ModelConfig, TrainConfig
 from figlang.encoder import init_encoder_params
 from figlang.rcnn import (HEAD_PREFIXES, bilstm_forward, full_forward,
@@ -331,6 +332,26 @@ def tok():
     lines = ["the cat sees the ball .", "a dry remark about rain .",
              "what a lovely day to be stuck inside ."]
     return bpe_train(lines, 280)
+
+
+def test_batch_padding_matches_max_seq_len_padding(tok):
+    # padding to the longest sequence in the batch gives the logits that
+    # padding to max_seq_len gives
+    cfg = head_cfg(vocab_size=tok.size, max_seq_len=32)
+    params = init_model_params(cfg, np.random.default_rng(24))
+    texts = ["the cat sees the ball .", "rain", "a dry remark"]
+    seqs = [encode(tok, text, cfg.max_seq_len) for text in texts]
+    ids, mask = pad_batch(seqs)
+    assert ids.shape == mask.shape == (3, max(s.length for s in seqs))
+    assert ids.shape[1] < cfg.max_seq_len
+    ref_ids = np.full((3, cfg.max_seq_len), PAD_ID, dtype=np.int64)
+    ref_mask = np.zeros((3, cfg.max_seq_len), dtype=bool)
+    for b, s in enumerate(seqs):
+        ref_ids[b, :s.length] = s.ids
+        ref_mask[b, :s.length] = True
+    got = full_forward(params, cfg, ids, mask).data
+    want = full_forward(params, cfg, ref_ids, ref_mask).data
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_predict_binary_records(tok):

@@ -1,7 +1,9 @@
 """Optimizer math against closed forms and a straight-line reference,
 seeded-stream reproducibility, and behavior of the two training loops."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -276,6 +278,36 @@ def test_trainlog_closed_when_training_raises(tmp_path, small, monkeypatch, trai
         else:
             finetune(labeled(lines), tok, cfg, tc, log=log)
     assert fh.closed
+
+
+@pytest.mark.parametrize("train", ["pretrain", "finetune"])
+def test_previous_step_graph_is_freed_before_next_forward(small, monkeypatch, train):
+    # with the cycle collector off, only reference counting can free the
+    # previous step's graph; it must be gone when the next forward starts
+    lines, tok, cfg = small
+    tc = TrainConfig(batch_size=4, epochs=1, learning_rate=1e-3, seed=4)
+    name = "mlm_forward" if train == "pretrain" else "full_forward"
+    real = getattr(training, name)
+    refs, alive_at_start = [], []
+
+    def spy(*args, **kwargs):
+        alive_at_start.append(bool(refs) and refs[-1]() is not None)
+        out = real(*args, **kwargs)
+        refs.append(weakref.ref((out[0] if train == "pretrain" else out).data))
+        return out
+    monkeypatch.setattr(training, name, spy)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if train == "pretrain":
+            pretrain_mlm(lines, tok, cfg, tc)
+        else:
+            finetune(labeled(lines), tok, cfg, tc)
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert len(refs) == 3
+    assert alive_at_start == [False, False, False]
 
 
 def test_finetune_determinism_and_learning(small):
