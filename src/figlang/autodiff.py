@@ -17,6 +17,10 @@ Gradients flowing between nodes may alias each other (views, or one array
 handed to two parents), so `backward` never sums into one in place and
 copies a leaf's first gradient before storing it.
 
+Most ops wrap one numpy expression. `lstm` is the exception: a whole masked
+LSTM sweep is one fused node, whose time loop runs on plain arrays and whose
+backward pass is backpropagation through time written out by hand.
+
 All arithmetic is 64-bit: the finite-difference oracle in `grad_check`
 needs the headroom, and desk-scale models do not need the speed.
 """
@@ -213,12 +217,8 @@ def tanh(x) -> Tensor:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # Piecewise form keeps exp from overflowing for large |z|.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(x) -> Tensor:
@@ -231,7 +231,7 @@ def gelu(x) -> Tensor:
     """Tanh-approximation GELU: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
     x = as_tensor(x)
     v = x.data
-    u = _GELU_C * (v + _GELU_A * v ** 3)
+    u = _GELU_C * (v + _GELU_A * (v * v * v))
     t = np.tanh(u)
 
     def _bw(g):
@@ -355,6 +355,87 @@ def stack_time(steps) -> Tensor:
     steps = tuple(as_tensor(s) for s in steps)
     return _node(np.stack([s.data for s in steps], axis=1), "stack_time", steps,
                  lambda g: [g[:, t, :] for t in range(len(steps))])
+
+
+# ---------------------------------------------------------------------------
+# recurrence
+
+
+def lstm(x, w_in, w_rec, bias, mask, reverse=False) -> Tensor:
+    """One masked LSTM sweep: (B, T, d) -> (B, T, u), recorded as one node.
+
+    Gates are packed i, f, g, o along the 4u axis of `w_in` (d, 4u),
+    `w_rec` (u, 4u) and `bias` (4u,). The sweep runs over t = 0..T-1, or
+    T-1..0 when `reverse`. A step whose `mask` (B, T) entry is false keeps
+    h and c as they were and outputs zeros, so pad content reaches no
+    unmasked position. The input projection is one (B*T, d) x (d, 4u)
+    matmul outside the time loop; the backward pass runs the loop in
+    reverse to fill the pre-activation gradient of every step, then takes
+    the gradients of x and the weights from one matmul (or sum) each.
+    """
+    x, w_in, w_rec, bias = (as_tensor(a) for a in (x, w_in, w_rec, bias))
+    mask = np.asarray(mask, dtype=bool)
+    if x.ndim != 3:
+        raise ShapeError(f"lstm expects (B, T, d) input, got {x.data.shape}")
+    B, T, d = x.data.shape
+    u = w_rec.data.shape[0]
+    if (w_in.data.shape != (d, 4 * u) or w_rec.data.shape != (u, 4 * u)
+            or bias.data.shape != (4 * u,) or mask.shape != (B, T)):
+        raise ShapeError(
+            f"lstm: input {x.data.shape} and mask {mask.shape} need w_in (d, 4u), "
+            f"w_rec (u, 4u) and bias (4u,), got {w_in.data.shape}, "
+            f"{w_rec.data.shape} and {bias.data.shape}")
+    wr = w_rec.data
+    zx = (x.data.reshape(B * T, d) @ w_in.data + bias.data).reshape(B, T, 4 * u)
+    gates = np.empty((B, T, 4 * u))      # activated i, f, g, o
+    tanh_c = np.empty((B, T, u))         # tanh of the step's new cell state
+    h_prev = np.empty((B, T, u))         # state each step started from
+    c_prev = np.empty((B, T, u))
+    out = np.empty((B, T, u))
+    h = np.zeros((B, u))
+    c = np.zeros((B, u))
+    steps = range(T - 1, -1, -1) if reverse else range(T)
+    for t in steps:
+        h_prev[:, t] = h
+        c_prev[:, t] = c
+        z = zx[:, t] + h @ wr
+        a = _sigmoid(z)
+        a[:, 2 * u:3 * u] = np.tanh(z[:, 2 * u:3 * u])
+        gates[:, t] = a
+        c_new = a[:, u:2 * u] * c + a[:, :u] * a[:, 2 * u:3 * u]
+        tc = np.tanh(c_new)
+        tanh_c[:, t] = tc
+        h_new = a[:, 3 * u:] * tc
+        m = mask[:, t, None]
+        c = np.where(m, c_new, c)
+        h = np.where(m, h_new, h)
+        out[:, t] = np.where(m, h_new, 0.0)
+
+    def _bw(g):
+        # Each step's local gate derivatives, for all steps at once; the loop
+        # only multiplies them by the state gradients carried back in time.
+        i, f, gg, o = (gates[..., k * u:(k + 1) * u] for k in range(4))
+        by_dc = np.stack([gg * i * (1.0 - i), c_prev * f * (1.0 - f),
+                          i * (1.0 - gg * gg)], axis=2)          # dz_i, dz_f, dz_g per dc
+        o_by_dh = tanh_c * o * (1.0 - o)                         # dz_o per dh
+        c_by_dh = o * (1.0 - tanh_c * tanh_c)                    # dc per dh
+        dz = np.empty((B, T, 4, u))
+        dh = np.zeros((B, u))
+        dc = np.zeros((B, u))
+        for t in reversed(steps):
+            m = mask[:, t, None]
+            dh_new = np.where(m, dh + g[:, t], 0.0)
+            dc_new = np.where(m, dc + dh_new * c_by_dh[:, t], 0.0)
+            dz[:, t, :3] = dc_new[:, None, :] * by_dc[:, t]
+            dz[:, t, 3] = dh_new * o_by_dh[:, t]
+            dh = dz[:, t].reshape(B, 4 * u) @ wr.T + np.where(m, 0.0, dh)
+            dc = dc_new * f[:, t] + np.where(m, 0.0, dc)
+        dz = dz.reshape(B * T, 4 * u)
+        return ((dz @ w_in.data.T).reshape(B, T, d),
+                x.data.reshape(B * T, d).T @ dz,
+                h_prev.reshape(B * T, u).T @ dz,
+                dz.sum(axis=0))
+    return _node(out, "lstm", (x, w_in, w_rec, bias), _bw)
 
 
 # ---------------------------------------------------------------------------

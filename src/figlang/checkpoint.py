@@ -106,6 +106,10 @@ def load_checkpoint(ckpt_dir) -> CheckpointBundle:
     for entry in manifest["tensors"]:
         n = entry["nbytes"]
         start = entry["offset"]
+        want = 4 * int(np.prod(entry["shape"]))
+        if n != want:
+            raise DataError(f"tensor {entry['name']!r}: shape {entry['shape']} needs "
+                            f"{want} bytes, manifest says {n}")
         raw = blob[start:start + n]
         if len(raw) != n:
             raise DataError(f"weights.bin truncated at tensor {entry['name']!r}")

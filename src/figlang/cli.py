@@ -72,12 +72,17 @@ def _write_run_manifest(path, *, subcommand, argv, seed, config, inputs,
         f.write("\n")
 
 
-def _read_lines(path) -> list[str]:
+def _read_text(path) -> str:
     try:
         with open(path, encoding="utf-8") as f:
-            return [line for line in f.read().splitlines() if line.strip()]
+            return f.read()
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from None
+
+
+def _read_lines(path) -> list[str]:
+    """Non-blank lines of a corpus file."""
+    return [line for line in _read_text(path).splitlines() if line.strip()]
 
 
 def _resolve_configs(args) -> tuple[ModelConfig, TrainConfig, set]:
@@ -278,10 +283,8 @@ def _cmd_evaluate(args, argv) -> int:
 def _cmd_predict(args, argv) -> int:
     bundle = load_checkpoint(args.checkpoint)
     tokenizer = load_tokenizer(bundle.tokenizer_path)
-    if args.input:
-        texts = _read_lines(args.input)
-    else:
-        texts = [line for line in sys.stdin.read().splitlines() if line.strip()]
+    # every line, blank ones too, so output record N answers input line N
+    texts = (_read_text(args.input) if args.input else sys.stdin.read()).splitlines()
     records = model_predict(bundle.params, bundle.model_config, tokenizer, texts)
     for rec in records:
         sys.stdout.write(json.dumps(rec) + "\n")

@@ -1,6 +1,8 @@
 """Recurrent-convolutional classification head over encoder hidden states.
 
-A BiLSTM contextualizes the final hidden states; its output is concatenated
+A BiLSTM contextualizes the final hidden states. Each of its two sweeps is
+one fused `autodiff.lstm` node (input projection hoisted out of the time
+loop, hand-written backward through time). Its output is concatenated
 per position with those states, pushed through a shared position-wise affine
 + tanh (a width-1 "convolution" over the full feature stack), max-pooled
 over unmasked time steps, and mapped to two logits (binary head) or one
@@ -53,42 +55,17 @@ def is_head_param(name: str) -> bool:
     return name.startswith(HEAD_PREFIXES)
 
 
-def _lstm_direction(params, prefix: str, hidden: Tensor, mask: np.ndarray,
-                    units: int, reverse: bool) -> list:
-    """One LSTM sweep. Mask gating freezes the state across padded steps and
-    zeroes their outputs, so pad content cannot reach any unmasked position."""
-    B, T, _ = hidden.shape
-    w_in = params[f"{prefix}.w_in.weight"]
-    w_rec = params[f"{prefix}.w_rec.weight"]
-    bias = params[f"{prefix}.bias"]
-    h = Tensor(np.zeros((B, units)))
-    c = Tensor(np.zeros((B, units)))
-    outs: list = [None] * T
-    steps = range(T - 1, -1, -1) if reverse else range(T)
-    for t in steps:
-        m = mask[:, t:t + 1].astype(np.float64)
-        m_t = Tensor(m)
-        keep_t = Tensor(1.0 - m)
-        x_t = ad.time_slice(hidden, t)
-        z = ad.add(ad.add(ad.matmul(x_t, w_in), ad.matmul(h, w_rec)), bias)
-        gi = ad.sigmoid(ad.slice_last(z, 0, units))
-        gf = ad.sigmoid(ad.slice_last(z, units, 2 * units))
-        gg = ad.tanh(ad.slice_last(z, 2 * units, 3 * units))
-        go = ad.sigmoid(ad.slice_last(z, 3 * units, 4 * units))
-        c_new = ad.add(ad.mul(gf, c), ad.mul(gi, gg))
-        h_new = ad.mul(go, ad.tanh(c_new))
-        c = ad.add(ad.mul(m_t, c_new), ad.mul(keep_t, c))
-        h = ad.add(ad.mul(m_t, h_new), ad.mul(keep_t, h))
-        outs[t] = ad.mul(h, m_t)
-    return outs
-
-
 def bilstm_forward(params, hidden: Tensor, mask, units: int) -> Tensor:
-    """(B, T, d_model) -> (B, T, 2*units): forward and backward sweeps,
-    concatenated per position; padded positions output zeros."""
+    """(B, T, d_model) -> (B, T, 2*units): forward and backward sweeps, one
+    fused `ad.lstm` node each, concatenated per position. Mask gating
+    freezes the state across padded steps and zeroes their outputs, so pad
+    content cannot reach any unmasked position. `units` must equal the
+    sweeps' width, which the weights already fix."""
     mask = np.asarray(mask, dtype=bool)
-    fw = ad.stack_time(_lstm_direction(params, "lstm.fw", hidden, mask, units, reverse=False))
-    bw = ad.stack_time(_lstm_direction(params, "lstm.bw", hidden, mask, units, reverse=True))
+    fw, bw = (ad.lstm(hidden, params[f"lstm.{d}.w_in.weight"],
+                      params[f"lstm.{d}.w_rec.weight"], params[f"lstm.{d}.bias"],
+                      mask, reverse=d == "bw")
+              for d in ("fw", "bw"))
     return ad.concat([fw, bw], axis=-1)
 
 

@@ -139,6 +139,15 @@ def _primitive_cases(rng):
     case("dropout",
          lambda: ad.sum_all(ad.mul(ad.dropout(dx, 0.4, np.random.default_rng(1234)),
                                    wd)), dx)
+
+    lx, lw_in, lw_rec, lb = leaf(3, 4, 2), leaf(2, 8), leaf(2, 8), leaf(8)
+    lmask = np.array([[True] * 4, [True, True, True, False], [False, True, False, True]])
+    wl = Tensor(rng.normal(size=(3, 4, 2)))
+    for rev in (False, True):
+        case(f"lstm.{'reverse' if rev else 'forward'}",
+             lambda rev=rev: ad.sum_all(ad.mul(
+                 ad.lstm(lx, lw_in, lw_rec, lb, lmask, reverse=rev), wl)),
+             lx, lw_in, lw_rec, lb)
     return cases
 
 

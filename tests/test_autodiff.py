@@ -105,6 +105,9 @@ def test_gelu_values():
     got = ad.gelu(t([1.0])).data[0]
     assert abs(got - want) < 1e-12
     assert abs(got - 0.8412) < 1e-3
+    xs = np.array([-10.0, -1.0, -1e-3, 1e-3, 1.0, 10.0])
+    pow_form = 0.5 * xs * (1 + np.tanh(np.sqrt(2 / np.pi) * (xs + 0.044715 * xs ** 3)))
+    np.testing.assert_allclose(ad.gelu(t(xs)).data, pow_form, rtol=1e-14, atol=0)
 
 
 def test_max_over_time_values():

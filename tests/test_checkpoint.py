@@ -104,6 +104,16 @@ def test_trailing_bytes_detected(tmp_path, tok_path):
         load_checkpoint(out)
 
 
+def test_shape_that_disagrees_with_nbytes_detected(tmp_path, tok_path):
+    out = save_checkpoint(tmp_path / "ckpt", fresh_params(), model_config=CFG,
+                          task="binary", tokenizer_path=tok_path)
+    man = json.loads((out / "manifest.json").read_text())
+    man["tensors"][0]["shape"][0] += 1
+    (out / "manifest.json").write_text(json.dumps(man))
+    with pytest.raises(DataError, match="bytes, manifest says"):
+        load_checkpoint(out)
+
+
 def test_missing_manifest(tmp_path):
     with pytest.raises(DataError, match="manifest"):
         load_checkpoint(tmp_path)

@@ -136,6 +136,20 @@ def test_predict_stdin(ws, capsys, monkeypatch):
     assert len(recs) == 1 and recs[0]["label"] == 1
 
 
+@pytest.mark.parametrize("source", ["input", "stdin"])
+def test_predict_keeps_blank_lines(ws, capsys, monkeypatch, tmp_path, source):
+    argv = ["predict", "--checkpoint", str(ws["fine"])]
+    if source == "input":
+        inp = tmp_path / "inputs.txt"
+        inp.write_text("a\n\nb\n", encoding="utf-8")
+        argv += ["--input", str(inp)]
+    else:
+        monkeypatch.setattr("sys.stdin", io.StringIO("a\n\nb\n"))
+    assert cli.main(argv) == 0
+    recs = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert [r["text"] for r in recs] == ["a", "", "b"]
+
+
 def test_same_seed_same_artifacts(ws):
     outs = []
     for sub in ("rep1", "rep2"):
@@ -259,6 +273,18 @@ def test_weights_with_trailing_bytes_are_data_error(ws, capsys, tmp_path):
     inp.write_text("oh great, rain again\n", encoding="utf-8")
     assert cli.main(["predict", "--checkpoint", str(ckpt), "--input", str(inp)]) == 2
     assert "tensors end at byte" in capsys.readouterr().err
+
+
+def test_manifest_shape_that_disagrees_with_nbytes_is_data_error(ws, capsys, tmp_path):
+    ckpt = tmp_path / "fine"
+    shutil.copytree(ws["fine"], ckpt)
+    man = json.loads((ckpt / "manifest.json").read_text())
+    man["tensors"][0]["shape"][0] += 1
+    (ckpt / "manifest.json").write_text(json.dumps(man))
+    inp = tmp_path / "inputs.txt"
+    inp.write_text("oh great, rain again\n", encoding="utf-8")
+    assert cli.main(["predict", "--checkpoint", str(ckpt), "--input", str(inp)]) == 2
+    assert "bytes, manifest says" in capsys.readouterr().err
 
 
 def test_mismatched_labels_are_data_errors(ws, capsys):

@@ -178,6 +178,66 @@ def test_duplicated_timestep_is_pool_idempotent():
     np.testing.assert_array_equal(a, b)
 
 
+def _lstm_direction(params, prefix: str, hidden: Tensor, mask: np.ndarray,
+                    units: int, reverse: bool) -> list:
+    """One LSTM sweep. Mask gating freezes the state across padded steps and
+    zeroes their outputs, so pad content cannot reach any unmasked position."""
+    B, T, _ = hidden.shape
+    w_in = params[f"{prefix}.w_in.weight"]
+    w_rec = params[f"{prefix}.w_rec.weight"]
+    bias = params[f"{prefix}.bias"]
+    h = Tensor(np.zeros((B, units)))
+    c = Tensor(np.zeros((B, units)))
+    outs: list = [None] * T
+    steps = range(T - 1, -1, -1) if reverse else range(T)
+    for t in steps:
+        m = mask[:, t:t + 1].astype(np.float64)
+        m_t = Tensor(m)
+        keep_t = Tensor(1.0 - m)
+        x_t = ad.time_slice(hidden, t)
+        z = ad.add(ad.add(ad.matmul(x_t, w_in), ad.matmul(h, w_rec)), bias)
+        gi = ad.sigmoid(ad.slice_last(z, 0, units))
+        gf = ad.sigmoid(ad.slice_last(z, units, 2 * units))
+        gg = ad.tanh(ad.slice_last(z, 2 * units, 3 * units))
+        go = ad.sigmoid(ad.slice_last(z, 3 * units, 4 * units))
+        c_new = ad.add(ad.mul(gf, c), ad.mul(gi, gg))
+        h_new = ad.mul(go, ad.tanh(c_new))
+        c = ad.add(ad.mul(m_t, c_new), ad.mul(keep_t, c))
+        h = ad.add(ad.mul(m_t, h_new), ad.mul(keep_t, h))
+        outs[t] = ad.mul(h, m_t)
+    return outs
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_fused_lstm_matches_unrolled_reference(reverse):
+    # the fused sweep against the per-step graph it replaced: same output and
+    # same gradients of x and all three weights under a padded mask; the last
+    # row's holes make a masked step carry state (and its gradient) through
+    cfg = head_cfg(d_model=6, lstm_units=4)
+    params = init_head_params(cfg, np.random.default_rng(25))
+    rng = np.random.default_rng(26)
+    # unit-scale recurrence and bias, so the gates leave their linear range
+    for k in ("lstm.fw.w_rec.weight", "lstm.fw.bias"):
+        params[k].data[:] = rng.normal(size=params[k].shape)
+    x = Tensor(rng.normal(size=(3, 6, cfg.d_model)), requires_grad=True)
+    mask = np.array([[1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 0, 0], [0, 1, 1, 0, 1, 0]], dtype=bool)
+    weight = Tensor(rng.normal(size=(3, 6, cfg.lstm_units)))
+    names = ["lstm.fw.w_in.weight", "lstm.fw.w_rec.weight", "lstm.fw.bias"]
+    leaves = [x] + [params[k] for k in names]
+
+    def run(build):
+        ad.zero_grads(leaves)
+        out = build()
+        ad.backward(ad.sum_all(ad.mul(out, weight)))
+        return [out.data] + [t.grad.copy() for t in leaves]
+
+    got = run(lambda: ad.lstm(x, *(params[k] for k in names), mask, reverse=reverse))
+    want = run(lambda: ad.stack_time(_lstm_direction(params, "lstm.fw", x, mask,
+                                                     cfg.lstm_units, reverse)))
+    for a, b in zip(got, want):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # end-to-end forward
 
