@@ -77,27 +77,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def as_tensor(x) -> Tensor:
     """Lift plain arrays/scalars to constant (untracked) tensors."""
@@ -179,12 +158,6 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     return _node(a.data + b.data, "add", (a, b),
                  lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return _node(a.data - b.data, "sub", (a, b),
-                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a, b) -> Tensor:
@@ -386,26 +359,30 @@ def lstm(x, w_in, w_rec, bias, mask, reverse=False) -> Tensor:
             f"w_rec (u, 4u) and bias (4u,), got {w_in.data.shape}, "
             f"{w_rec.data.shape} and {bias.data.shape}")
     wr = w_rec.data
-    zx = (x.data.reshape(B * T, d) @ w_in.data + bias.data).reshape(B, T, 4 * u)
-    gates = np.empty((B, T, 4 * u))      # activated i, f, g, o
-    tanh_c = np.empty((B, T, u))         # tanh of the step's new cell state
-    h_prev = np.empty((B, T, u))         # state each step started from
-    c_prev = np.empty((B, T, u))
+    zx = x.data.reshape(B * T, d) @ w_in.data
+    zx += bias.data
+    zx = zx.reshape(B, T, 4 * u)
+    # The backward pass is the only reader of what a step saves.
+    track = any(p.requires_grad for p in (x, w_in, w_rec, bias))
+    if track:
+        gates = np.empty((B, T, 4 * u))      # activated i, f, g, o
+        tanh_c = np.empty((B, T, u))         # tanh of the step's new cell state
+        h_prev = np.empty((B, T, u))         # state each step started from
+        c_prev = np.empty((B, T, u))
     out = np.empty((B, T, u))
     h = np.zeros((B, u))
     c = np.zeros((B, u))
     steps = range(T - 1, -1, -1) if reverse else range(T)
     for t in steps:
-        h_prev[:, t] = h
-        c_prev[:, t] = c
         z = zx[:, t] + h @ wr
         a = _sigmoid(z)
         a[:, 2 * u:3 * u] = np.tanh(z[:, 2 * u:3 * u])
-        gates[:, t] = a
         c_new = a[:, u:2 * u] * c + a[:, :u] * a[:, 2 * u:3 * u]
         tc = np.tanh(c_new)
-        tanh_c[:, t] = tc
         h_new = a[:, 3 * u:] * tc
+        if track:
+            h_prev[:, t], c_prev[:, t] = h, c
+            gates[:, t], tanh_c[:, t] = a, tc
         m = mask[:, t, None]
         c = np.where(m, c_new, c)
         h = np.where(m, h_new, h)
@@ -501,12 +478,6 @@ def mse_loss(pred, gold) -> Tensor:
         d = float(g) * 2.0 * diff / diff.size
         return (d, -d)
     return _node(np.float64((diff ** 2).mean()), "mse_loss", (pred, gold), _bw)
-
-
-def mean_all(x) -> Tensor:
-    x = as_tensor(x)
-    return _node(np.float64(x.data.mean()), "mean_all", (x,),
-                 lambda g: (np.full_like(x.data, float(g) / x.data.size),))
 
 
 def sum_all(x) -> Tensor:

@@ -98,19 +98,10 @@ class TokenizerModel:
     vocab: dict[bytes, int] = field(repr=False)       # byte-level tokens only
     id_to_token: list[bytes | None] = field(repr=False)
 
-    cls_id: int = CLS_ID
-    sep_id: int = SEP_ID
-    pad_id: int = PAD_ID
-    mask_id: int = MASK_ID
-
     @property
     def size(self) -> int:
         """Total vocabulary size including the special ids."""
         return N_SPECIALS + len(self.vocab)
-
-    @property
-    def special_ids(self) -> tuple[int, ...]:
-        return (self.cls_id, self.sep_id, self.pad_id, self.mask_id)
 
     def _ranks(self) -> dict[tuple[bytes, bytes], int]:
         return {pair: rank for rank, pair in enumerate(self.merges)}
@@ -201,7 +192,7 @@ def encode(model: TokenizerModel, text: str, max_seq_len: int) -> EncodedSequenc
         raise ConfigError(f"max_seq_len must be at least 2 (cls + sep), got {max_seq_len}")
     content = [model.vocab[t] for t in _segment(model, normalize(text))]
     content = content[:max_seq_len - 2]
-    ids = [model.cls_id] + content + [model.sep_id]
+    ids = [CLS_ID] + content + [SEP_ID]
     return EncodedSequence(ids=np.array(ids, dtype=np.int64))
 
 
@@ -222,7 +213,7 @@ def decode(model: TokenizerModel, ids) -> str:
     parts = []
     for i in np.asarray(ids, dtype=np.int64).reshape(-1):
         i = int(i)
-        if i in model.special_ids:
+        if 0 <= i < N_SPECIALS:
             continue
         if i < 0 or i >= model.size or model.id_to_token[i] is None:
             raise VocabError(f"id {i} is not in the vocabulary (size {model.size})")

@@ -2,7 +2,8 @@
 
 Features are binarized indicators of whitespace-token n-grams (lowercased
 text), each scaled by its log-count ratio r_i between the two classes.
-A logistic layer on top is trained with Adam. Strong for the cost; used to
+A logistic layer on top is trained with Adam, on the same seeded batches
+as the neural trainers (`training._batches`). Strong for the cost; used to
 sanity-check the neural numbers.
 """
 
@@ -13,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, zero_grads
 from .bpe import normalize
 from .config import TrainConfig
 from .errors import DataError
-from .training import AdamState, adam_step, rng_streams
+from .training import AdamState, _batches, adam_step, rng_streams
 
 
 def ngrams(text: str) -> list[str]:
@@ -71,17 +72,14 @@ def nbsvm_train(examples, *, alpha: float = 1.0, lr: float = 1e-3,
     state = AdamState()
     shuffle = rng_streams(seed)["shuffle"]
     for _ in range(epochs):
-        order = shuffle.permutation(len(texts))
-        for start in range(0, len(texts), batch_size):
-            idx = order[start:start + batch_size]
+        for idx in _batches(len(texts), batch_size, shuffle):
             xb, yb = x[idx], y[idx]
             p = 1.0 / (1.0 + np.exp(-(xb @ params["w"].data + params["b"].data)))
             err = (p - yb) / len(idx)
             params["w"].grad = xb.T @ err
             params["b"].grad = np.asarray(err.sum())
             adam_step(params, state, cfg)
-            params["w"].grad = None
-            params["b"].grad = None
+            zero_grads(params.values())
     return NbsvmModel(vocab=vocab, r=r, weights=params["w"].data.copy(),
                       bias=float(params["b"].data), alpha=alpha)
 

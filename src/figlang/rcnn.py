@@ -55,12 +55,12 @@ def is_head_param(name: str) -> bool:
     return name.startswith(HEAD_PREFIXES)
 
 
-def bilstm_forward(params, hidden: Tensor, mask, units: int) -> Tensor:
-    """(B, T, d_model) -> (B, T, 2*units): forward and backward sweeps, one
-    fused `ad.lstm` node each, concatenated per position. Mask gating
-    freezes the state across padded steps and zeroes their outputs, so pad
-    content cannot reach any unmasked position. `units` must equal the
-    sweeps' width, which the weights already fix."""
+def bilstm_forward(params, hidden: Tensor, mask) -> Tensor:
+    """(B, T, d_model) -> (B, T, 2*units), units fixed by the LSTM weights:
+    forward and backward sweeps, one fused `ad.lstm` node each,
+    concatenated per position. Mask gating freezes the state across padded
+    steps and zeroes their outputs, so pad content cannot reach any
+    unmasked position."""
     mask = np.asarray(mask, dtype=bool)
     fw, bw = (ad.lstm(hidden, params[f"lstm.{d}.w_in.weight"],
                       params[f"lstm.{d}.w_rec.weight"], params[f"lstm.{d}.bias"],
@@ -69,8 +69,7 @@ def bilstm_forward(params, hidden: Tensor, mask, units: int) -> Tensor:
     return ad.concat([fw, bw], axis=-1)
 
 
-def rcnn_forward(params, cfg: ModelConfig, hidden: Tensor, lstm_out: Tensor,
-                 mask) -> Tensor:
+def rcnn_forward(params, hidden: Tensor, lstm_out: Tensor, mask) -> Tensor:
     """Concat -> position-wise affine + tanh -> max over time -> output layer."""
     feats = ad.concat([hidden, lstm_out], axis=-1)
     z = ad.tanh(ad.add(ad.matmul(feats, params["proj.weight"]), params["proj.bias"]))
@@ -88,10 +87,10 @@ def full_forward(params, cfg: ModelConfig, ids, mask, *, train=False,
     h = encoder_forward(params, cfg, ids, mask, train=train, rng=rng)
     drop = cfg.dropout if train else 0.0
     lstm_in = ad.dropout(h, drop, rng) if drop else h
-    lstm_out = bilstm_forward(params, lstm_in, mask, cfg.lstm_units)
+    lstm_out = bilstm_forward(params, lstm_in, mask)
     if drop:
         lstm_out = ad.dropout(lstm_out, drop, rng)
-    return rcnn_forward(params, cfg, h, lstm_out, mask)
+    return rcnn_forward(params, h, lstm_out, mask)
 
 
 def predict(params, cfg: ModelConfig, tokenizer: TokenizerModel,

@@ -1,5 +1,8 @@
-"""Optimization and the two training loops (masked-LM pretraining, task
-fine-tuning).
+"""Optimization and training: masked-LM pretraining and task fine-tuning.
+
+Both trainers run one step loop, `_fit` (shuffle, `max_steps` cap, Adam
+step, log); each only prepares its data and parameters and hands `_fit` a
+closure from a batch of example indices to its loss.
 
 Adam uses decoupled weight decay: the decay term is added to the update
 after the moment step, never folded into the gradient. Biases and layer-norm
@@ -106,6 +109,24 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start:start + batch_size]
 
 
+def _fit(params, n: int, batch_loss, cfg: TrainConfig, shuffle: np.random.Generator,
+         log: TrainLog) -> None:
+    """One Adam step and one `log.add` per batch of the n examples, over
+    `cfg.epochs` seeded shuffles or until `cfg.max_steps`. The loss goes
+    straight into the step, so no local keeps its graph alive into the next
+    forward. The log is closed however the loop ends."""
+    state = AdamState()
+    batches = ((epoch, idx) for epoch in range(cfg.epochs)
+               for idx in _batches(n, cfg.batch_size, shuffle))
+    try:
+        for step, (epoch, idx) in enumerate(batches, start=1):
+            log.add(step, epoch, _optim_step(params, state, cfg, batch_loss(idx)))
+            if cfg.max_steps is not None and step >= cfg.max_steps:
+                break
+    finally:
+        log.close()
+
+
 class TrainLog:
     """Collects {"step", "epoch", "loss"} records; optionally mirrors them to
     a JSONL file."""
@@ -150,30 +171,16 @@ def pretrain_mlm(lines: list[str], tokenizer: TokenizerModel, model_cfg: ModelCo
 
     if params is None:
         params = init_model_params(model_cfg, streams["init"])
+
+    def batch_loss(idx):
+        batch_seqs = [seqs[i] for i in idx]
+        outcomes = [dynamic_mask(s, streams["mask"], model_cfg.vocab_size)
+                    for s in batch_seqs]
+        return mlm_forward(params, model_cfg, collate_mlm(batch_seqs, outcomes),
+                           train=True, rng=streams["dropout"])[1]
+
     log = log or TrainLog()
-    state = AdamState()
-    step = 0
-    done = False
-    try:
-        for epoch in range(train_cfg.epochs):
-            if done:
-                break
-            for idx in _batches(len(seqs), train_cfg.batch_size, streams["shuffle"]):
-                batch_seqs = [seqs[i] for i in idx]
-                outcomes = [dynamic_mask(s, streams["mask"], model_cfg.vocab_size)
-                            for s in batch_seqs]
-                batch = collate_mlm(batch_seqs, outcomes)
-                loss = mlm_forward(params, model_cfg, batch,
-                                   train=True, rng=streams["dropout"])[1]
-                val = _optim_step(params, state, train_cfg, loss)
-                del loss    # free this step's graph before the next forward
-                step += 1
-                log.add(step, epoch, val)
-                if train_cfg.max_steps is not None and step >= train_cfg.max_steps:
-                    done = True
-                    break
-    finally:
-        log.close()
+    _fit(params, len(seqs), batch_loss, train_cfg, streams["shuffle"], log)
     return params, log
 
 
@@ -197,29 +204,15 @@ def finetune(examples, tokenizer: TokenizerModel, model_cfg: ModelConfig,
     seqs = [encode(tokenizer, ex.text, model_cfg.max_seq_len) for ex in examples]
     targets = np.asarray([ex.target for ex in examples],
                          dtype=np.int64 if task == BINARY else np.float64)
+
+    def batch_loss(idx):
+        ids, mask = pad_batch([seqs[i] for i in idx])
+        out = full_forward(params, model_cfg, ids, mask,
+                           train=True, rng=streams["dropout"])
+        if task == BINARY:
+            return ad.cross_entropy(out, targets[idx])
+        return ad.mse_loss(ad.reshape(out, (len(idx),)), Tensor(targets[idx]))
+
     log = log or TrainLog()
-    state = AdamState()
-    step = 0
-    done = False
-    try:
-        for epoch in range(train_cfg.epochs):
-            if done:
-                break
-            for idx in _batches(len(examples), train_cfg.batch_size, streams["shuffle"]):
-                ids, mask = pad_batch([seqs[i] for i in idx])
-                out = full_forward(params, model_cfg, ids, mask,
-                                   train=True, rng=streams["dropout"])
-                if task == BINARY:
-                    loss = ad.cross_entropy(out, targets[idx])
-                else:
-                    loss = ad.mse_loss(ad.reshape(out, (len(idx),)), Tensor(targets[idx]))
-                val = _optim_step(params, state, train_cfg, loss)
-                del out, loss   # free this step's graph before the next forward
-                step += 1
-                log.add(step, epoch, val)
-                if train_cfg.max_steps is not None and step >= train_cfg.max_steps:
-                    done = True
-                    break
-    finally:
-        log.close()
+    _fit(params, len(examples), batch_loss, train_cfg, streams["shuffle"], log)
     return params, log

@@ -2,6 +2,8 @@
 pooling semantics, an independent end-to-end forward oracle, and the
 prediction API."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,7 +72,7 @@ def test_scalar_lstm_matches_hand_recurrence():
         params[f"lstm.{direction}.bias"] = Tensor(rng.normal(size=4), requires_grad=True)
     x = rng.normal(size=(1, 2, 1))
     mask = np.ones((1, 2), dtype=bool)
-    out = bilstm_forward(params, Tensor(x), mask, 1).data  # (1, 2, 2)
+    out = bilstm_forward(params, Tensor(x), mask).data  # (1, 2, 2)
 
     def sweep(direction, order):
         w_in = params[f"lstm.{direction}.w_in.weight"].data
@@ -100,7 +102,7 @@ def test_zero_weights_give_zero_lstm_output():
             params[k].data[:] = 0.0
     x = Tensor(np.random.default_rng(4).normal(size=(2, 5, cfg.d_model)))
     mask = np.ones((2, 5), dtype=bool)
-    out = bilstm_forward(params, x, mask, cfg.lstm_units)
+    out = bilstm_forward(params, x, mask)
     # all gates at sigmoid(0)=0.5, candidate tanh(0)=0 -> c=0 -> h=0
     np.testing.assert_array_equal(out.data, 0.0)
 
@@ -113,7 +115,7 @@ def test_single_step_width():
     for n in ("w_in.weight", "w_rec.weight", "bias"):
         params[f"lstm.bw.{n}"].data[:] = params[f"lstm.fw.{n}"].data
     x = Tensor(np.random.default_rng(6).normal(size=(3, 1, cfg.d_model)))
-    out = bilstm_forward(params, x, np.ones((3, 1), dtype=bool), cfg.lstm_units)
+    out = bilstm_forward(params, x, np.ones((3, 1), dtype=bool))
     assert out.shape == (3, 1, 2 * cfg.lstm_units)
     half = cfg.lstm_units
     np.testing.assert_array_equal(out.data[..., :half], out.data[..., half:])
@@ -125,7 +127,7 @@ def test_mask_gating_zeroes_pad_outputs():
     rng = np.random.default_rng(8)
     x = Tensor(rng.normal(size=(2, 6, cfg.d_model)))
     mask = np.array([[1, 1, 1, 1, 0, 0], [1, 1, 0, 0, 0, 0]], dtype=bool)
-    out = bilstm_forward(params, x, mask, cfg.lstm_units).data
+    out = bilstm_forward(params, x, mask).data
     assert np.abs(out[0, 4:]).max() == 0.0
     assert np.abs(out[1, 2:]).max() == 0.0
     assert np.abs(out[0, :4]).min() >= 0.0 and np.abs(out[0, :4]).sum() > 0
@@ -139,10 +141,10 @@ def test_mask_gating_blocks_pad_content():
     rng = np.random.default_rng(10)
     x = rng.normal(size=(1, 6, cfg.d_model))
     mask = np.array([[1, 1, 1, 1, 0, 0]], dtype=bool)
-    a = bilstm_forward(params, Tensor(x), mask, cfg.lstm_units).data
+    a = bilstm_forward(params, Tensor(x), mask).data
     x2 = x.copy()
     x2[0, 4:] = rng.normal(size=(2, cfg.d_model)) * 50
-    b = bilstm_forward(params, Tensor(x2), mask, cfg.lstm_units).data
+    b = bilstm_forward(params, Tensor(x2), mask).data
     np.testing.assert_array_equal(a, b)
 
 
@@ -155,7 +157,7 @@ def test_zero_proj_pools_to_tanh_bias():
     hidden = Tensor(rng.normal(size=(2, 4, cfg.d_model)))
     lstm_out = Tensor(rng.normal(size=(2, 4, 2 * cfg.lstm_units)))
     mask = np.ones((2, 4), dtype=bool)
-    out = rcnn_forward(params, cfg, hidden, lstm_out, mask).data
+    out = rcnn_forward(params, hidden, lstm_out, mask).data
     want = np.tanh(params["proj.bias"].data) @ params["out.weight"].data \
         + params["out.bias"].data
     np.testing.assert_allclose(out, np.broadcast_to(want, (2, 2)), atol=1e-12)
@@ -173,8 +175,8 @@ def test_duplicated_timestep_is_pool_idempotent():
     l2 = np.concatenate([l1, l1[:, -1:]], axis=1)
     m1 = np.ones((1, 3), dtype=bool)
     m2 = np.ones((1, 4), dtype=bool)
-    a = rcnn_forward(params, cfg, Tensor(h1), Tensor(l1), m1).data
-    b = rcnn_forward(params, cfg, Tensor(h2), Tensor(l2), m2).data
+    a = rcnn_forward(params, Tensor(h1), Tensor(l1), m1).data
+    b = rcnn_forward(params, Tensor(h2), Tensor(l2), m2).data
     np.testing.assert_array_equal(a, b)
 
 
@@ -236,6 +238,29 @@ def test_fused_lstm_matches_unrolled_reference(reverse):
                                                      cfg.lstm_units, reverse)))
     for a, b in zip(got, want):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+
+
+def test_untracked_lstm_saves_nothing_for_backward():
+    # with no input requiring a gradient, the sweep must not hold the gates,
+    # tanh(c) and previous h and c of every step: (B, T, 4u + 3u) float64
+    B, T, d, u = 16, 40, 8, 8
+    rng = np.random.default_rng(27)
+    arrays = [rng.normal(size=s) for s in ((B, T, d), (d, 4 * u), (u, 4 * u), (4 * u,))]
+    mask = np.ones((B, T), dtype=bool)
+
+    def sweep(requires_grad):
+        tensors = [Tensor(a, requires_grad=requires_grad) for a in arrays]
+        tracemalloc.start()
+        try:
+            out = ad.lstm(*tensors, mask).data
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    tracked, tracked_peak = sweep(True)
+    untracked, untracked_peak = sweep(False)
+    np.testing.assert_array_equal(untracked, tracked)
+    assert tracked_peak - untracked_peak >= B * T * 7 * u * 8
 
 
 # ---------------------------------------------------------------------------

@@ -235,19 +235,34 @@ def test_pretrain_rejects_empty_and_mismatched(small):
         pretrain_mlm(lines, tok, bad_cfg, TrainConfig())
 
 
-def test_max_steps_caps_exactly(small):
-    lines, tok, cfg = small
+def train_on(train, lines, tok, cfg, tc, **kwargs):
+    """Run the named trainer on the small corpus (finetune labels it)."""
+    if train == "pretrain":
+        return pretrain_mlm(lines, tok, cfg, tc, **kwargs)
+    return finetune(labeled(lines), tok, cfg, tc, **kwargs)
+
+
+@pytest.mark.parametrize("train", ["pretrain", "finetune"])
+def test_max_steps_caps_exactly(small, train):
+    lines, tok, cfg = small   # 12 lines
     tc = TrainConfig(batch_size=4, epochs=50, learning_rate=1e-3, seed=2,
                      max_steps=7)
-    _, log = pretrain_mlm(lines, tok, cfg, tc)
+    _, log = train_on(train, lines, tok, cfg, tc)
     assert len(log.records) == 7
     assert log.records[-1]["step"] == 7
+    # a cap inside the second epoch, after a partial trailing batch
+    tc = TrainConfig(batch_size=5, epochs=50, learning_rate=1e-3, seed=2,
+                     max_steps=4)
+    _, log = train_on(train, lines, tok, cfg, tc)
+    assert [r["step"] for r in log.records] == [1, 2, 3, 4]
+    assert [r["epoch"] for r in log.records] == [0, 0, 0, 1]
 
 
-def test_partial_trailing_batch_is_trained(small):
+@pytest.mark.parametrize("train", ["pretrain", "finetune"])
+def test_partial_trailing_batch_is_trained(small, train):
     lines, tok, cfg = small   # 12 lines
     tc = TrainConfig(batch_size=5, epochs=1, learning_rate=1e-3, seed=3)
-    _, log = pretrain_mlm(lines, tok, cfg, tc)
+    _, log = train_on(train, lines, tok, cfg, tc)
     assert len(log.records) == 3    # 5 + 5 + 2
 
 
@@ -273,10 +288,7 @@ def test_trainlog_closed_when_training_raises(tmp_path, small, monkeypatch, trai
         raise RuntimeError("optimizer failed")
     monkeypatch.setattr(training, "adam_step", boom)
     with pytest.raises(RuntimeError, match="optimizer failed"):
-        if train == "pretrain":
-            pretrain_mlm(lines, tok, cfg, tc, log=log)
-        else:
-            finetune(labeled(lines), tok, cfg, tc, log=log)
+        train_on(train, lines, tok, cfg, tc, log=log)
     assert fh.closed
 
 
@@ -299,10 +311,7 @@ def test_previous_step_graph_is_freed_before_next_forward(small, monkeypatch, tr
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        if train == "pretrain":
-            pretrain_mlm(lines, tok, cfg, tc)
-        else:
-            finetune(labeled(lines), tok, cfg, tc)
+        train_on(train, lines, tok, cfg, tc)
     finally:
         if was_enabled:
             gc.enable()
