@@ -487,7 +487,7 @@ def sum_all(x) -> Tensor:
 
 
 def dropout(x, rate, rng) -> Tensor:
-    """Inverted dropout; identity when rate is 0. Callers disable it in eval."""
+    """Inverted dropout; identity (no node, no draw) when rate is 0."""
     x = as_tensor(x)
     if rate == 0.0:
         return x

@@ -5,21 +5,23 @@ into chunks (a single leading space attaches to the following word, other
 whitespace runs stand alone) and merges never cross chunk boundaries, so
 decode(encode(text)) reproduces the normalized text byte for byte.
 
-`encode` returns one sequence's ids, unpadded; `pad_batch` right-pads a list
-of them to the longest in the batch and is the only place a padded batch is
-built.
+A model is its ordered merge list: `TokenizerModel(merges)` derives the
+token table, the vocab and the merge ranks once, and `bpe_train` and
+`load_tokenizer` both build it that way. `encode` returns one sequence's
+ids as a plain int64 array, unpadded; `pad_batch` right-pads a list of them
+to the longest in the batch and is the only place a padded batch is built.
 
 Id layout: specials 0..3 (<cls>, <sep>, <pad>, <mask>), the 256 byte tokens
 4..259, learned merges from 260 upward in rank order. `vocab_size` passed to
 training budgets the non-special part (256 byte tokens + merges); specials
-sit outside the budget on reserved low ids.
+sit outside the budget on reserved low ids. tokenizer.json (version 1)
+stores the vocab beside the merges; loading checks that the two agree.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from collections import Counter
 
 import numpy as np
@@ -90,25 +92,33 @@ def _merge_pair(tokens: list[bytes], pair: tuple[bytes, bytes]) -> list[bytes]:
     return out
 
 
-@dataclass
 class TokenizerModel:
-    """Trained byte-level BPE model (immutable after training)."""
+    """Byte-level BPE model, defined by its ordered merge list alone. The
+    constructor derives every table once: `tokens` (the byte-level token of
+    each id from N_SPECIALS up), `vocab` (its inverse) and `ranks` (merge
+    pair -> rank). A merge whose parts are not earlier tokens, or whose
+    result is already a token, is a DataError."""
 
-    merges: list[tuple[bytes, bytes]]
-    vocab: dict[bytes, int] = field(repr=False)       # byte-level tokens only
-    id_to_token: list[bytes | None] = field(repr=False)
+    def __init__(self, merges):
+        self.merges: list[tuple[bytes, bytes]] = list(merges)
+        self.tokens: list[bytes] = [bytes([b]) for b in range(256)]
+        self.vocab: dict[bytes, int] = {t: N_SPECIALS + i for i, t in enumerate(self.tokens)}
+        for a, b in self.merges:
+            if a not in self.vocab or b not in self.vocab:
+                raise DataError(f"merge ({a!r}, {b!r}) uses a token no earlier merge made")
+            if a + b in self.vocab:
+                raise DataError(f"merge ({a!r}, {b!r}) repeats the token {a + b!r}")
+            self.vocab[a + b] = N_SPECIALS + len(self.tokens)
+            self.tokens.append(a + b)
+        self.ranks = self._ranks()
 
     @property
     def size(self) -> int:
         """Total vocabulary size including the special ids."""
-        return N_SPECIALS + len(self.vocab)
+        return N_SPECIALS + len(self.tokens)
 
     def _ranks(self) -> dict[tuple[bytes, bytes], int]:
         return {pair: rank for rank, pair in enumerate(self.merges)}
-
-
-def _base_vocab() -> dict[bytes, int]:
-    return {bytes([b]): N_SPECIALS + b for b in range(256)}
 
 
 def bpe_train(lines, vocab_size: int) -> TokenizerModel:
@@ -128,9 +138,7 @@ def bpe_train(lines, vocab_size: int) -> TokenizerModel:
 
     words = {chunk: [bytes([b]) for b in chunk] for chunk in chunk_freq}
     merges: list[tuple[bytes, bytes]] = []
-    vocab = _base_vocab()
-
-    while len(vocab) < vocab_size:
+    while 256 + len(merges) < vocab_size:
         pair_freq: Counter[tuple[bytes, bytes]] = Counter()
         for chunk, toks in words.items():
             f = chunk_freq[chunk]
@@ -143,30 +151,14 @@ def bpe_train(lines, vocab_size: int) -> TokenizerModel:
             break
         best = min(p for p, f in pair_freq.items() if f == top)
         merges.append(best)
-        vocab[best[0] + best[1]] = N_SPECIALS + len(vocab)
         for chunk, toks in words.items():
             if len(toks) > 1:
                 words[chunk] = _merge_pair(toks, best)
-
-    id_to_token: list[bytes | None] = [None] * N_SPECIALS + [None] * len(vocab)
-    for tok, i in vocab.items():
-        id_to_token[i] = tok
-    return TokenizerModel(merges=merges, vocab=vocab, id_to_token=id_to_token)
-
-
-@dataclass
-class EncodedSequence:
-    """One sequence's token ids, cls and sep included, without padding."""
-
-    ids: np.ndarray    # (length,) int64
-
-    @property
-    def length(self) -> int:
-        return len(self.ids)
+    return TokenizerModel(merges)
 
 
 def _segment(model: TokenizerModel, text: str) -> list[bytes]:
-    ranks = model._ranks()
+    ranks = model.ranks
     out: list[bytes] = []
     for chunk in _chunks(text):
         toks = [bytes([b]) for b in chunk]
@@ -183,28 +175,27 @@ def _segment(model: TokenizerModel, text: str) -> list[bytes]:
     return out
 
 
-def encode(model: TokenizerModel, text: str, max_seq_len: int) -> EncodedSequence:
+def encode(model: TokenizerModel, text: str, max_seq_len: int) -> np.ndarray:
     """normalize -> BPE segment -> [cls] ... [sep] -> truncate to max_seq_len.
 
-    The result is not padded; `pad_batch` pads a batch of them.
+    Returns the (length,) int64 ids, unpadded; `pad_batch` pads a batch.
     """
     if max_seq_len < 2:
         raise ConfigError(f"max_seq_len must be at least 2 (cls + sep), got {max_seq_len}")
     content = [model.vocab[t] for t in _segment(model, normalize(text))]
-    content = content[:max_seq_len - 2]
-    ids = [CLS_ID] + content + [SEP_ID]
-    return EncodedSequence(ids=np.array(ids, dtype=np.int64))
+    return np.array([CLS_ID] + content[:max_seq_len - 2] + [SEP_ID], dtype=np.int64)
 
 
-def pad_batch(seqs: list[EncodedSequence]) -> tuple[np.ndarray, np.ndarray]:
-    """Right-pad to the longest sequence in the batch: ids (B, T) int64 filled
-    with PAD_ID, and the prefix-true attention mask (B, T) bool."""
-    T = max(s.length for s in seqs)
+def pad_batch(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad id arrays from `encode` to the longest in the batch: ids
+    (B, T) int64 filled with PAD_ID, and the prefix-true attention mask
+    (B, T) bool."""
+    T = max(len(s) for s in seqs)
     ids = np.full((len(seqs), T), PAD_ID, dtype=np.int64)
     mask = np.zeros((len(seqs), T), dtype=bool)
     for b, s in enumerate(seqs):
-        ids[b, :s.length] = s.ids
-        mask[b, :s.length] = True
+        ids[b, :len(s)] = s
+        mask[b, :len(s)] = True
     return ids, mask
 
 
@@ -215,9 +206,9 @@ def decode(model: TokenizerModel, ids) -> str:
         i = int(i)
         if 0 <= i < N_SPECIALS:
             continue
-        if i < 0 or i >= model.size or model.id_to_token[i] is None:
+        if not N_SPECIALS <= i < model.size:
             raise VocabError(f"id {i} is not in the vocabulary (size {model.size})")
-        parts.append(model.id_to_token[i])
+        parts.append(model.tokens[i - N_SPECIALS])
     return b"".join(parts).decode("utf-8", errors="replace")
 
 
@@ -241,19 +232,29 @@ def save_tokenizer(model: TokenizerModel, path) -> None:
 
 
 def load_tokenizer(path) -> TokenizerModel:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("version") != 1:
-        raise DataError(f"unsupported tokenizer file version: {payload.get('version')!r}")
-    vocab = {_token_bytes(s): i for s, i in payload["vocab"].items()}
-    merges = []
-    for rule in payload["merges"]:
-        a, b = rule.split(" ")
-        merges.append((_token_bytes(a), _token_bytes(b)))
-    size = N_SPECIALS + len(vocab)
-    id_to_token: list[bytes | None] = [None] * size
-    for tok, i in vocab.items():
-        if not N_SPECIALS <= i < size:
-            raise DataError(f"vocab id {i} outside dense range [{N_SPECIALS}, {size})")
-        id_to_token[i] = tok
-    return TokenizerModel(merges=merges, vocab=vocab, id_to_token=id_to_token)
+    """Read tokenizer.json: rebuild the model from its merges and check that
+    the file's vocab is the one they derive. Any unreadable, malformed or
+    inconsistent file is a DataError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if payload.get("version") != 1:
+            raise DataError(f"unsupported tokenizer file version: {payload.get('version')!r}")
+        vocab, rules = payload["vocab"], payload["merges"]
+        merges = []
+        for rule in rules:
+            a, b = rule.split(" ")      # ValueError unless exactly two tokens
+            merges.append((_token_bytes(a), _token_bytes(b)))
+    except OSError as exc:
+        raise DataError(f"cannot read tokenizer {path}: {exc}") from None
+    except KeyError as exc:
+        raise DataError(f"tokenizer {path} has no {exc} key") from None
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise DataError(f"tokenizer {path} is malformed: {exc}") from None
+    try:
+        model = TokenizerModel(merges)
+    except DataError as exc:
+        raise DataError(f"tokenizer {path}: {exc}") from None
+    if vocab != {_token_str(t): i for t, i in model.vocab.items()}:
+        raise DataError(f"tokenizer {path}: vocab disagrees with the merges")
+    return model

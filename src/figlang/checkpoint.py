@@ -85,8 +85,10 @@ def load_checkpoint(ckpt_dir) -> CheckpointBundle:
     man_path = root / "manifest.json"
     if not man_path.is_file():
         raise DataError(f"not a checkpoint directory (no manifest.json): {root}")
-    with open(man_path, encoding="utf-8") as f:
-        manifest = json.load(f)
+    try:
+        manifest = json.loads(man_path.read_text(encoding="utf-8"))
+    except ValueError as e:
+        raise DataError(f"{man_path} is not valid JSON: {e}") from None
     if manifest.get("format_version") != FORMAT_VERSION:
         raise DataError(f"unsupported checkpoint format_version: "
                         f"{manifest.get('format_version')!r}")

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: bpe-train, pretrain, finetune, evaluate, predict, gradcheck,
-baseline-nbsvm. Every run writes a small JSON run manifest (arguments,
-resolved config, seed, input paths, output hashes, timestamps) next to its
-primary artifact, or wherever --manifest points.
+baseline-nbsvm. All but predict and gradcheck write a JSON run manifest (args,
+config, seed, input paths, output hashes, timestamps) next to their primary
+artifact, or wherever --manifest points.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 numeric failure.

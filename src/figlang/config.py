@@ -84,6 +84,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be positive, got {self.epochs}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ConfigError(f"max_steps must be positive, got {self.max_steps}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .bpe import EncodedSequence, MASK_ID, N_SPECIALS, pad_batch
+from .bpe import MASK_ID, N_SPECIALS, pad_batch
 from .config import ModelConfig
 from .errors import ConfigError, ContractError, MaskingError
 
@@ -74,10 +74,11 @@ def _attention(p, i, h, key_bias, cfg, collect=None):
     return ad.add(ad.matmul(ctx, p[f"layer{i}.attn.o.weight"]), p[f"layer{i}.attn.o.bias"])
 
 
-def encoder_forward(params, cfg: ModelConfig, ids, attn_mask, *,
-                    train=False, rng=None, collect_attn=None,
-                    collect_hidden=None) -> Tensor:
+def encoder_forward(params, cfg: ModelConfig, ids, attn_mask, *, rng=None,
+                    collect_attn=None, collect_hidden=None) -> Tensor:
     """Hidden states (B, T, d_model) for right-padded batches.
+
+    Dropout at `cfg.dropout` runs exactly when a generator `rng` is passed.
 
     `collect_attn`, when a list, receives the per-layer attention
     probability tensors (B, H, T, T); `collect_hidden` the per-layer
@@ -91,22 +92,18 @@ def encoder_forward(params, cfg: ModelConfig, ids, attn_mask, *,
 
     tok = ad.embedding(params["embed.token.weight"], ids)
     pos = ad.embedding(params["embed.position.weight"], np.broadcast_to(np.arange(T), (B, T)))
-    h = ad.add(tok, pos)
-    drop = cfg.dropout if train else 0.0
-    if drop:
-        h = ad.dropout(h, drop, rng)
+    drop = cfg.dropout if rng is not None else 0.0
+    h = ad.dropout(ad.add(tok, pos), drop, rng)
 
     key_bias = Tensor(np.where(attn_mask, 0.0, ad.MASK_BIAS)[:, None, None, :])
     for i in range(cfg.n_layers):
-        a = _attention(params, i, h, key_bias, cfg, collect=collect_attn)
-        if drop:
-            a = ad.dropout(a, drop, rng)
+        a = ad.dropout(_attention(params, i, h, key_bias, cfg, collect=collect_attn),
+                       drop, rng)
         h = ad.layer_norm(ad.add(h, a), params[f"layer{i}.ln1.gain"], params[f"layer{i}.ln1.bias"])
         f = ad.gelu(ad.add(ad.matmul(h, params[f"layer{i}.ff.fc1.weight"]),
                            params[f"layer{i}.ff.fc1.bias"]))
-        f = ad.add(ad.matmul(f, params[f"layer{i}.ff.fc2.weight"]), params[f"layer{i}.ff.fc2.bias"])
-        if drop:
-            f = ad.dropout(f, drop, rng)
+        f = ad.dropout(ad.add(ad.matmul(f, params[f"layer{i}.ff.fc2.weight"]),
+                              params[f"layer{i}.ff.fc2.bias"]), drop, rng)
         h = ad.layer_norm(ad.add(h, f), params[f"layer{i}.ln2.gain"], params[f"layer{i}.ln2.bias"])
         if collect_hidden is not None:
             collect_hidden.append(h)
@@ -132,19 +129,19 @@ def _mask_count(n_content: int) -> int:
     return max(1, int(np.floor(MASK_RATE * n_content + 0.5)))
 
 
-def dynamic_mask(seq: EncodedSequence, rng: np.random.Generator,
+def dynamic_mask(seq: np.ndarray, rng: np.random.Generator,
                  vocab_size: int) -> MaskingOutcome:
-    """Sample a fresh mask: 80% mask token, 10% random token, 10% unchanged.
+    """Sample a fresh mask over `encode` ids: 80% mask token, 10% random, 10% unchanged.
 
-    Only content positions are candidates; cls/sep/pad are never masked.
+    Only content positions are candidates; cls/sep are never masked.
     """
-    n_content = seq.length - 2
+    n_content = len(seq) - 2
     if n_content < 1:
         raise MaskingError("sequence has no maskable content position")
-    candidates = np.arange(1, seq.length - 1)
+    candidates = np.arange(1, len(seq) - 1)
     count = _mask_count(n_content)
     positions = np.sort(rng.choice(candidates, size=count, replace=False))
-    original = seq.ids[positions].copy()
+    original = seq[positions].copy()
     replacement = original.copy()
     categories = []
     for j in range(count):
@@ -169,7 +166,7 @@ class MlmBatch:
     targets: np.ndarray     # original ids at the masked positions
 
 
-def collate_mlm(sequences: list[EncodedSequence],
+def collate_mlm(sequences: list[np.ndarray],
                 outcomes: list[MaskingOutcome]) -> MlmBatch:
     ids, mask = pad_batch(sequences)
     T = ids.shape[1]
@@ -184,14 +181,14 @@ def collate_mlm(sequences: list[EncodedSequence],
 
 
 def mlm_forward(params, cfg: ModelConfig, batch: MlmBatch, *,
-                train=False, rng=None) -> tuple[Tensor, Tensor]:
+                rng=None) -> tuple[Tensor, Tensor]:
     """Logits at masked positions plus cross-entropy over those positions.
 
     The output projection is tied to the token embedding matrix.
     """
     if batch.flat_positions.size == 0:
         raise ContractError("mlm_forward requires at least one masked position in the batch")
-    h = encoder_forward(params, cfg, batch.ids, batch.mask, train=train, rng=rng)
+    h = encoder_forward(params, cfg, batch.ids, batch.mask, rng=rng)
     B, T, d = h.shape
     sel = ad.gather_rows(ad.reshape(h, (B * T, d)), batch.flat_positions)
     logits = ad.add(ad.matmul(sel, ad.swap_axes(params["embed.token.weight"], 0, 1)),

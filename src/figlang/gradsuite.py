@@ -54,9 +54,9 @@ def check_full_model(seed: int, *, coords_per_tensor: int = 2, h: float = 1e-5) 
     ids, mask, labels, mlm = _tiny_batch(rng)
 
     def build():
-        logits = full_forward(params, TINY, ids, mask, train=False)
+        logits = full_forward(params, TINY, ids, mask)
         cls_loss = ad.cross_entropy(logits, labels)
-        _, mlm_loss = mlm_forward(params, TINY, mlm, train=False)
+        _, mlm_loss = mlm_forward(params, TINY, mlm)
         return ad.add(cls_loss, mlm_loss)
 
     return ad.grad_check(build, list(params.values()), h=h,

@@ -77,20 +77,16 @@ def rcnn_forward(params, hidden: Tensor, lstm_out: Tensor, mask) -> Tensor:
     return ad.add(ad.matmul(pooled, params["out.weight"]), params["out.bias"])
 
 
-def full_forward(params, cfg: ModelConfig, ids, mask, *, train=False,
-                 rng=None) -> Tensor:
+def full_forward(params, cfg: ModelConfig, ids, mask, *, rng=None) -> Tensor:
     """Encoder -> BiLSTM -> RCNN head; logits (B, 2) or scores (B, 1).
 
-    LSTM dropout is applied to the BiLSTM's input and output during
-    training; the concat keeps the raw encoder states.
+    Dropout runs exactly when `rng` is given: in the encoder and on the
+    BiLSTM's input and output; the concat keeps the raw encoder states.
     """
-    h = encoder_forward(params, cfg, ids, mask, train=train, rng=rng)
-    drop = cfg.dropout if train else 0.0
-    lstm_in = ad.dropout(h, drop, rng) if drop else h
-    lstm_out = bilstm_forward(params, lstm_in, mask)
-    if drop:
-        lstm_out = ad.dropout(lstm_out, drop, rng)
-    return rcnn_forward(params, h, lstm_out, mask)
+    h = encoder_forward(params, cfg, ids, mask, rng=rng)
+    drop = cfg.dropout if rng is not None else 0.0
+    lstm_out = bilstm_forward(params, ad.dropout(h, drop, rng), mask)
+    return rcnn_forward(params, h, ad.dropout(lstm_out, drop, rng), mask)
 
 
 def predict(params, cfg: ModelConfig, tokenizer: TokenizerModel,
@@ -106,7 +102,7 @@ def predict(params, cfg: ModelConfig, tokenizer: TokenizerModel,
     for start in range(0, len(texts), batch_size):
         chunk = texts[start:start + batch_size]
         ids, mask = pad_batch([encode(tokenizer, t, cfg.max_seq_len) for t in chunk])
-        out = full_forward(params, cfg, ids, mask, train=False)
+        out = full_forward(params, cfg, ids, mask)
         if cfg.task_head == BINARY:
             probs = ad.softmax(out, axis=-1).data
             labels = probs.argmax(axis=1)          # ties resolve to class 0

@@ -165,7 +165,7 @@ def pretrain_mlm(lines: list[str], tokenizer: TokenizerModel, model_cfg: ModelCo
     _check_vocab(tokenizer, model_cfg)
     streams = rng_streams(train_cfg.seed)
     seqs = [encode(tokenizer, line, model_cfg.max_seq_len) for line in lines]
-    seqs = [s for s in seqs if s.length > 2]
+    seqs = [s for s in seqs if len(s) > 2]
     if not seqs:
         raise DataError("pretraining corpus has no usable lines")
 
@@ -177,7 +177,7 @@ def pretrain_mlm(lines: list[str], tokenizer: TokenizerModel, model_cfg: ModelCo
         outcomes = [dynamic_mask(s, streams["mask"], model_cfg.vocab_size)
                     for s in batch_seqs]
         return mlm_forward(params, model_cfg, collate_mlm(batch_seqs, outcomes),
-                           train=True, rng=streams["dropout"])[1]
+                           rng=streams["dropout"])[1]
 
     log = log or TrainLog()
     _fit(params, len(seqs), batch_loss, train_cfg, streams["shuffle"], log)
@@ -207,8 +207,7 @@ def finetune(examples, tokenizer: TokenizerModel, model_cfg: ModelConfig,
 
     def batch_loss(idx):
         ids, mask = pad_batch([seqs[i] for i in idx])
-        out = full_forward(params, model_cfg, ids, mask,
-                           train=True, rng=streams["dropout"])
+        out = full_forward(params, model_cfg, ids, mask, rng=streams["dropout"])
         if task == BINARY:
             return ad.cross_entropy(out, targets[idx])
         return ad.mse_loss(ad.reshape(out, (len(idx),)), Tensor(targets[idx]))

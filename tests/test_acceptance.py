@@ -253,14 +253,13 @@ def test_c04_dynamic_masking():
     rng = np.random.default_rng(2)
     n_content = 20
     T = n_content + 2
-    from figlang.bpe import EncodedSequence
     differ = 0
     for _ in range(MASK_TRIALS):
         ids = np.full(T, PAD_ID, dtype=np.int64)
         ids[0] = CLS_ID
         ids[1:1 + n_content] = rng.integers(N_SPECIALS, 300, size=n_content)
         ids[1 + n_content] = SEP_ID
-        seq = EncodedSequence(ids=ids)
+        seq = ids
         first = dynamic_mask(seq, rng, 300)
         second = dynamic_mask(seq, rng, 300)
         for out in (first, second):
@@ -413,14 +412,14 @@ def test_c08_tokenizer_round_trip():
         s = "".join(chr(c) for c in cps)
         want = normalize(s)
         seq = encode(tok, want, 256)
-        assert decode(tok, seq.ids) == want
+        assert decode(tok, seq) == want
         checked += 1
 
     m = bpe_train(["aaaa"], 260)
     assert m.merges == [(b"a", b"a")]
     m2 = bpe_train(["abab abab"], 300)
     assert m2.merges[:2] == [(b"a", b"b"), (b"ab", b"ab")]
-    assert encode(m2, "abab", 6).length == 3     # cls + one merged token + sep
+    assert len(encode(m2, "abab", 6)) == 3     # cls + one merged token + sep
     report(8, f"tokenizer: {ROUND_TRIP_STRINGS} random strings decode "
               f"losslessly; merge traces match hand tables")
 

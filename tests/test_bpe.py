@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from figlang.bpe import (CLS_ID, MASK_ID, N_SPECIALS, PAD_ID, SEP_ID,
-                         bpe_train, decode, encode, load_tokenizer, normalize,
-                         pad_batch, save_tokenizer)
+                         TokenizerModel, bpe_train, decode, encode,
+                         load_tokenizer, normalize, pad_batch, save_tokenizer)
 from figlang.errors import ConfigError, DataError, VocabError
 
 
@@ -44,12 +44,12 @@ def test_hand_trace_abab():
     assert m.merges[1] == (b"ab", b"ab")
     assert len(m.merges) == 2
     seq = encode(m, "abab", 6)
-    ids = seq.ids.tolist()
+    ids = seq.tolist()
     assert ids[0] == CLS_ID
     assert ids[2] == SEP_ID
-    assert decode(m, seq.ids) == "abab"
+    assert decode(m, seq) == "abab"
     # "abab" must be a single learned token, not four bytes
-    assert seq.length == 3
+    assert len(seq) == 3
 
 
 def test_no_repeated_pair_means_no_merges():
@@ -92,20 +92,19 @@ def test_train_input_validation():
 
 def test_encode_empty_string(toy_tok):
     seq = encode(toy_tok, "", 8)
-    assert seq.ids.tolist() == [CLS_ID, SEP_ID]
-    assert seq.length == 2
+    assert seq.tolist() == [CLS_ID, SEP_ID]
+    assert len(seq) == 2
     ids, mask = pad_batch([seq, encode(toy_tok, "the cat sees the dog " * 30, 8)])
     assert ids[0].tolist() == [CLS_ID, SEP_ID] + [PAD_ID] * 6
     assert mask[0].tolist() == [True, True] + [False] * 6
-    assert decode(toy_tok, seq.ids) == ""
+    assert decode(toy_tok, seq) == ""
 
 
 def test_encode_truncates_long_text(toy_tok):
     seq = encode(toy_tok, "the cat sees the dog " * 30, 16)
-    assert len(seq.ids) == 16
-    assert seq.length == 16
-    assert seq.ids[0] == CLS_ID
-    assert seq.ids[15] == SEP_ID
+    assert len(seq) == 16
+    assert seq[0] == CLS_ID
+    assert seq[15] == SEP_ID
     assert pad_batch([seq])[1].all()
 
 
@@ -113,8 +112,8 @@ def test_encode_mask_is_prefix(toy_tok):
     seq = encode(toy_tok, "the cat", 16)
     ids, mask = pad_batch([seq, encode(toy_tok, "the cat sees the dog " * 30, 16)])
     m = mask[0]
-    assert m[:seq.length].all() and not m[seq.length:].any()
-    assert (ids[0, seq.length:] == PAD_ID).all()
+    assert m[:len(seq)].all() and not m[len(seq):].any()
+    assert (ids[0, len(seq):] == PAD_ID).all()
 
 
 def test_encode_rejects_tiny_window(toy_tok):
@@ -129,7 +128,7 @@ def test_decode_unknown_id(toy_tok):
 
 def test_content_ids_never_special(toy_tok):
     seq = encode(toy_tok, "the cat likes the food .", 32)
-    content = seq.ids[1:seq.length - 1]
+    content = seq[1:len(seq) - 1]
     assert (content >= N_SPECIALS).all()
 
 
@@ -140,14 +139,14 @@ _RT_TOK = bpe_train(["seed corpus for round trip"], 280)
 @settings(max_examples=300, deadline=None)
 def test_round_trip_any_text(s):
     seq = encode(_RT_TOK, s, 512)
-    if seq.length < 512:  # untruncated: decode must restore normalize(s)
-        assert decode(_RT_TOK, seq.ids) == normalize(s)
+    if len(seq) < 512:  # untruncated: decode must restore normalize(s)
+        assert decode(_RT_TOK, seq) == normalize(s)
 
 
 def test_round_trip_multibyte_utf8(toy_tok):
     s = "καφές ☕ 猫 — ôüñ 🙂🙃"
     seq = encode(toy_tok, s, 128)
-    assert decode(toy_tok, seq.ids) == normalize(s)
+    assert decode(toy_tok, seq) == normalize(s)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +161,8 @@ def test_save_load_round_trip(tmp_path, toy_tok):
     assert loaded.vocab == toy_tok.vocab
     assert loaded.size == toy_tok.size
     for text in ("the cat sees the ball .", "zebra quux", ""):
-        np.testing.assert_array_equal(encode(loaded, text, 16).ids,
-                                      encode(toy_tok, text, 16).ids)
+        np.testing.assert_array_equal(encode(loaded, text, 16),
+                                      encode(toy_tok, text, 16))
 
 
 def test_saved_file_is_stable(tmp_path, toy_tok):
@@ -181,3 +180,100 @@ def test_saved_file_shape(tmp_path, toy_tok):
     assert doc["normalizer"] == "lowercase"
     assert len(doc["vocab"]) == len(toy_tok.vocab)
     assert len(doc["merges"]) == len(toy_tok.merges)
+
+
+# ---------------------------------------------------------------------------
+# the model is its merge list
+
+
+def test_ranks_built_once_per_model(monkeypatch, tmp_path):
+    calls = []
+    real = TokenizerModel._ranks
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(TokenizerModel, "_ranks", counting)
+    m = bpe_train(["the cat sat", "the dog sat", "a cat and a dog"], 280)
+    for _ in range(50):
+        encode(m, "the cat and the dog sat", 32)
+    assert calls == [m]
+    save_tokenizer(m, tmp_path / "tok.json")
+    loaded = load_tokenizer(tmp_path / "tok.json")
+    for _ in range(50):
+        encode(loaded, "a dog sat", 32)
+    assert calls == [m, loaded]
+
+
+def test_tables_derive_from_merges(toy_tok):
+    m = TokenizerModel(toy_tok.merges)
+    assert m.vocab == toy_tok.vocab
+    assert m.size == N_SPECIALS + 256 + len(toy_tok.merges)
+    for token, i in m.vocab.items():
+        assert m.tokens[i - N_SPECIALS] == token
+    assert m.ranks == {pair: r for r, pair in enumerate(toy_tok.merges)}
+
+
+@pytest.mark.parametrize("merges", [
+    [(b"ab", b"c")],                      # "ab" is not an earlier token
+    [(b"a", b"b"), (b"b", b"c"), (b"ab", b"c"), (b"a", b"bc")],  # "abc" twice
+    [(b"a", b"b"), (b"a", b"b")],
+], ids=["unknown-part", "repeated-token", "repeated-pair"])
+def test_inconsistent_merges_rejected(merges):
+    with pytest.raises(DataError):
+        TokenizerModel(merges)
+
+
+def _swap_two_ids(doc):
+    a, b = list(doc["vocab"])[-2:]
+    doc["vocab"][a], doc["vocab"][b] = doc["vocab"][b], doc["vocab"][a]
+
+
+def _duplicate_id(doc):
+    a, b = list(doc["vocab"])[-2:]
+    doc["vocab"][b] = doc["vocab"][a]
+
+
+def _extra_vocab_entry(doc):
+    doc["vocab"]["zzzq"] = N_SPECIALS + len(doc["vocab"])
+
+
+# each case turns a valid tokenizer.json text into a malformed one (None:
+# the file is not written at all)
+_MALFORMED = {
+    "missing-file": None,
+    "truncated": lambda text, doc: text[:len(text) // 2],
+    "not-json": lambda text, doc: "tokenizer",
+    "no-vocab": lambda text, doc: doc.pop("vocab"),
+    "no-merges": lambda text, doc: doc.pop("merges"),
+    "one-token-rule": lambda text, doc: doc["merges"].__setitem__(
+        0, doc["merges"][0].replace(" ", "")),
+    "three-token-rule": lambda text, doc: doc["merges"].__setitem__(
+        0, doc["merges"][0] + " a"),
+    "rule-of-unknown-token": lambda text, doc: doc["merges"].__setitem__(0, "zzzq a"),
+    "repeated-rule": lambda text, doc: doc["merges"].append(doc["merges"][0]),
+    "swapped-ids": lambda text, doc: _swap_two_ids(doc),
+    "duplicate-id": lambda text, doc: _duplicate_id(doc),
+    "extra-vocab-entry": lambda text, doc: _extra_vocab_entry(doc),
+}
+
+
+def write_malformed_tokenizer(path, tok, case):
+    save_tokenizer(tok, path)
+    mutate = _MALFORMED[case]
+    if mutate is None:
+        path.unlink()
+        return
+    text = path.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    out = mutate(text, doc)
+    path.write_text(out if isinstance(out, str) else json.dumps(doc), encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_tokenizer_file_is_data_error(tmp_path, toy_tok, case):
+    path = tmp_path / "tok.json"
+    write_malformed_tokenizer(path, toy_tok, case)
+    with pytest.raises(DataError):
+        load_tokenizer(path)

@@ -287,6 +287,31 @@ def test_manifest_shape_that_disagrees_with_nbytes_is_data_error(ws, capsys, tmp
     assert "bytes, manifest says" in capsys.readouterr().err
 
 
+def test_manifest_that_is_not_json_is_data_error(ws, capsys, tmp_path):
+    ckpt = tmp_path / "fine"
+    shutil.copytree(ws["fine"], ckpt)
+    text = (ckpt / "manifest.json").read_text()
+    (ckpt / "manifest.json").write_text(text[:len(text) // 2])
+    inp = tmp_path / "inputs.txt"
+    inp.write_text("oh great, rain again\n", encoding="utf-8")
+    assert cli.main(["predict", "--checkpoint", str(ckpt), "--input", str(inp)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", ["missing", "vocab-disagrees"])
+def test_tokenizer_file_faults_are_data_errors(ws, capsys, tmp_path, fault):
+    tok = tmp_path / "tok.json"
+    if fault == "vocab-disagrees":
+        doc = json.loads(ws["tok"].read_text(encoding="utf-8"))
+        a, b = list(doc["vocab"])[-2:]
+        doc["vocab"][a], doc["vocab"][b] = doc["vocab"][b], doc["vocab"][a]
+        tok.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["pretrain", "--corpus", str(ws["corpus"]),
+                     "--tokenizer", str(tok), "--out", str(tmp_path / "o"),
+                     "--config", str(ws["cfg"]), "--epochs", "1"]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
 def test_mismatched_labels_are_data_errors(ws, capsys):
     bad = ws["root"] / "bad_labels.tsv"
     bad.write_text(tsv([("x", 3, "some text")]), encoding="utf-8")
@@ -360,6 +385,15 @@ def test_zero_epochs_rejected(ws, capsys, tmp_path):
                      "--tokenizer", str(ws["tok"]), "--out", str(tmp_path / "o"),
                      "--config", str(ws["cfg"]), "--epochs", "0"]) == 1
     assert "epochs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_max_steps_below_one_rejected(ws, capsys, tmp_path, steps):
+    assert cli.main(["pretrain", "--corpus", str(ws["corpus"]),
+                     "--tokenizer", str(ws["tok"]), "--out", str(tmp_path / "o"),
+                     "--config", str(ws["cfg"]), "--max-steps", steps]) == 1
+    assert "max_steps" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_help_shows_published_defaults(capsys):

@@ -6,8 +6,7 @@ import pytest
 
 from figlang import autodiff as ad
 from figlang.autodiff import Tensor, backward
-from figlang.bpe import (CLS_ID, MASK_ID, N_SPECIALS, PAD_ID, SEP_ID,
-                         EncodedSequence, encode)
+from figlang.bpe import CLS_ID, MASK_ID, N_SPECIALS, PAD_ID, SEP_ID, encode
 from figlang.config import ModelConfig, toy_scale
 from figlang.encoder import (MASK_RATE, _mask_count, collate_mlm, dynamic_mask,
                              encoder_forward, init_encoder_params, mlm_forward)
@@ -154,7 +153,7 @@ def content_seq(rng, n_content, T=None):
     ids[0] = CLS_ID
     ids[1:1 + n_content] = rng.integers(N_SPECIALS, V, size=n_content)
     ids[1 + n_content] = SEP_ID
-    return EncodedSequence(ids=ids[:n_content + 2])
+    return ids[:n_content + 2]
 
 
 @pytest.mark.parametrize("n,want", [(1, 1), (3, 1), (6, 1), (7, 1),
@@ -177,7 +176,7 @@ def test_dynamic_mask_basics():
     assert len(set(out.positions)) == 3
     for pos, orig, repl, cat in zip(out.positions, out.original_ids,
                                     out.replacement_ids, out.categories):
-        assert orig == seq.ids[pos]
+        assert orig == seq[pos]
         if cat == "mask":
             assert repl == MASK_ID
         elif cat == "random":
@@ -251,9 +250,9 @@ def test_collate_applies_replacements():
             k += 1
     # everything off the masked positions is untouched
     for b, (seq, out) in enumerate(zip(seqs, outs)):
-        keep = np.ones(len(seq.ids), dtype=bool)
+        keep = np.ones(len(seq), dtype=bool)
         keep[list(out.positions)] = False
-        np.testing.assert_array_equal(batch.ids[b, :seq.length][keep], seq.ids[keep])
+        np.testing.assert_array_equal(batch.ids[b, :len(seq)][keep], seq[keep])
 
 
 def test_mlm_batch_padding_matches_max_seq_len_padding():
@@ -270,9 +269,9 @@ def test_mlm_batch_padding_matches_max_seq_len_padding():
     mask = np.zeros((len(seqs), T), dtype=bool)
     flat = []
     for b, (seq, out) in enumerate(zip(seqs, outs)):
-        ids[b, :seq.length] = seq.ids
+        ids[b, :len(seq)] = seq
         ids[b, out.positions] = out.replacement_ids
-        mask[b, :seq.length] = True
+        mask[b, :len(seq)] = True
         flat.extend(b * T + out.positions)
     ref = MlmBatch(ids=ids, mask=mask, flat_positions=np.array(flat, dtype=np.int64),
                    targets=batch.targets)
@@ -357,7 +356,7 @@ def test_mlm_requires_masked_positions():
     params = init_encoder_params(cfg, rng)
     seqs = [content_seq(rng, 4, T=cfg.max_seq_len)]
     from figlang.encoder import MlmBatch
-    empty = MlmBatch(ids=np.stack([seqs[0].ids]), mask=np.ones((1, seqs[0].length), dtype=bool),
+    empty = MlmBatch(ids=np.stack([seqs[0]]), mask=np.ones((1, len(seqs[0])), dtype=bool),
                      flat_positions=np.array([], dtype=np.int64),
                      targets=np.array([], dtype=np.int64))
     with pytest.raises(ContractError):

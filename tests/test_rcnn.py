@@ -427,13 +427,13 @@ def test_batch_padding_matches_max_seq_len_padding(tok):
     texts = ["the cat sees the ball .", "rain", "a dry remark"]
     seqs = [encode(tok, text, cfg.max_seq_len) for text in texts]
     ids, mask = pad_batch(seqs)
-    assert ids.shape == mask.shape == (3, max(s.length for s in seqs))
+    assert ids.shape == mask.shape == (3, max(len(s) for s in seqs))
     assert ids.shape[1] < cfg.max_seq_len
     ref_ids = np.full((3, cfg.max_seq_len), PAD_ID, dtype=np.int64)
     ref_mask = np.zeros((3, cfg.max_seq_len), dtype=bool)
     for b, s in enumerate(seqs):
-        ref_ids[b, :s.length] = s.ids
-        ref_mask[b, :s.length] = True
+        ref_ids[b, :len(s)] = s
+        ref_mask[b, :len(s)] = True
     got = full_forward(params, cfg, ids, mask).data
     want = full_forward(params, cfg, ref_ids, ref_mask).data
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

@@ -199,7 +199,7 @@ def test_pretrain_resamples_masks_each_batch(small, monkeypatch):
 
     def spy(seq, rng, vocab):
         out = real(seq, rng, vocab)
-        seen.append((seq.ids.tobytes(), tuple(out.positions),
+        seen.append((seq.tobytes(), tuple(out.positions),
                      tuple(out.replacement_ids)))
         return out
 
