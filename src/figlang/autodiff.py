@@ -17,9 +17,13 @@ Gradients flowing between nodes may alias each other (views, or one array
 handed to two parents), so `backward` never sums into one in place and
 copies a leaf's first gradient before storing it.
 
-Most ops wrap one numpy expression. `lstm` is the exception: a whole masked
-LSTM sweep is one fused node, whose time loop runs on plain arrays and whose
-backward pass is backpropagation through time written out by hand.
+Most ops wrap one numpy expression. Three fused ops record one node for a
+whole block and run it on plain arrays, with a backward pass written out
+by hand: `linear` (an affine map over the last axis as one GEMM, with GELU
+optionally applied in the same node), `attention` (multi-head self-attention
+from the q/k/v projections through the output projection) and `lstm` (a
+masked LSTM sweep, backpropagated through time). A fused op computes and
+keeps arrays for its backward pass only when some input requires a gradient.
 
 All arithmetic is 64-bit: the finite-difference oracle in `grad_check`
 needs the headroom, and desk-scale models do not need the speed.
@@ -182,6 +186,55 @@ def matmul(a, b) -> Tensor:
                             _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)))
 
 
+def linear(x, w, b, gelu=False) -> Tensor:
+    """x @ w + b over the last axis of x, then GELU when `gelu`; one node.
+
+    The leading axes of x are flattened into one (N, d) x (d, o) GEMM and
+    the bias is added in place. Backward takes dx and dW from one GEMM each
+    and db from one sum. The GELU derivative is saved only when some input
+    requires a gradient.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if w.ndim != 2 or x.data.shape[-1:] != w.data.shape[:1] or b.data.shape != w.data.shape[1:]:
+        raise ShapeError(f"linear needs x (..., d), w (d, o) and b (o,), got "
+                         f"{x.data.shape}, {w.data.shape} and {b.data.shape}")
+    d, o = w.data.shape
+    x2 = x.data.reshape(-1, d)
+    y = x2 @ w.data
+    y += b.data
+    dydz = None
+    if gelu:
+        # The operations of `gelu`, in its order, mostly in place.
+        z = y
+        t = z * z
+        t *= z
+        t *= _GELU_A
+        t += z
+        t *= _GELU_C
+        np.tanh(t, out=t)
+        if any(p.requires_grad for p in (x, w, b)):
+            du = z * z
+            du *= 3.0 * _GELU_A
+            du += 1.0
+            du *= _GELU_C
+            s = t * t
+            np.subtract(1.0, s, out=s)
+            dydz = 0.5 * z
+            dydz *= s
+            dydz *= du
+            dydz += 0.5 * (1.0 + t)
+        t += 1.0
+        y = 0.5 * z
+        y *= t
+
+    def _bw(g):
+        g = g.reshape(-1, o)
+        if dydz is not None:
+            g = g * dydz
+        return ((g @ w.data.T).reshape(x.data.shape), x2.T @ g, g.sum(axis=0))
+    return _node(y.reshape(x.data.shape[:-1] + (o,)), "linear", (x, w, b), _bw)
+
+
 def tanh(x) -> Tensor:
     x = as_tensor(x)
     t = np.tanh(x.data)
@@ -328,6 +381,71 @@ def stack_time(steps) -> Tensor:
     steps = tuple(as_tensor(s) for s in steps)
     return _node(np.stack([s.data for s in steps], axis=1), "stack_time", steps,
                  lambda g: [g[:, t, :] for t in range(len(steps))])
+
+
+# ---------------------------------------------------------------------------
+# attention
+
+
+def attention(h, wq, bq, wk, bk, wv, bv, wo, bo, key_bias, n_heads, collect=None) -> Tensor:
+    """Multi-head scaled dot-product self-attention over (B, T, d), one node.
+
+    The q, k and v projections run as one (B*T, d) x (d, 3d) GEMM on the
+    three weights concatenated per call. `key_bias`, a plain array that
+    broadcasts to the (B, H, T, T) scores (MASK_BIAS at padded keys), is
+    added to the scaled scores before the softmax; both work in place. A
+    list `collect` receives the attention probabilities as a tensor. The
+    backward pass is written out by hand: the softmax gradient is taken
+    from the saved probabilities, and the q, k and v weights get their
+    gradients from one GEMM on the concatenated (B*T, 3d) gradient.
+    """
+    h, wq, bq, wk, bk, wv, bv, wo, bo = (as_tensor(a) for a in (h, wq, bq, wk, bk, wv, bv, wo, bo))
+    if h.ndim != 3:
+        raise ShapeError(f"attention expects (B, T, d) input, got {h.data.shape}")
+    B, T, d = h.data.shape
+    if d % n_heads:
+        raise ShapeError(f"attention: width {d} not divisible by {n_heads} heads")
+    if (any(w.data.shape != (d, d) for w in (wq, wk, wv, wo))
+            or any(b.data.shape != (d,) for b in (bq, bk, bv, bo))):
+        raise ShapeError(f"attention on width {d} needs (d, d) weights and (d,) biases")
+    H, dk = n_heads, d // n_heads
+    scale = 1.0 / np.sqrt(dk)
+    h2 = h.data.reshape(B * T, d)
+    w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
+    qkv = h2 @ w_qkv
+    qkv += np.concatenate([bq.data, bk.data, bv.data])
+    q, k, v = qkv.reshape(B, T, 3, H, dk).transpose(2, 0, 3, 1, 4)   # (B, H, T, dk) each
+    p = q @ k.swapaxes(-1, -2)                                       # (B, H, T, T)
+    p *= scale
+    p += key_bias
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    if collect is not None:
+        collect.append(Tensor(p))
+    ctx = (p @ v).swapaxes(1, 2).reshape(B * T, d)
+    out = ctx @ wo.data
+    out += bo.data
+
+    def _bw(g):
+        g = g.reshape(B * T, d)
+        dctx = (g @ wo.data.T).reshape(B, T, H, dk).swapaxes(1, 2)
+        dqkv = np.empty((B, T, 3, H, dk))
+        dq, dkey, dv = dqkv.transpose(2, 0, 3, 1, 4)
+        np.matmul(p.swapaxes(-1, -2), dctx, out=dv)
+        ds = dctx @ v.swapaxes(-1, -2)
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        np.matmul(ds, k, out=dq)
+        np.matmul(ds.swapaxes(-1, -2), q, out=dkey)
+        dqkv = dqkv.reshape(B * T, 3 * d)
+        dw = h2.T @ dqkv
+        db = dqkv.sum(axis=0)
+        return ((dqkv @ w_qkv.T).reshape(B, T, d),
+                dw[:, :d], db[:d], dw[:, d:2 * d], db[d:2 * d], dw[:, 2 * d:], db[2 * d:],
+                ctx.T @ g, g.sum(axis=0))
+    return _node(out.reshape(B, T, d), "attention", (h, wq, bq, wk, bk, wv, bv, wo, bo), _bw)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ import numpy as np
 
 from .autodiff import Tensor
 from .config import ModelConfig, TrainConfig
-from .errors import DataError
+from .errors import ConfigError, DataError
+from .rcnn import model_param_shapes
 
 FORMAT_VERSION = 1
 DTYPE = "float32-le"
@@ -80,6 +81,40 @@ class CheckpointBundle:
         self.tokenizer_path = Path(path) / "tokenizer.json"
 
 
+def _naturals(xs) -> bool:
+    return isinstance(xs, list) and all(isinstance(n, int) and n >= 0 for n in xs)
+
+
+def _check_fields(manifest: dict) -> None:
+    """The manifest fields `load_checkpoint` reads, with the types it needs."""
+    for key, kind in (("task", str), ("model_config", dict), ("tensors", list)):
+        if not isinstance(manifest.get(key), kind):
+            raise DataError(f"checkpoint manifest field {key!r} is missing or not a {kind.__name__}")
+    if not isinstance(manifest.get("train_config"), (dict, type(None))):
+        raise DataError("checkpoint manifest field 'train_config' is not an object")
+    for entry in manifest["tensors"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and _naturals(entry.get("shape"))
+                and _naturals([entry.get("offset"), entry.get("nbytes")])):
+            raise DataError(f"malformed checkpoint tensor entry: {entry!r}")
+    names = [entry["name"] for entry in manifest["tensors"]]
+    if len(set(names)) != len(names):
+        raise DataError("checkpoint manifest names a tensor twice")
+
+
+def _check_params(params: dict[str, Tensor], cfg: ModelConfig) -> None:
+    """The tensors must be exactly those the model config calls for."""
+    want = model_param_shapes(cfg)
+    got = {name: t.shape for name, t in params.items()}
+    if got == want:
+        return
+    missing = sorted(want.keys() - got.keys())
+    extra = sorted(got.keys() - want.keys())
+    wrong = sorted(n for n in want.keys() & got.keys() if want[n] != got[n])
+    raise DataError("checkpoint tensors do not match its model config: "
+                    f"missing {missing}, unexpected {extra}, wrong shape {wrong}")
+
+
 def load_checkpoint(ckpt_dir) -> CheckpointBundle:
     root = Path(ckpt_dir)
     man_path = root / "manifest.json"
@@ -89,11 +124,14 @@ def load_checkpoint(ckpt_dir) -> CheckpointBundle:
         manifest = json.loads(man_path.read_text(encoding="utf-8"))
     except ValueError as e:
         raise DataError(f"{man_path} is not valid JSON: {e}") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"{man_path} is not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise DataError(f"unsupported checkpoint format_version: "
                         f"{manifest.get('format_version')!r}")
     if manifest.get("dtype") != DTYPE:
         raise DataError(f"unsupported checkpoint dtype: {manifest.get('dtype')!r}")
+    _check_fields(manifest)
 
     tok_path = root / "tokenizer.json"
     if not tok_path.is_file():
@@ -121,8 +159,12 @@ def load_checkpoint(ckpt_dir) -> CheckpointBundle:
     if len(blob) != end:
         raise DataError(f"weights.bin is {len(blob)} bytes but its tensors end at byte {end}")
 
-    model_config = ModelConfig.from_dict(manifest["model_config"])
-    tc = manifest.get("train_config")
-    train_config = TrainConfig(**tc) if tc else None
+    try:
+        model_config = ModelConfig.from_dict(manifest["model_config"])
+        tc = manifest.get("train_config")
+        train_config = TrainConfig(**tc) if tc else None
+        _check_params(params, model_config)
+    except (TypeError, ConfigError) as e:
+        raise DataError(f"{man_path}: bad model or train config: {e}") from None
     return CheckpointBundle(params, model_config, train_config,
                             manifest["task"], manifest, root)

@@ -264,6 +264,8 @@ def _evaluate_checkpoint(bundle, dataset):
 def _cmd_evaluate(args, argv) -> int:
     started = _utc_now()
     bundle = load_checkpoint(args.checkpoint)
+    if bundle.task not in TASK_NAMES:
+        raise DataError(f"checkpoint task {bundle.task!r} is not one of {sorted(TASK_NAMES)}")
     schema = TASK_NAMES[bundle.task]
     dataset = load_dataset(args.test, schema)
     report = _evaluate_checkpoint(bundle, dataset)

@@ -1,9 +1,11 @@
 """Transformer encoder with a tied-projection masked-language-model head.
 
 Post-norm blocks: self-attention -> residual -> layer norm -> GELU
-feed-forward -> residual -> layer norm. Attention logits at padded keys get
-a large negative bias before softmax, so padded positions receive exactly
-zero attention weight and padding can never leak into unmasked outputs.
+feed-forward -> residual -> layer norm. The self-attention is one fused
+`autodiff.attention` node and the feed-forward two `autodiff.linear` nodes,
+the first with its GELU. Attention logits at padded keys get a large
+negative bias before softmax, so padded positions receive exactly zero
+attention weight and padding can never leak into unmasked outputs.
 """
 
 from __future__ import annotations
@@ -22,56 +24,43 @@ INIT_STD = 0.02
 MASK_RATE = 0.15
 
 
+def encoder_param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every encoder parameter, in initialization order."""
+    d = cfg.d_model
+    shapes = {"embed.token.weight": (cfg.vocab_size, d),
+              "embed.position.weight": (cfg.max_seq_len, d)}
+    for i in range(cfg.n_layers):
+        for proj in ("q", "k", "v", "o"):
+            shapes[f"layer{i}.attn.{proj}.weight"] = (d, d)
+            shapes[f"layer{i}.attn.{proj}.bias"] = (d,)
+        shapes[f"layer{i}.ln1.gain"] = (d,)
+        shapes[f"layer{i}.ln1.bias"] = (d,)
+        shapes[f"layer{i}.ff.fc1.weight"] = (d, cfg.d_ff)
+        shapes[f"layer{i}.ff.fc1.bias"] = (cfg.d_ff,)
+        shapes[f"layer{i}.ff.fc2.weight"] = (cfg.d_ff, d)
+        shapes[f"layer{i}.ff.fc2.bias"] = (d,)
+        shapes[f"layer{i}.ln2.gain"] = (d,)
+        shapes[f"layer{i}.ln2.bias"] = (d,)
+    shapes["mlm.bias"] = (cfg.vocab_size,)
+    return shapes
+
+
 def init_encoder_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:
     """Weights ~ normal(0, 0.02), biases zero, layer-norm gain one."""
     p: dict[str, Tensor] = {}
-
-    def w(name, *shape):
-        p[name] = Tensor(rng.normal(0.0, INIT_STD, size=shape), requires_grad=True)
-
-    def zeros(name, *shape):
-        p[name] = Tensor(np.zeros(shape), requires_grad=True)
-
-    def ones(name, *shape):
-        p[name] = Tensor(np.ones(shape), requires_grad=True)
-
-    d, dk = cfg.d_model, cfg.d_model // cfg.n_heads
-    w("embed.token.weight", cfg.vocab_size, d)
-    w("embed.position.weight", cfg.max_seq_len, d)
-    for i in range(cfg.n_layers):
-        for proj in ("q", "k", "v", "o"):
-            w(f"layer{i}.attn.{proj}.weight", d, d)
-            zeros(f"layer{i}.attn.{proj}.bias", d)
-        ones(f"layer{i}.ln1.gain", d)
-        zeros(f"layer{i}.ln1.bias", d)
-        w(f"layer{i}.ff.fc1.weight", d, cfg.d_ff)
-        zeros(f"layer{i}.ff.fc1.bias", cfg.d_ff)
-        w(f"layer{i}.ff.fc2.weight", cfg.d_ff, d)
-        zeros(f"layer{i}.ff.fc2.bias", d)
-        ones(f"layer{i}.ln2.gain", d)
-        zeros(f"layer{i}.ln2.bias", d)
-    zeros("mlm.bias", cfg.vocab_size)
+    for name, shape in encoder_param_shapes(cfg).items():
+        if name.endswith(".weight"):
+            data = rng.normal(0.0, INIT_STD, size=shape)
+        else:
+            data = np.ones(shape) if name.endswith(".gain") else np.zeros(shape)
+        p[name] = Tensor(data, requires_grad=True)
     return p
 
 
 def _attention(p, i, h, key_bias, cfg, collect=None):
-    B, T, d = h.shape
-    H = cfg.n_heads
-    dk = d // H
-
-    def heads(x):
-        return ad.swap_axes(ad.reshape(x, (B, T, H, dk)), 1, 2)   # (B, H, T, dk)
-
-    q = heads(ad.add(ad.matmul(h, p[f"layer{i}.attn.q.weight"]), p[f"layer{i}.attn.q.bias"]))
-    k = heads(ad.add(ad.matmul(h, p[f"layer{i}.attn.k.weight"]), p[f"layer{i}.attn.k.bias"]))
-    v = heads(ad.add(ad.matmul(h, p[f"layer{i}.attn.v.weight"]), p[f"layer{i}.attn.v.bias"]))
-    scores = ad.mul(ad.matmul(q, ad.swap_axes(k, -1, -2)), 1.0 / np.sqrt(dk))
-    scores = ad.add(scores, key_bias)
-    probs = ad.softmax(scores, axis=-1)                            # (B, H, T, T)
-    if collect is not None:
-        collect.append(probs)
-    ctx = ad.reshape(ad.swap_axes(ad.matmul(probs, v), 1, 2), (B, T, d))
-    return ad.add(ad.matmul(ctx, p[f"layer{i}.attn.o.weight"]), p[f"layer{i}.attn.o.bias"])
+    return ad.attention(h, *(p[f"layer{i}.attn.{proj}.{kind}"]
+                             for proj in "qkvo" for kind in ("weight", "bias")),
+                        key_bias, cfg.n_heads, collect)
 
 
 def encoder_forward(params, cfg: ModelConfig, ids, attn_mask, *, rng=None,
@@ -86,24 +75,24 @@ def encoder_forward(params, cfg: ModelConfig, ids, attn_mask, *, rng=None,
     """
     ids = np.asarray(ids, dtype=np.int64)
     attn_mask = np.asarray(attn_mask, dtype=bool)
-    B, T = ids.shape
+    T = ids.shape[1]
     if T > cfg.max_seq_len:
         raise ConfigError(f"sequence length {T} exceeds max_seq_len {cfg.max_seq_len}")
 
     tok = ad.embedding(params["embed.token.weight"], ids)
-    pos = ad.embedding(params["embed.position.weight"], np.broadcast_to(np.arange(T), (B, T)))
+    pos = ad.embedding(params["embed.position.weight"], np.arange(T))   # (T, d)
     drop = cfg.dropout if rng is not None else 0.0
     h = ad.dropout(ad.add(tok, pos), drop, rng)
 
-    key_bias = Tensor(np.where(attn_mask, 0.0, ad.MASK_BIAS)[:, None, None, :])
+    key_bias = np.where(attn_mask, 0.0, ad.MASK_BIAS)[:, None, None, :]
     for i in range(cfg.n_layers):
         a = ad.dropout(_attention(params, i, h, key_bias, cfg, collect=collect_attn),
                        drop, rng)
         h = ad.layer_norm(ad.add(h, a), params[f"layer{i}.ln1.gain"], params[f"layer{i}.ln1.bias"])
-        f = ad.gelu(ad.add(ad.matmul(h, params[f"layer{i}.ff.fc1.weight"]),
-                           params[f"layer{i}.ff.fc1.bias"]))
-        f = ad.dropout(ad.add(ad.matmul(f, params[f"layer{i}.ff.fc2.weight"]),
-                              params[f"layer{i}.ff.fc2.bias"]), drop, rng)
+        f = ad.linear(h, params[f"layer{i}.ff.fc1.weight"], params[f"layer{i}.ff.fc1.bias"],
+                      gelu=True)
+        f = ad.dropout(ad.linear(f, params[f"layer{i}.ff.fc2.weight"],
+                                 params[f"layer{i}.ff.fc2.bias"]), drop, rng)
         h = ad.layer_norm(ad.add(h, f), params[f"layer{i}.ln2.gain"], params[f"layer{i}.ln2.bias"])
         if collect_hidden is not None:
             collect_hidden.append(h)

@@ -4,9 +4,11 @@ A BiLSTM contextualizes the final hidden states. Each of its two sweeps is
 one fused `autodiff.lstm` node (input projection hoisted out of the time
 loop, hand-written backward through time). Its output is concatenated
 per position with those states, pushed through a shared position-wise affine
-+ tanh (a width-1 "convolution" over the full feature stack), max-pooled
-over unmasked time steps, and mapped to two logits (binary head) or one
-linear unit (regression head, clamped to the score range at predict time).
++ tanh (a width-1 "convolution" over the full feature stack, one fused
+`autodiff.linear` node over every position), max-pooled over unmasked time
+steps, and mapped by a second `linear` node to two logits (binary head) or
+one linear unit (regression head, clamped to the score range at predict
+time).
 """
 
 from __future__ import annotations
@@ -17,28 +19,42 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .bpe import TokenizerModel, encode, pad_batch
 from .config import ModelConfig, BINARY, SCORE_MAX, SCORE_MIN
-from .encoder import INIT_STD, encoder_forward, init_encoder_params
+from .encoder import INIT_STD, encoder_forward, encoder_param_shapes, init_encoder_params
+
+
+def head_param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every head parameter, in initialization order."""
+    d, u = cfg.d_model, cfg.lstm_units
+    shapes = {}
+    for direction in ("fw", "bw"):
+        shapes[f"lstm.{direction}.w_in.weight"] = (d, 4 * u)
+        shapes[f"lstm.{direction}.w_rec.weight"] = (u, 4 * u)
+        shapes[f"lstm.{direction}.bias"] = (4 * u,)
+    shapes["proj.weight"] = (d + 2 * u, cfg.d_proj)
+    shapes["proj.bias"] = (cfg.d_proj,)
+    shapes["out.weight"] = (cfg.d_proj, cfg.n_outputs)
+    shapes["out.bias"] = (cfg.n_outputs,)
+    return shapes
 
 
 def init_head_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:
+    """Weights ~ normal(0, 0.02), biases zero but the LSTM forget gates' one."""
     p: dict[str, Tensor] = {}
-    d, u = cfg.d_model, cfg.lstm_units
-    for direction in ("fw", "bw"):
-        p[f"lstm.{direction}.w_in.weight"] = Tensor(
-            rng.normal(0.0, INIT_STD, size=(d, 4 * u)), requires_grad=True)
-        p[f"lstm.{direction}.w_rec.weight"] = Tensor(
-            rng.normal(0.0, INIT_STD, size=(u, 4 * u)), requires_grad=True)
-        bias = np.zeros(4 * u)
-        bias[u:2 * u] = 1.0       # forget gate starts open
-        p[f"lstm.{direction}.bias"] = Tensor(bias, requires_grad=True)
-    width = d + 2 * u
-    p["proj.weight"] = Tensor(rng.normal(0.0, INIT_STD, size=(width, cfg.d_proj)),
-                              requires_grad=True)
-    p["proj.bias"] = Tensor(np.zeros(cfg.d_proj), requires_grad=True)
-    p["out.weight"] = Tensor(rng.normal(0.0, INIT_STD, size=(cfg.d_proj, cfg.n_outputs)),
-                             requires_grad=True)
-    p["out.bias"] = Tensor(np.zeros(cfg.n_outputs), requires_grad=True)
+    u = cfg.lstm_units
+    for name, shape in head_param_shapes(cfg).items():
+        if name.endswith(".weight"):
+            data = rng.normal(0.0, INIT_STD, size=shape)
+        else:
+            data = np.zeros(shape)
+            if name.startswith("lstm."):
+                data[u:2 * u] = 1.0       # forget gate starts open
+        p[name] = Tensor(data, requires_grad=True)
     return p
+
+
+def model_param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter `init_model_params` makes."""
+    return {**encoder_param_shapes(cfg), **head_param_shapes(cfg)}
 
 
 def init_model_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:
@@ -72,9 +88,9 @@ def bilstm_forward(params, hidden: Tensor, mask) -> Tensor:
 def rcnn_forward(params, hidden: Tensor, lstm_out: Tensor, mask) -> Tensor:
     """Concat -> position-wise affine + tanh -> max over time -> output layer."""
     feats = ad.concat([hidden, lstm_out], axis=-1)
-    z = ad.tanh(ad.add(ad.matmul(feats, params["proj.weight"]), params["proj.bias"]))
+    z = ad.tanh(ad.linear(feats, params["proj.weight"], params["proj.bias"]))
     pooled = ad.max_over_time(z, np.asarray(mask, dtype=bool))
-    return ad.add(ad.matmul(pooled, params["out.weight"]), params["out.bias"])
+    return ad.linear(pooled, params["out.weight"], params["out.bias"])
 
 
 def full_forward(params, cfg: ModelConfig, ids, mask, *, rng=None) -> Tensor:

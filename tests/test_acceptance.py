@@ -73,6 +73,23 @@ def _primitive_cases(rng):
     case("mul.broadcast", lambda: ad.sum_all(ad.mul(a, c)), a, c)
     m1, m2 = leaf(2, 3, 4), leaf(4, 5)
     case("matmul.batched", lambda: ad.sum_all(ad.matmul(m1, m2)), m1, m2)
+    lb5 = leaf(5)
+    wlin = Tensor(rng.normal(size=(2, 3, 5)))
+    for gelu in (False, True):
+        case("linear.gelu" if gelu else "linear",
+             lambda gelu=gelu: ad.sum_all(ad.mul(ad.linear(m1, m2, lb5, gelu=gelu), wlin)),
+             m1, m2, lb5)
+
+    ah = leaf(2, 3, 4)
+    aw = [leaf(*s) for s in ((4, 4), (4,)) * 4]        # q, k, v, o: weight, bias
+    key_bias = np.where([[True, True, True], [True, True, False]],
+                        0.0, ad.MASK_BIAS)[:, None, None, :]
+    wat = Tensor(rng.normal(size=(2, 3, 4)))
+    # the k bias is left out: softmax ignores a shift shared by a row's
+    # scores, so its gradient is 0 and central differences see only rounding
+    case("attention",
+         lambda: ad.sum_all(ad.mul(ad.attention(ah, *aw, key_bias, 2), wat)),
+         ah, *aw[:3], *aw[4:])
 
     x = leaf(3, 5)
     w = Tensor(rng.normal(size=(3, 5)))

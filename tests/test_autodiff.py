@@ -2,6 +2,7 @@
 against central finite differences, and graph bookkeeping contracts."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -417,6 +418,50 @@ def test_primitive_grads_across_seeds():
             return ad.cross_entropy(h, np.array([0, 2]))
         err = grad_check(build, [x, w, gain, bias])
         assert err < 1e-4, f"seed {seed}: {err:.3e}"
+
+
+# ---------------------------------------------------------------------------
+# fused linear
+
+
+@pytest.mark.parametrize("gelu", [False, True])
+def test_linear_equals_matmul_add(gelu):
+    # forward bit-identical to the composed ops it fuses
+    x = t(RNG.normal(size=(2, 3, 4)))
+    w = t(RNG.normal(size=(4, 5)))
+    b = t(RNG.normal(size=(5,)))
+    want = ad.add(ad.matmul(x, w), b)
+    want = ad.gelu(want) if gelu else want
+    np.testing.assert_array_equal(ad.linear(x, w, b, gelu=gelu).data, want.data)
+
+
+def test_linear_shape_errors():
+    x, w, b = t(np.zeros((2, 4))), t(np.zeros((4, 3))), t(np.zeros(3))
+    for args in ((t(np.zeros((2, 5))), w, b), (x, t(np.zeros(4)), b), (x, w, t(np.zeros(4)))):
+        with pytest.raises(ShapeError):
+            ad.linear(*args)
+
+
+def test_untracked_linear_gelu_saves_no_derivative():
+    # with no input requiring a gradient, the node must not keep the (N, o)
+    # GELU derivative that only its backward pass reads
+    n, d, o = 512, 16, 64
+    rng = np.random.default_rng(28)
+    arrays = [rng.normal(size=s) for s in ((n, d), (d, o), (o,))]
+
+    def call(requires_grad):
+        tensors = [Tensor(a, requires_grad=requires_grad) for a in arrays]
+        tracemalloc.start()
+        try:
+            out = ad.linear(*tensors, gelu=True).data
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    tracked, tracked_peak = call(True)
+    untracked, untracked_peak = call(False)
+    np.testing.assert_array_equal(untracked, tracked)
+    assert tracked_peak - untracked_peak >= n * o * 8
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,57 @@ def test_manifest_that_is_not_json_is_data_error(ws, capsys, tmp_path):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def _checkpoint_with_manifest(ws, tmp_path, edit):
+    ckpt = tmp_path / "fine"
+    shutil.copytree(ws["fine"], ckpt)
+    man = json.loads((ckpt / "manifest.json").read_text())
+    edit(man)
+    (ckpt / "manifest.json").write_text(json.dumps(man))
+    return ckpt
+
+
+def _predict_with_manifest(ws, tmp_path, edit):
+    ckpt = _checkpoint_with_manifest(ws, tmp_path, edit)
+    inp = tmp_path / "inputs.txt"
+    inp.write_text("oh great, rain again\n", encoding="utf-8")
+    return cli.main(["predict", "--checkpoint", str(ckpt), "--input", str(inp)])
+
+
+MANIFEST_FIELD_FAULTS = {
+    "no-tensors": lambda man: man.pop("tensors"),
+    "no-model-config": lambda man: man.pop("model_config"),
+    "task-not-string": lambda man: man.update(task=1),
+    "tensor-entry-not-object": lambda man: man["tensors"].__setitem__(3, "proj.weight"),
+    "tensor-named-twice": lambda man: man["tensors"].append(man["tensors"][0]),
+    "unknown-config-field": lambda man: man["model_config"].update(n_experts=4),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MANIFEST_FIELD_FAULTS))
+def test_manifest_field_faults_are_data_errors(ws, capsys, tmp_path, fault):
+    assert _predict_with_manifest(ws, tmp_path, MANIFEST_FIELD_FAULTS[fault]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", ["renamed", "config-disagrees"])
+def test_manifest_tensors_must_match_model_config(ws, capsys, tmp_path, fault):
+    def edit(man):
+        if fault == "renamed":
+            entry = next(e for e in man["tensors"] if e["name"] == "layer0.attn.q.weight")
+            entry["name"] = "layer0.attn.query.weight"
+        else:
+            man["model_config"]["d_ff"] *= 2
+    assert _predict_with_manifest(ws, tmp_path, edit) == 2
+    assert "do not match its model config" in capsys.readouterr().err
+
+
+def test_unknown_checkpoint_task_is_data_error(ws, capsys, tmp_path):
+    ckpt = _checkpoint_with_manifest(ws, tmp_path, lambda man: man.update(task="sarcasm"))
+    assert cli.main(["evaluate", "--test", str(ws["test"]), "--checkpoint", str(ckpt),
+                     "--report", str(tmp_path / "eval.json")]) == 2
+    assert "'sarcasm'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fault", ["missing", "vocab-disagrees"])
 def test_tokenizer_file_faults_are_data_errors(ws, capsys, tmp_path, fault):
     tok = tmp_path / "tok.json"

@@ -1,6 +1,8 @@
 """Encoder stack: shapes, padding invariance, attention normalization,
 multi-head consistency, dynamic masking statistics, and the MLM objective."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -138,9 +140,148 @@ def test_multihead_equals_per_head_bruteforce():
         + params["layer0.attn.o.bias"].data
 
     from figlang.encoder import _attention
-    key_bias = Tensor(np.where(mask, 0.0, ad.MASK_BIAS)[:, None, None, :])
+    key_bias = np.where(mask, 0.0, ad.MASK_BIAS)[:, None, None, :]
     got = _attention(params, 0, Tensor(h), key_bias, cfg).data
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def _composed_attention(params, i, h, key_bias, cfg):
+    """Self-attention as the composed graph `ad.attention` replaced: three
+    projections, head split, scaled scores, key bias, softmax, merge, output
+    projection, one node per op."""
+    B, T, d = h.shape
+    H = cfg.n_heads
+    dk = d // H
+
+    def proj(x, name):
+        return ad.add(ad.matmul(x, params[f"layer{i}.attn.{name}.weight"]),
+                      params[f"layer{i}.attn.{name}.bias"])
+
+    def heads(x):
+        return ad.swap_axes(ad.reshape(x, (B, T, H, dk)), 1, 2)   # (B, H, T, dk)
+
+    q, k, v = (heads(proj(h, name)) for name in ("q", "k", "v"))
+    scores = ad.mul(ad.matmul(q, ad.swap_axes(k, -1, -2)), 1.0 / np.sqrt(dk))
+    probs = ad.softmax(ad.add(scores, Tensor(key_bias)), axis=-1)
+    ctx = ad.reshape(ad.swap_axes(ad.matmul(probs, v), 1, 2), (B, T, d))
+    return proj(ctx, "o")
+
+
+def _composed_ffn(params, i, h):
+    """The feed-forward block as composed matmul, add and gelu nodes."""
+    f = ad.gelu(ad.add(ad.matmul(h, params[f"layer{i}.ff.fc1.weight"]),
+                       params[f"layer{i}.ff.fc1.bias"]))
+    return ad.add(ad.matmul(f, params[f"layer{i}.ff.fc2.weight"]),
+                  params[f"layer{i}.ff.fc2.bias"])
+
+
+def _fused_ffn(params, i, h):
+    f = ad.linear(h, params[f"layer{i}.ff.fc1.weight"], params[f"layer{i}.ff.fc1.bias"],
+                  gelu=True)
+    return ad.linear(f, params[f"layer{i}.ff.fc2.weight"], params[f"layer{i}.ff.fc2.bias"])
+
+
+def _parity_case(seed, prefix):
+    """Unit-scale parameters (so softmax and GELU leave their linear range),
+    a right-padded batch, and the leaves whose gradients are compared."""
+    cfg = tiny_cfg(n_layers=1, n_heads=2, d_model=8, d_ff=16)
+    rng = np.random.default_rng(seed)
+    params = init_encoder_params(cfg, rng)
+    for t in params.values():
+        t.data = rng.normal(size=t.shape)
+    _, mask = make_batch(rng, cfg, [6, 2, 4])
+    h = Tensor(rng.normal(size=mask.shape + (cfg.d_model,)), requires_grad=True)
+    leaves = [h] + [params[k] for k in params if k.startswith(prefix)]
+    return cfg, params, mask, h, leaves
+
+
+def _run(build, leaves, weight):
+    ad.zero_grads(leaves)
+    out = build()
+    backward(ad.sum_all(ad.mul(out, weight)))
+    return [out.data] + [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+                         for t in leaves]
+
+
+def _assert_close(got, want, rtol=1e-12):
+    # relative to each array's largest entry: entries that cancel to ~0
+    # carry only rounding, whatever their relative error
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= rtol * np.abs(b).max()
+
+
+def test_fused_attention_matches_composed_reference():
+    # forward values and the gradients of the input and all eight weights
+    cfg, params, mask, h, leaves = _parity_case(40, "layer0.attn.")
+    key_bias = np.where(mask, 0.0, ad.MASK_BIAS)[:, None, None, :]
+    weight = Tensor(np.random.default_rng(41).normal(size=h.shape))
+    got = _run(lambda: ad.attention(
+        h, *(params[f"layer0.attn.{p}.{k}"] for p in "qkvo" for k in ("weight", "bias")),
+        key_bias, cfg.n_heads), leaves, weight)
+    want = _run(lambda: _composed_attention(params, 0, h, key_bias, cfg), leaves, weight)
+    names = ["out", "h"] + [k for k in params if k.startswith("layer0.attn.")]
+    scale = np.abs(want[names.index("layer0.attn.q.bias")]).max()
+    # the key bias shifts every score of a row equally, which softmax ignores:
+    # its true gradient is 0 and both paths return rounding noise
+    for arrays in (got, want):
+        assert np.abs(arrays.pop(names.index("layer0.attn.k.bias"))).max() < 1e-12 * scale
+    _assert_close(got, want)
+
+
+def test_fused_ffn_matches_composed_reference():
+    cfg, params, mask, h, leaves = _parity_case(42, "layer0.ff.")
+    weight = Tensor(np.random.default_rng(43).normal(size=h.shape))
+    got = _run(lambda: _fused_ffn(params, 0, h), leaves, weight)
+    want = _run(lambda: _composed_ffn(params, 0, h), leaves, weight)
+    _assert_close(got, want)
+
+
+def test_fused_encoder_matches_composed_reference():
+    # a whole padded two-layer forward and every parameter gradient, against
+    # the layers rebuilt from the composed reference blocks
+    cfg = tiny_cfg()
+    rng = np.random.default_rng(44)
+    params = init_encoder_params(cfg, rng)
+    for t in params.values():
+        t.data = t.data + rng.normal(0.0, 0.3, size=t.shape)
+    ids, mask = make_batch(rng, cfg, [9, 3, 6])
+    weight = Tensor(rng.normal(size=ids.shape + (cfg.d_model,)))
+    leaves = list(params.values())
+
+    def composed():
+        T = ids.shape[1]
+        h = ad.add(ad.embedding(params["embed.token.weight"], ids),
+                   ad.embedding(params["embed.position.weight"], np.arange(T)))
+        key_bias = np.where(mask, 0.0, ad.MASK_BIAS)[:, None, None, :]
+        for i in range(cfg.n_layers):
+            h = ad.layer_norm(ad.add(h, _composed_attention(params, i, h, key_bias, cfg)),
+                              params[f"layer{i}.ln1.gain"], params[f"layer{i}.ln1.bias"])
+            h = ad.layer_norm(ad.add(h, _composed_ffn(params, i, h)),
+                              params[f"layer{i}.ln2.gain"], params[f"layer{i}.ln2.bias"])
+        return h
+
+    got = _run(lambda: encoder_forward(params, cfg, ids, mask), leaves, weight)
+    want = _run(composed, leaves, weight)
+    # mlm.bias takes no gradient here; the k biases get rounding noise only
+    skip = {i + 1 for i, k in enumerate(params) if k == "mlm.bias" or k.endswith("attn.k.bias")}
+    _assert_close([a for i, a in enumerate(got) if i not in skip],
+                  [b for i, b in enumerate(want) if i not in skip])
+
+
+def test_encoder_graph_uses_fused_blocks():
+    # each layer is one attention node and two linear nodes; none of the
+    # composed ops they replaced may come back into the encoder
+    cfg = tiny_cfg(n_layers=3, dropout=0.1)
+    rng = np.random.default_rng(45)
+    params = init_encoder_params(cfg, rng)
+    ids, mask = make_batch(rng, cfg, [5, 2])
+    h = encoder_forward(params, cfg, ids, mask, rng=np.random.default_rng(0))
+    ops = Counter(t.op for t in ad.ComputationGraph.trace(h).nodes)
+    for op in ("matmul", "softmax", "gelu", "swap_axes", "reshape"):
+        assert ops[op] == 0, op
+    assert ops["attention"] == cfg.n_layers
+    assert ops["linear"] == 2 * cfg.n_layers
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from figlang.config import BINARY, REGRESSION, ModelConfig, TrainConfig
 from figlang.encoder import init_encoder_params
 from figlang.rcnn import (HEAD_PREFIXES, bilstm_forward, full_forward,
                           init_head_params, init_model_params, is_head_param,
-                          predict, rcnn_forward)
+                          model_param_shapes, predict, rcnn_forward)
 
 V = 290
 
@@ -48,6 +48,15 @@ def test_param_inventory_and_split():
     assert set(full) == set(enc) | set(head)
     assert not any(is_head_param(k) for k in enc)
     assert HEAD_PREFIXES == ("lstm.", "proj.", "out.")
+
+
+@pytest.mark.parametrize("head", [BINARY, REGRESSION])
+def test_param_shapes_match_init(head):
+    # checkpoint loading checks tensors against these shapes, without drawing weights
+    cfg = head_cfg(task_head=head)
+    params = init_model_params(cfg, np.random.default_rng(0))
+    assert model_param_shapes(cfg) == {k: p.shape for k, p in params.items()}
+    assert list(model_param_shapes(cfg)) == list(params)
 
 
 def test_forget_gate_bias_starts_open():
