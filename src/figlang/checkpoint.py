@@ -141,7 +141,10 @@ def load_checkpoint(ckpt_dir) -> CheckpointBundle:
     if got != want:
         raise DataError(f"tokenizer hash mismatch: manifest says {want}, file is {got}")
 
-    blob = (root / "weights.bin").read_bytes()
+    weights_path = root / "weights.bin"
+    if not weights_path.is_file():
+        raise DataError(f"checkpoint missing weights.bin: {root}")
+    blob = weights_path.read_bytes()
     params: dict[str, Tensor] = {}
     for entry in manifest["tensors"]:
         n = entry["nbytes"]

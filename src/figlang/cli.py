@@ -1,11 +1,13 @@
 """Command-line interface.
 
 Subcommands: bpe-train, pretrain, finetune, evaluate, predict, gradcheck,
-baseline-nbsvm. All but predict and gradcheck write a JSON run manifest (args,
-config, seed, input paths, output hashes, timestamps) next to their primary
-artifact, or wherever --manifest points.
+baseline-nbsvm. A subcommand only does its work; `main` does the rest. All
+but predict and gradcheck return a run record, which `main` writes as a JSON
+run manifest (argv, config, seed, input paths, output hashes, timestamps)
+next to their primary artifact, or wherever --manifest points.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data error,
+`main` maps every fault to an exit code: 0 success, 1 usage or configuration
+error, 2 data error (including unreadable, non-UTF-8 or unwritable files),
 3 numeric failure.
 """
 
@@ -52,53 +54,45 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _write_run_manifest(path, *, subcommand, argv, seed, config, inputs,
-                        output_files, started):
+def _write_run_manifest(args, argv, started, *, manifest, seed, config, inputs,
+                        outputs):
     doc = {
         "tool": f"figlang {__version__}",
-        "subcommand": subcommand,
+        "subcommand": args.command,
         "argv": argv,
         "seed": seed,
         "config": config,
         "inputs": {k: str(v) for k, v in inputs.items()},
-        "outputs": {str(p): sha256_file(p) for p in output_files if Path(p).is_file()},
+        "outputs": {str(p): sha256_file(p) for p in outputs if Path(p).is_file()},
         "started": started,
         "finished": _utc_now(),
     }
-    path = Path(path)
+    path = Path(args.manifest or manifest)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")
 
 
-def _read_text(path) -> str:
-    try:
-        with open(path, encoding="utf-8") as f:
-            return f.read()
-    except OSError as e:
-        raise DataError(f"cannot read {path}: {e}") from None
-
-
 def _read_lines(path) -> list[str]:
     """Non-blank lines of a corpus file."""
-    return [line for line in _read_text(path).splitlines() if line.strip()]
+    text = Path(path).read_text(encoding="utf-8")
+    return [line for line in text.splitlines() if line.strip()]
 
 
-def _resolve_configs(args) -> tuple[ModelConfig, TrainConfig, set]:
+def _resolve_configs(args) -> tuple[ModelConfig, TrainConfig, bool]:
     """Precedence: command-line flags > --config file > preset defaults.
-    Returns the configs plus the set of model fields set explicitly."""
+    Returns the configs plus whether the config file pinned vocab_size."""
     file_model: dict = {}
     file_train: dict = {}
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
+    if args.config:
         try:
-            with open(cfg_path, encoding="utf-8") as f:
+            with open(args.config, encoding="utf-8") as f:
                 doc = json.load(f)
-        except OSError as e:
-            raise ConfigError(f"cannot read config file {cfg_path}: {e}") from None
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"cannot read config file {args.config}: {e}") from None
         except json.JSONDecodeError as e:
-            raise ConfigError(f"config file {cfg_path} is not valid JSON: {e}") from None
+            raise ConfigError(f"config file {args.config} is not valid JSON: {e}") from None
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
         unknown = set(doc) - {"model", "train"}
@@ -107,47 +101,39 @@ def _resolve_configs(args) -> tuple[ModelConfig, TrainConfig, set]:
         file_model = dict(doc.get("model", {}))
         file_train = dict(doc.get("train", {}))
 
-    model_kwargs = PRESETS[getattr(args, "preset", "paper")]().to_dict()
-    explicit_model = set(file_model)
+    model_kwargs = PRESETS[args.preset]().to_dict()
     for key in file_model:
         if key not in model_kwargs:
             raise ConfigError(f"unknown model config field: {key!r}")
     model_kwargs.update(file_model)
-    if getattr(args, "max_seq_len", None) is not None:
+    if args.max_seq_len is not None:
         model_kwargs["max_seq_len"] = args.max_seq_len
-        explicit_model.add("max_seq_len")
     task_flag = getattr(args, "task", None)
     if task_flag:
         model_kwargs["task_head"] = TASK_NAMES[task_flag]
-        explicit_model.add("task_head")
 
     train_kwargs = dataclasses.asdict(TrainConfig())
     for key in file_train:
         if key not in train_kwargs:
             raise ConfigError(f"unknown train config field: {key!r}")
     train_kwargs.update(file_train)
-    flag_map = {"seed": "seed", "epochs": "epochs", "batch_size": "batch_size",
-                "lr": "learning_rate", "max_steps": "max_steps",
-                "grad_clip": "grad_clip_norm"}
-    for flag, field in flag_map.items():
-        value = getattr(args, flag, None)
+    for field in train_kwargs:
+        value = getattr(args, field, None)
         if value is not None:
             train_kwargs[field] = value
-    if getattr(args, "freeze_encoder", False):
-        train_kwargs["freeze_encoder"] = True
 
     try:
         model_cfg = ModelConfig(**model_kwargs)
         train_cfg = TrainConfig(**train_kwargs)
     except TypeError as e:
         raise ConfigError(str(e)) from None
-    return model_cfg, train_cfg, explicit_model
+    return model_cfg, train_cfg, "vocab_size" in file_model
 
 
-def _adopt_tokenizer_vocab(model_cfg: ModelConfig, explicit: set, tokenizer):
+def _adopt_tokenizer_vocab(model_cfg: ModelConfig, pinned: bool, tokenizer):
     """The embedding table is sized by the tokenizer unless the config pinned
     a conflicting value, which is an error worth stopping on."""
-    if "vocab_size" in explicit and model_cfg.vocab_size != tokenizer.size:
+    if pinned and model_cfg.vocab_size != tokenizer.size:
         raise DataError(f"config vocab_size={model_cfg.vocab_size} does not match "
                         f"tokenizer ({tokenizer.size} ids)")
     if model_cfg.vocab_size != tokenizer.size:
@@ -155,31 +141,39 @@ def _adopt_tokenizer_vocab(model_cfg: ModelConfig, explicit: set, tokenizer):
     return model_cfg
 
 
-def _config_echo(model_cfg, train_cfg) -> dict:
-    return {"model": model_cfg.to_dict(), "train": dataclasses.asdict(train_cfg)}
+def _checkpoint_record(out, model_cfg, train_cfg, inputs) -> dict:
+    """Run record of a training command that wrote its checkpoint to `out`."""
+    files = ("manifest.json", "weights.bin", "tokenizer.json", "train_log.jsonl")
+    return dict(manifest=out / "run.json", seed=train_cfg.seed,
+                config={"model": model_cfg.to_dict(), "train": dataclasses.asdict(train_cfg)},
+                inputs=inputs, outputs=[out / name for name in files])
 
 
-def _cmd_bpe_train(args, argv) -> int:
-    started = _utc_now()
+def _write_report(path, report) -> Path:
+    text = report_json(report)
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(text, encoding="utf-8")
+    sys.stdout.write(text)
+    return out
+
+
+def _cmd_bpe_train(args):
     lines = _read_lines(args.corpus)
     model = bpe_train(lines, args.vocab_size)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_tokenizer(model, out)
-    manifest = args.manifest or out.with_name(out.name + ".run.json")
-    _write_run_manifest(manifest, subcommand="bpe-train", argv=argv,
-                        seed=None, config={"vocab_size": args.vocab_size},
-                        inputs={"corpus": args.corpus},
-                        output_files=[out], started=started)
     print(f"tokenizer: {model.size} ids ({len(model.merges)} merges) -> {out}")
-    return 0
+    return dict(manifest=f"{out}.run.json", seed=None,
+                config={"vocab_size": args.vocab_size},
+                inputs={"corpus": args.corpus}, outputs=[out])
 
 
-def _cmd_pretrain(args, argv) -> int:
-    started = _utc_now()
+def _cmd_pretrain(args):
     tokenizer = load_tokenizer(args.tokenizer)
-    model_cfg, train_cfg, explicit = _resolve_configs(args)
-    model_cfg = _adopt_tokenizer_vocab(model_cfg, explicit, tokenizer)
+    model_cfg, train_cfg, pinned = _resolve_configs(args)
+    model_cfg = _adopt_tokenizer_vocab(model_cfg, pinned, tokenizer)
     lines = toy_corpus() if args.corpus == "toy" else _read_lines(args.corpus)
 
     out = Path(args.out)
@@ -189,22 +183,15 @@ def _cmd_pretrain(args, argv) -> int:
     save_checkpoint(out, params, model_config=model_cfg, train_config=train_cfg,
                     task=TASK_LABELS[model_cfg.task_head],
                     tokenizer_path=args.tokenizer)
-    manifest = args.manifest or out / "run.json"
-    _write_run_manifest(manifest, subcommand="pretrain", argv=argv,
-                        seed=train_cfg.seed, config=_config_echo(model_cfg, train_cfg),
-                        inputs={"corpus": args.corpus, "tokenizer": args.tokenizer},
-                        output_files=[out / "manifest.json", out / "weights.bin",
-                                      out / "tokenizer.json", out / "train_log.jsonl"],
-                        started=started)
     first, last = log.records[0]["loss"], log.records[-1]["loss"]
     print(f"pretrained {len(log.records)} steps; loss {first:.4f} -> {last:.4f}; "
           f"checkpoint at {out}")
-    return 0
+    return _checkpoint_record(out, model_cfg, train_cfg,
+                              {"corpus": args.corpus, "tokenizer": args.tokenizer})
 
 
-def _cmd_finetune(args, argv) -> int:
-    started = _utc_now()
-    model_cfg, train_cfg, explicit = _resolve_configs(args)
+def _cmd_finetune(args):
+    model_cfg, train_cfg, pinned = _resolve_configs(args)
     task = TASK_NAMES[args.task]
 
     init_params = None
@@ -224,7 +211,7 @@ def _cmd_finetune(args, argv) -> int:
     if tokenizer_path is None:
         raise ConfigError("--tokenizer is required unless --init provides one")
     tokenizer = load_tokenizer(tokenizer_path)
-    model_cfg = _adopt_tokenizer_vocab(model_cfg, explicit, tokenizer)
+    model_cfg = _adopt_tokenizer_vocab(model_cfg, pinned, tokenizer)
 
     dataset = load_dataset(args.train, task)
     out = Path(args.out)
@@ -234,17 +221,11 @@ def _cmd_finetune(args, argv) -> int:
                            params=init_params, log=log)
     save_checkpoint(out, params, model_config=model_cfg, train_config=train_cfg,
                     task=args.task, tokenizer_path=tokenizer_path)
-    manifest = args.manifest or out / "run.json"
-    _write_run_manifest(manifest, subcommand="finetune", argv=argv,
-                        seed=train_cfg.seed, config=_config_echo(model_cfg, train_cfg),
-                        inputs={"train": args.train, "tokenizer": str(tokenizer_path),
-                                "init": args.init or ""},
-                        output_files=[out / "manifest.json", out / "weights.bin",
-                                      out / "tokenizer.json", out / "train_log.jsonl"],
-                        started=started)
     print(f"finetuned {len(log.records)} steps on {len(dataset)} examples; "
           f"final loss {log.records[-1]['loss']:.4f}; checkpoint at {out}")
-    return 0
+    return _checkpoint_record(out, model_cfg, train_cfg,
+                              {"train": args.train, "tokenizer": str(tokenizer_path),
+                               "init": args.init or ""})
 
 
 def _evaluate_checkpoint(bundle, dataset):
@@ -261,50 +242,40 @@ def _evaluate_checkpoint(bundle, dataset):
     return regression_metrics(preds, golds)
 
 
-def _cmd_evaluate(args, argv) -> int:
-    started = _utc_now()
+def _cmd_evaluate(args):
     bundle = load_checkpoint(args.checkpoint)
     if bundle.task not in TASK_NAMES:
         raise DataError(f"checkpoint task {bundle.task!r} is not one of {sorted(TASK_NAMES)}")
     schema = TASK_NAMES[bundle.task]
     dataset = load_dataset(args.test, schema)
-    report = _evaluate_checkpoint(bundle, dataset)
-    text = report_json(report)
-    out = Path(args.report)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text, encoding="utf-8")
-    manifest = args.manifest or out.with_name(out.name + ".run.json")
-    _write_run_manifest(manifest, subcommand="evaluate", argv=argv,
-                        seed=None, config={"checkpoint": str(args.checkpoint)},
-                        inputs={"test": args.test, "checkpoint": str(args.checkpoint)},
-                        output_files=[out], started=started)
-    sys.stdout.write(text)
-    return 0
+    out = _write_report(args.report, _evaluate_checkpoint(bundle, dataset))
+    return dict(manifest=f"{out}.run.json", seed=None,
+                config={"checkpoint": str(args.checkpoint)},
+                inputs={"test": args.test, "checkpoint": str(args.checkpoint)},
+                outputs=[out])
 
 
-def _cmd_predict(args, argv) -> int:
+def _cmd_predict(args):
     bundle = load_checkpoint(args.checkpoint)
     tokenizer = load_tokenizer(bundle.tokenizer_path)
     # every line, blank ones too, so output record N answers input line N
-    texts = (_read_text(args.input) if args.input else sys.stdin.read()).splitlines()
+    texts = (Path(args.input).read_text(encoding="utf-8") if args.input
+             else sys.stdin.read()).splitlines()
     records = model_predict(bundle.params, bundle.model_config, tokenizer, texts)
     for rec in records:
         sys.stdout.write(json.dumps(rec) + "\n")
-    return 0
 
 
-def _cmd_gradcheck(args, argv) -> int:
+def _cmd_gradcheck(args):
     n_seeds = 20 if args.full else args.seeds
     worst = run_suite(n_seeds=n_seeds)
     print(f"max relative error: {worst:.3e} over {n_seeds} seeds "
           f"(tolerance {GRAD_TOL:.0e})")
     if not (worst < GRAD_TOL):
         raise NumericError(f"gradient check failed: {worst:.3e} >= {GRAD_TOL:.0e}")
-    return 0
 
 
-def _cmd_baseline_nbsvm(args, argv) -> int:
-    started = _utc_now()
+def _cmd_baseline_nbsvm(args):
     train_set = load_dataset(args.train, BINARY)
     test_set = load_dataset(args.test, BINARY)
     model = nbsvm_train(train_set.examples, alpha=args.alpha, lr=args.lr,
@@ -312,24 +283,15 @@ def _cmd_baseline_nbsvm(args, argv) -> int:
                         seed=args.seed if args.seed is not None else 42)
     labels, scores = nbsvm_predict(model, [ex.text for ex in test_set])
     golds = [int(ex.target) for ex in test_set]
-    report = classification_metrics(labels, golds, scores=scores)
-    text = report_json(report)
-    out = Path(args.report)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text, encoding="utf-8")
+    out = _write_report(args.report, classification_metrics(labels, golds, scores=scores))
     outputs = [out]
     if args.model_out:
         save_nbsvm(args.model_out, model)
         outputs.append(Path(args.model_out))
-    manifest = args.manifest or out.with_name(out.name + ".run.json")
-    _write_run_manifest(manifest, subcommand="baseline-nbsvm", argv=argv,
-                        seed=args.seed, config={"alpha": args.alpha, "lr": args.lr,
-                                                "epochs": args.epochs,
-                                                "batch_size": args.batch_size},
-                        inputs={"train": args.train, "test": args.test},
-                        output_files=outputs, started=started)
-    sys.stdout.write(text)
-    return 0
+    return dict(manifest=f"{out}.run.json", seed=args.seed,
+                config={"alpha": args.alpha, "lr": args.lr, "epochs": args.epochs,
+                        "batch_size": args.batch_size},
+                inputs={"train": args.train, "test": args.test}, outputs=outputs)
 
 
 def _add_config_flags(p, *, with_task=False):
@@ -346,12 +308,13 @@ def _add_config_flags(p, *, with_task=False):
                    help=f"training epochs (default {d.epochs})")
     p.add_argument("--batch-size", type=int, default=None,
                    help=f"examples per step (default {d.batch_size})")
-    p.add_argument("--lr", type=float, default=None,
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=None,
                    help=f"Adam learning rate (default {d.learning_rate}; "
                         f"eps {d.adam_eps}, weight decay {d.weight_decay})")
     p.add_argument("--max-steps", type=int, default=None,
                    help="stop after this many optimizer steps")
-    p.add_argument("--grad-clip", type=float, default=None,
+    p.add_argument("--grad-clip", dest="grad_clip_norm", metavar="GRAD_CLIP",
+                   type=float, default=None,
                    help="global gradient-norm ceiling (default: off)")
     p.add_argument("--max-seq-len", type=int, default=None,
                    help=f"token window including specials (default {m.max_seq_len})")
@@ -387,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", help="checkpoint directory to start from")
     p.add_argument("--tokenizer", help="defaults to the --init checkpoint's")
     p.add_argument("--out", required=True, help="checkpoint directory")
-    p.add_argument("--freeze-encoder", action="store_true")
+    p.add_argument("--freeze-encoder", action="store_const", const=True, default=None)
     p.add_argument("--manifest")
     _add_config_flags(p, with_task=True)
     p.set_defaults(func=_cmd_finetune)
@@ -428,14 +391,18 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args, argv)
+        started = _utc_now()
+        record = args.func(args)
+        if record is not None:
+            _write_run_manifest(args, argv, started, **record)
+        return 0
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
-    except DataError as e:
+    except (DataError, OSError, UnicodeDecodeError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except FiglangError as e:

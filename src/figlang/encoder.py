@@ -180,7 +180,7 @@ def mlm_forward(params, cfg: ModelConfig, batch: MlmBatch, *,
     h = encoder_forward(params, cfg, batch.ids, batch.mask, rng=rng)
     B, T, d = h.shape
     sel = ad.gather_rows(ad.reshape(h, (B * T, d)), batch.flat_positions)
-    logits = ad.add(ad.matmul(sel, ad.swap_axes(params["embed.token.weight"], 0, 1)),
-                    params["mlm.bias"])
+    logits = ad.linear(sel, ad.swap_axes(params["embed.token.weight"], 0, 1),
+                       params["mlm.bias"])
     loss = ad.cross_entropy(logits, batch.targets)
     return logits, loss

@@ -127,6 +127,14 @@ def test_missing_tokenizer(tmp_path, tok_path):
         load_checkpoint(out)
 
 
+def test_missing_weights(tmp_path, tok_path):
+    out = save_checkpoint(tmp_path / "ckpt", fresh_params(), model_config=CFG,
+                          task="binary", tokenizer_path=tok_path)
+    (out / "weights.bin").unlink()
+    with pytest.raises(DataError, match="weights.bin"):
+        load_checkpoint(out)
+
+
 def test_unsupported_version_rejected(tmp_path, tok_path):
     out = save_checkpoint(tmp_path / "ckpt", fresh_params(), model_config=CFG,
                           task="binary", tokenizer_path=tok_path)

@@ -94,6 +94,45 @@ def test_run_manifest_contents(ws):
     assert run["tool"].startswith("figlang ")
 
 
+# argv after the subcommand, and where run.json goes without --manifest
+MANIFEST_RUNS = {
+    "bpe-train": lambda ws, out: (
+        ["--corpus", str(ws["corpus"]), "--vocab-size", "280",
+         "--out", str(out / "tok.json")], out / "tok.json.run.json"),
+    "pretrain": lambda ws, out: (
+        ["--corpus", str(ws["corpus"]), "--tokenizer", str(ws["tok"]),
+         "--out", str(out), "--config", str(ws["cfg"]), "--epochs", "1"],
+        out / "run.json"),
+    "finetune": lambda ws, out: (
+        ["--train", str(ws["train"]), "--init", str(ws["pre"]), "--out", str(out),
+         "--task", "binary", "--config", str(ws["cfg"]), "--epochs", "1"],
+        out / "run.json"),
+    "evaluate": lambda ws, out: (
+        ["--test", str(ws["test"]), "--checkpoint", str(ws["fine"]),
+         "--report", str(out / "r.json")], out / "r.json.run.json"),
+    "baseline-nbsvm": lambda ws, out: (
+        ["--train", str(ws["train"]), "--test", str(ws["test"]),
+         "--report", str(out / "r.json"), "--model-out", str(out / "m.json")],
+        out / "r.json.run.json"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_RUNS))
+def test_manifest_flag_places_run_record(ws, capsys, tmp_path, command):
+    argv, default = MANIFEST_RUNS[command](ws, tmp_path / "out")
+    manifest = tmp_path / "records" / "run.json"
+    assert cli.main([command, *argv, "--manifest", str(manifest)]) == 0
+    capsys.readouterr()
+    assert manifest.is_file() and not default.exists()
+    run = json.loads(manifest.read_text())
+    assert list(run) == ["tool", "subcommand", "argv", "seed", "config", "inputs",
+                         "outputs", "started", "finished"]
+    assert run["subcommand"] == command
+    assert run["outputs"]
+    for path, digest in run["outputs"].items():
+        assert sha256_file(path) == digest
+
+
 def test_pretrain_loss_trajectory(ws):
     rows = [json.loads(l) for l in (ws["pre"] / "train_log.jsonl").read_text().splitlines()]
     assert [r["step"] for r in rows] == list(range(1, len(rows) + 1))
@@ -273,6 +312,56 @@ def test_weights_with_trailing_bytes_are_data_error(ws, capsys, tmp_path):
     inp.write_text("oh great, rain again\n", encoding="utf-8")
     assert cli.main(["predict", "--checkpoint", str(ckpt), "--input", str(inp)]) == 2
     assert "tensors end at byte" in capsys.readouterr().err
+
+
+def test_missing_weights_is_data_error(ws, capsys, tmp_path):
+    ckpt = tmp_path / "fine"
+    shutil.copytree(ws["fine"], ckpt)
+    (ckpt / "weights.bin").unlink()
+    inp = tmp_path / "inputs.txt"
+    inp.write_text("oh great, rain again\n", encoding="utf-8")
+    assert cli.main(["predict", "--checkpoint", str(ckpt), "--input", str(inp)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "weights.bin" in err
+
+
+# Each case names a path under a regular file (so no directory can be made
+# there, even as root) or feeds a Latin-1 file where UTF-8 is required.
+FILE_FAULTS = {
+    "bpe-train-out-under-file": lambda ws, blocker, latin1: [
+        "bpe-train", "--corpus", str(ws["corpus"]), "--vocab-size", "280",
+        "--out", str(blocker / "tok.json")],
+    "pretrain-out-under-file": lambda ws, blocker, latin1: [
+        "pretrain", "--corpus", str(ws["corpus"]), "--tokenizer", str(ws["tok"]),
+        "--out", str(blocker / "o"), "--config", str(ws["cfg"]), "--epochs", "1"],
+    "evaluate-report-under-file": lambda ws, blocker, latin1: [
+        "evaluate", "--test", str(ws["test"]), "--checkpoint", str(ws["fine"]),
+        "--report", str(blocker / "r.json")],
+    "bpe-train-manifest-under-file": lambda ws, blocker, latin1: [
+        "bpe-train", "--corpus", str(ws["corpus"]), "--vocab-size", "280",
+        "--out", str(blocker.parent / "tok.json"), "--manifest", str(blocker / "run.json")],
+    "bpe-train-latin1-corpus": lambda ws, blocker, latin1: [
+        "bpe-train", "--corpus", str(latin1), "--vocab-size", "280",
+        "--out", str(blocker.parent / "tok.json")],
+    "predict-latin1-input": lambda ws, blocker, latin1: [
+        "predict", "--checkpoint", str(ws["fine"]), "--input", str(latin1)],
+    "finetune-latin1-train": lambda ws, blocker, latin1: [
+        "finetune", "--train", str(latin1), "--init", str(ws["pre"]),
+        "--out", str(blocker.parent / "o"), "--task", "binary",
+        "--config", str(ws["cfg"]), "--epochs", "1"],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FILE_FAULTS))
+def test_file_faults_are_data_errors(ws, capsys, tmp_path, fault):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file, not a directory\n", encoding="utf-8")
+    latin1 = tmp_path / "latin1.tsv"
+    latin1.write_bytes(tsv([("p0", 1, "un café, génial"),
+                            ("n0", 0, "le café est froid")]).encode("latin-1"))
+    assert cli.main(FILE_FAULTS[fault](ws, blocker, latin1)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
 
 
 def test_manifest_shape_that_disagrees_with_nbytes_is_data_error(ws, capsys, tmp_path):

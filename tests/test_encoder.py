@@ -284,6 +284,19 @@ def test_encoder_graph_uses_fused_blocks():
     assert ops["linear"] == 2 * cfg.n_layers
 
 
+def test_mlm_head_is_one_linear_node():
+    # the tied output projection and its bias are one linear node on top of
+    # the encoder's, so no matmul or bias add enters the MLM loss graph
+    cfg = tiny_cfg(dropout=0.1)
+    rng = np.random.default_rng(46)
+    params = init_encoder_params(cfg, rng)
+    _, _, batch = mlm_batch_for(cfg, rng, [6, 3])
+    _, loss = mlm_forward(params, cfg, batch, rng=np.random.default_rng(0))
+    ops = Counter(t.op for t in ad.ComputationGraph.trace(loss).nodes)
+    assert ops["matmul"] == 0
+    assert ops["linear"] == 2 * cfg.n_layers + 1
+
+
 # ---------------------------------------------------------------------------
 # dynamic masking
 
