@@ -59,7 +59,7 @@ def save_checkpoint(out_dir, params: dict[str, Tensor], *, model_config: ModelCo
         "format_version": FORMAT_VERSION,
         "dtype": DTYPE,
         "task": task,
-        "model_config": model_config.to_dict(),
+        "model_config": asdict(model_config),
         "train_config": asdict(train_config) if train_config is not None else None,
         "tokenizer_sha256": sha256_file(tok_dst),
         "tensors": tensors,
@@ -163,7 +163,7 @@ def load_checkpoint(ckpt_dir) -> CheckpointBundle:
         raise DataError(f"weights.bin is {len(blob)} bytes but its tensors end at byte {end}")
 
     try:
-        model_config = ModelConfig.from_dict(manifest["model_config"])
+        model_config = ModelConfig(**manifest["model_config"])
         tc = manifest.get("train_config")
         train_config = TrainConfig(**tc) if tc else None
         _check_params(params, model_config)

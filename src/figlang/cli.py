@@ -27,12 +27,12 @@ from .bpe import bpe_train, load_tokenizer, save_tokenizer
 from .checkpoint import load_checkpoint, save_checkpoint, sha256_file
 from .config import (BINARY, REGRESSION, ModelConfig, TrainConfig,
                      paper_scale, toy_scale)
-from .data import load_dataset
+from .data import load_dataset, read_text
 from .errors import ConfigError, DataError, FiglangError, NumericError
 from .gradsuite import run_suite
 from .metrics import classification_metrics, regression_metrics, report_json
 from .nbsvm import nbsvm_predict, nbsvm_train, save_nbsvm
-from .rcnn import init_head_params, is_head_param, predict as model_predict
+from .rcnn import head_param_shapes, init_params, predict as model_predict
 from .training import TrainLog, finetune, pretrain_mlm, rng_streams
 
 TASK_NAMES = {"binary": BINARY, "score": REGRESSION}
@@ -76,8 +76,7 @@ def _write_run_manifest(args, argv, started, *, manifest, seed, config, inputs,
 
 def _read_lines(path) -> list[str]:
     """Non-blank lines of a corpus file."""
-    text = Path(path).read_text(encoding="utf-8")
-    return [line for line in text.splitlines() if line.strip()]
+    return [line for line in read_text(path, "corpus").splitlines() if line.strip()]
 
 
 def _resolve_configs(args) -> tuple[ModelConfig, TrainConfig, bool]:
@@ -101,7 +100,7 @@ def _resolve_configs(args) -> tuple[ModelConfig, TrainConfig, bool]:
         file_model = dict(doc.get("model", {}))
         file_train = dict(doc.get("train", {}))
 
-    model_kwargs = PRESETS[args.preset]().to_dict()
+    model_kwargs = dataclasses.asdict(PRESETS[args.preset]())
     for key in file_model:
         if key not in model_kwargs:
             raise ConfigError(f"unknown model config field: {key!r}")
@@ -145,7 +144,8 @@ def _checkpoint_record(out, model_cfg, train_cfg, inputs) -> dict:
     """Run record of a training command that wrote its checkpoint to `out`."""
     files = ("manifest.json", "weights.bin", "tokenizer.json", "train_log.jsonl")
     return dict(manifest=out / "run.json", seed=train_cfg.seed,
-                config={"model": model_cfg.to_dict(), "train": dataclasses.asdict(train_cfg)},
+                config={"model": dataclasses.asdict(model_cfg),
+                        "train": dataclasses.asdict(train_cfg)},
                 inputs=inputs, outputs=[out / name for name in files])
 
 
@@ -194,20 +194,18 @@ def _cmd_finetune(args):
     model_cfg, train_cfg, pinned = _resolve_configs(args)
     task = TASK_NAMES[args.task]
 
-    init_params = None
+    start = None
     tokenizer_path = args.tokenizer
     if args.init:
         bundle = load_checkpoint(args.init)
-        init_params = bundle.params
+        start = bundle.params
         model_cfg = dataclasses.replace(bundle.model_config, task_head=task)
         if tokenizer_path is None:
             tokenizer_path = bundle.tokenizer_path
         if bundle.task != args.task:
             # head shape may differ across tasks; encoder weights carry over
-            streams = rng_streams(train_cfg.seed)
-            for name in [n for n in init_params if is_head_param(n)]:
-                del init_params[name]
-            init_params.update(init_head_params(model_cfg, streams["init"]))
+            start.update(init_params(head_param_shapes(model_cfg),
+                                     rng_streams(train_cfg.seed)["init"]))
     if tokenizer_path is None:
         raise ConfigError("--tokenizer is required unless --init provides one")
     tokenizer = load_tokenizer(tokenizer_path)
@@ -218,7 +216,7 @@ def _cmd_finetune(args):
     out.mkdir(parents=True, exist_ok=True)
     log = TrainLog(out / "train_log.jsonl")
     params, log = finetune(dataset.examples, tokenizer, model_cfg, train_cfg,
-                           params=init_params, log=log)
+                           params=start, log=log)
     save_checkpoint(out, params, model_config=model_cfg, train_config=train_cfg,
                     task=args.task, tokenizer_path=tokenizer_path)
     print(f"finetuned {len(log.records)} steps on {len(dataset)} examples; "
@@ -259,7 +257,7 @@ def _cmd_predict(args):
     bundle = load_checkpoint(args.checkpoint)
     tokenizer = load_tokenizer(bundle.tokenizer_path)
     # every line, blank ones too, so output record N answers input line N
-    texts = (Path(args.input).read_text(encoding="utf-8") if args.input
+    texts = (read_text(args.input, "input") if args.input
              else sys.stdin.read()).splitlines()
     records = model_predict(bundle.params, bundle.model_config, tokenizer, texts)
     for rec in records:
@@ -280,7 +278,7 @@ def _cmd_baseline_nbsvm(args):
     test_set = load_dataset(args.test, BINARY)
     model = nbsvm_train(train_set.examples, alpha=args.alpha, lr=args.lr,
                         epochs=args.epochs, batch_size=args.batch_size,
-                        seed=args.seed if args.seed is not None else 42)
+                        seed=args.seed)
     labels, scores = nbsvm_predict(model, [ex.text for ex in test_set])
     golds = [int(ex.target) for ex in test_set]
     out = _write_report(args.report, classification_metrics(labels, golds, scores=scores))
@@ -381,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--epochs", type=int, default=5)
     p.add_argument("--batch-size", type=int, default=10)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--manifest")
     p.set_defaults(func=_cmd_baseline_nbsvm)
     return parser

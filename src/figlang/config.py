@@ -7,7 +7,7 @@ units, dropout 0.1, batch 10, 5 epochs, lr 2e-5, eps 1e-6, weight decay
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -44,13 +44,6 @@ class ModelConfig:
     def n_outputs(self) -> int:
         return 2 if self.task_head == BINARY else 1
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
-
 
 def paper_scale(**overrides) -> ModelConfig:
     return ModelConfig(**overrides)
@@ -86,10 +79,3 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.max_steps is not None and self.max_steps < 1:
             raise ConfigError(f"max_steps must be positive, got {self.max_steps}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .bpe import normalize
 from .config import BINARY, REGRESSION, SCORE_MAX, SCORE_MIN
@@ -38,6 +39,15 @@ class Dataset:
         return iter(self.examples)
 
 
+def read_text(path, what: str) -> str:
+    """A UTF-8 file's text; a file that cannot be read or decoded is a
+    DataError that names it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"cannot read {what} {path}: {e}") from None
+
+
 def _parse_label(raw: str, schema: str, lineno: int):
     try:
         value = int(raw)
@@ -56,11 +66,7 @@ def _parse_label(raw: str, schema: str, lineno: int):
 def load_dataset(path, schema: str) -> Dataset:
     if schema not in (BINARY, REGRESSION):
         raise DataError(f"unknown dataset schema: {schema!r}")
-    try:
-        with open(path, encoding="utf-8") as f:
-            raw_lines = f.read().split("\n")
-    except OSError as e:
-        raise DataError(f"cannot read dataset {path}: {e}") from None
+    raw_lines = read_text(path, "dataset").split("\n")
     if raw_lines and raw_lines[-1] == "":
         raw_lines.pop()
     if not raw_lines:

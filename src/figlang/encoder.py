@@ -20,12 +20,12 @@ from .bpe import MASK_ID, N_SPECIALS, pad_batch
 from .config import ModelConfig
 from .errors import ConfigError, ContractError, MaskingError
 
-INIT_STD = 0.02
 MASK_RATE = 0.15
 
 
 def encoder_param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every encoder parameter, in initialization order."""
+    """Name -> shape of every encoder parameter, in initialization order
+    (`rcnn.init_params` draws them)."""
     d = cfg.d_model
     shapes = {"embed.token.weight": (cfg.vocab_size, d),
               "embed.position.weight": (cfg.max_seq_len, d)}
@@ -43,18 +43,6 @@ def encoder_param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes[f"layer{i}.ln2.bias"] = (d,)
     shapes["mlm.bias"] = (cfg.vocab_size,)
     return shapes
-
-
-def init_encoder_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:
-    """Weights ~ normal(0, 0.02), biases zero, layer-norm gain one."""
-    p: dict[str, Tensor] = {}
-    for name, shape in encoder_param_shapes(cfg).items():
-        if name.endswith(".weight"):
-            data = rng.normal(0.0, INIT_STD, size=shape)
-        else:
-            data = np.ones(shape) if name.endswith(".gain") else np.zeros(shape)
-        p[name] = Tensor(data, requires_grad=True)
-    return p
 
 
 def _attention(p, i, h, key_bias, cfg, collect=None):

@@ -9,6 +9,10 @@ per position with those states, pushed through a shared position-wise affine
 steps, and mapped by a second `linear` node to two logits (binary head) or
 one linear unit (regression head, clamped to the score range at predict
 time).
+
+`model_param_shapes` is the model's one parameter table: the encoder's
+parameters, then the head's. Initialization, the encoder freeze, the
+cross-task head redraw and weight decay all read their policy from it.
 """
 
 from __future__ import annotations
@@ -19,11 +23,14 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .bpe import TokenizerModel, encode, pad_batch
 from .config import ModelConfig, BINARY, SCORE_MAX, SCORE_MIN
-from .encoder import INIT_STD, encoder_forward, encoder_param_shapes, init_encoder_params
+from .encoder import encoder_forward, encoder_param_shapes
+
+INIT_STD = 0.02
 
 
 def head_param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every head parameter, in initialization order."""
+    """Name -> shape of every head parameter, in initialization order. A
+    parameter belongs to the head exactly when its name is a key here."""
     d, u = cfg.d_model, cfg.lstm_units
     shapes = {}
     for direction in ("fw", "bw"):
@@ -37,38 +44,34 @@ def head_param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_head_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:
-    """Weights ~ normal(0, 0.02), biases zero but the LSTM forget gates' one."""
+def model_param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every model parameter: encoder, then head."""
+    return {**encoder_param_shapes(cfg), **head_param_shapes(cfg)}
+
+
+def init_params(shapes: dict[str, tuple[int, ...]],
+                rng: np.random.Generator) -> dict[str, Tensor]:
+    """One trainable tensor per name, in order, drawn by its suffix:
+    `.weight` ~ normal(0, 0.02), `.gain` ones, biases zero but the forget
+    gate quarter of an LSTM bias, which starts open at one."""
     p: dict[str, Tensor] = {}
-    u = cfg.lstm_units
-    for name, shape in head_param_shapes(cfg).items():
+    for name, shape in shapes.items():
         if name.endswith(".weight"):
             data = rng.normal(0.0, INIT_STD, size=shape)
+        elif name.endswith(".gain"):
+            data = np.ones(shape)
         else:
             data = np.zeros(shape)
             if name.startswith("lstm."):
-                data[u:2 * u] = 1.0       # forget gate starts open
+                u = shape[0] // 4
+                data[u:2 * u] = 1.0
         p[name] = Tensor(data, requires_grad=True)
     return p
 
 
-def model_param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every parameter `init_model_params` makes."""
-    return {**encoder_param_shapes(cfg), **head_param_shapes(cfg)}
-
-
 def init_model_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:
     """Encoder and head parameters in one flat, stably ordered dict."""
-    params = init_encoder_params(cfg, rng)
-    params.update(init_head_params(cfg, rng))
-    return params
-
-
-HEAD_PREFIXES = ("lstm.", "proj.", "out.")
-
-
-def is_head_param(name: str) -> bool:
-    return name.startswith(HEAD_PREFIXES)
+    return init_params(model_param_shapes(cfg), rng)
 
 
 def bilstm_forward(params, hidden: Tensor, mask) -> Tensor:

@@ -5,9 +5,9 @@ step, log); each only prepares its data and parameters and hands `_fit` a
 closure from a batch of example indices to its loss.
 
 Adam uses decoupled weight decay: the decay term is added to the update
-after the moment step, never folded into the gradient. Biases and layer-norm
-parameters are excluded from decay. All randomness flows from one seed
-through named sub-streams so reruns are bit-identical.
+after the moment step, never folded into the gradient. Only `.weight`
+tensors are decayed, never biases or layer-norm gains. All randomness flows
+from one seed through named sub-streams so reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .bpe import TokenizerModel, encode, pad_batch
 from .config import BINARY, ModelConfig, TrainConfig
 from .encoder import collate_mlm, dynamic_mask, mlm_forward
 from .errors import DataError, NumericError
-from .rcnn import full_forward, init_model_params, is_head_param
+from .rcnn import full_forward, head_param_shapes, init_model_params
 
 STREAMS = ("init", "shuffle", "mask", "dropout")
 
@@ -33,10 +33,6 @@ def rng_streams(seed: int) -> dict[str, np.random.Generator]:
     stream never perturbs another."""
     return {name: np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
             for i, name in enumerate(STREAMS)}
-
-
-def no_weight_decay(name: str) -> bool:
-    return name.endswith(".bias") or ".ln" in name
 
 
 @dataclass
@@ -70,7 +66,7 @@ def adam_step(params: dict[str, Tensor], state: AdamState, cfg: TrainConfig) -> 
         m_hat = m / (1.0 - b1 ** t)
         v_hat = v / (1.0 - b2 ** t)
         update = lr * m_hat / (np.sqrt(v_hat) + eps)
-        if wd and not no_weight_decay(name):
+        if wd and name.endswith(".weight"):
             update = update + lr * wd * p.data
         p.data -= update
 
@@ -195,10 +191,13 @@ def finetune(examples, tokenizer: TokenizerModel, model_cfg: ModelConfig,
     streams = rng_streams(train_cfg.seed)
     if params is None:
         params = init_model_params(model_cfg, streams["init"])
+    forward_params = params
     if train_cfg.freeze_encoder:
-        for name, p in params.items():
-            if not is_head_param(name):
-                p.requires_grad = False
+        # the encoder runs on untracked tensors that share its arrays: no
+        # gradient reaches it, and the caller's tensors keep their flags
+        head = head_param_shapes(model_cfg)
+        forward_params = {name: p if name in head else Tensor(p.data)
+                          for name, p in params.items()}
 
     task = model_cfg.task_head
     seqs = [encode(tokenizer, ex.text, model_cfg.max_seq_len) for ex in examples]
@@ -207,7 +206,7 @@ def finetune(examples, tokenizer: TokenizerModel, model_cfg: ModelConfig,
 
     def batch_loss(idx):
         ids, mask = pad_batch([seqs[i] for i in idx])
-        out = full_forward(params, model_cfg, ids, mask, rng=streams["dropout"])
+        out = full_forward(forward_params, model_cfg, ids, mask, rng=streams["dropout"])
         if task == BINARY:
             return ad.cross_entropy(out, targets[idx])
         return ad.mse_loss(ad.reshape(out, (len(idx),)), Tensor(targets[idx]))

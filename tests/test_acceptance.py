@@ -6,6 +6,7 @@ Budgeted variants of the training criteria run in seconds; the stated
 ceilings are asserted with wall-clock checks.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -548,8 +549,8 @@ def test_c11_configuration_fidelity():
     }
     for key, (got, want) in published.items():
         assert got == want, key
-    assert m.to_dict()["n_layers"] == 12
-    assert ModelConfig.from_dict(m.to_dict()) == m
+    assert dataclasses.asdict(m)["n_layers"] == 12
+    assert ModelConfig(**dataclasses.asdict(m)) == m
     report(11, "configuration: paper-scale defaults serialize the published "
                "recipe (12 layers, 12 heads, 64 LSTM units, dropout 0.1, "
                "batch 10, eps 1e-6, epochs 5, lr 2e-5, decay 1e-5)")

@@ -65,7 +65,7 @@ def test_manifest_structure(tmp_path, tok_path):
     assert man["task"] == "score"
     assert man["train_config"] is None
     assert man["tokenizer_sha256"] == sha256_file(out / "tokenizer.json")
-    assert ModelConfig.from_dict(man["model_config"]) == CFG
+    assert ModelConfig(**man["model_config"]) == CFG
 
     names = [e["name"] for e in man["tensors"]]
     assert names == list(params)            # dict order is the pack order

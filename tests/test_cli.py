@@ -267,6 +267,8 @@ def test_baseline_nbsvm(ws, capsys):
     model = load_nbsvm(model_out)
     labels, _ = nbsvm_predict(model, [POS[0], NEG[0]])
     assert list(labels) == [1, 0]
+    # the run record names the seed the model was trained with, default too
+    assert json.loads((ws["root"] / "nbsvm.json.run.json").read_text())["seed"] == 42
     capsys.readouterr()
 
 
@@ -349,6 +351,9 @@ FILE_FAULTS = {
         "finetune", "--train", str(latin1), "--init", str(ws["pre"]),
         "--out", str(blocker.parent / "o"), "--task", "binary",
         "--config", str(ws["cfg"]), "--epochs", "1"],
+    "baseline-nbsvm-latin1-test": lambda ws, blocker, latin1: [
+        "baseline-nbsvm", "--train", str(ws["train"]), "--test", str(latin1),
+        "--report", str(blocker.parent / "r.json")],
 }
 
 
@@ -362,6 +367,8 @@ def test_file_faults_are_data_errors(ws, capsys, tmp_path, fault):
     assert cli.main(FILE_FAULTS[fault](ws, blocker, latin1)) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
+    if "latin1" in fault:
+        assert str(latin1) in err
 
 
 def test_manifest_shape_that_disagrees_with_nbytes_is_data_error(ws, capsys, tmp_path):

@@ -11,8 +11,9 @@ from figlang.autodiff import Tensor, backward
 from figlang.bpe import CLS_ID, MASK_ID, N_SPECIALS, PAD_ID, SEP_ID, encode
 from figlang.config import ModelConfig, toy_scale
 from figlang.encoder import (MASK_RATE, _mask_count, collate_mlm, dynamic_mask,
-                             encoder_forward, init_encoder_params, mlm_forward)
+                             encoder_forward, encoder_param_shapes, mlm_forward)
 from figlang.errors import ConfigError, ContractError, MaskingError
+from figlang.rcnn import init_params
 
 V = 300
 
@@ -39,7 +40,7 @@ def make_batch(rng, cfg, lengths):
 def test_output_shape():
     cfg = tiny_cfg()
     rng = np.random.default_rng(0)
-    params = init_encoder_params(cfg, rng)
+    params = init_params(encoder_param_shapes(cfg), rng)
     ids, mask = make_batch(rng, cfg, [5, 3, 7])
     h = encoder_forward(params, cfg, ids, mask)
     assert h.shape == (3, 9, cfg.d_model)
@@ -48,7 +49,7 @@ def test_output_shape():
 def test_too_long_sequence_rejected():
     cfg = tiny_cfg(max_seq_len=6)
     rng = np.random.default_rng(0)
-    params = init_encoder_params(cfg, rng)
+    params = init_params(encoder_param_shapes(cfg), rng)
     ids, mask = make_batch(rng, cfg, [8])
     with pytest.raises(ConfigError):
         encoder_forward(params, cfg, ids, mask)
@@ -56,8 +57,8 @@ def test_too_long_sequence_rejected():
 
 def test_init_is_deterministic():
     cfg = tiny_cfg()
-    a = init_encoder_params(cfg, np.random.default_rng(3))
-    b = init_encoder_params(cfg, np.random.default_rng(3))
+    a = init_params(encoder_param_shapes(cfg), np.random.default_rng(3))
+    b = init_params(encoder_param_shapes(cfg), np.random.default_rng(3))
     assert list(a) == list(b)
     for k in a:
         np.testing.assert_array_equal(a[k].data, b[k].data)
@@ -66,7 +67,7 @@ def test_init_is_deterministic():
 def test_padding_invariance_per_layer():
     cfg = tiny_cfg()
     rng = np.random.default_rng(1)
-    params = init_encoder_params(cfg, rng)
+    params = init_params(encoder_param_shapes(cfg), rng)
     ids, mask = make_batch(rng, cfg, [7, 4])
     mutated = ids.copy()
     mutated[~mask] = rng.integers(N_SPECIALS, V, size=(~mask).sum())
@@ -83,7 +84,7 @@ def test_padding_invariance_per_layer():
 def test_attention_rows_sum_to_one_and_pads_get_zero():
     cfg = tiny_cfg()
     rng = np.random.default_rng(2)
-    params = init_encoder_params(cfg, rng)
+    params = init_params(encoder_param_shapes(cfg), rng)
     ids, mask = make_batch(rng, cfg, [6, 2, 4])
     probs = []
     encoder_forward(params, cfg, ids, mask, collect_attn=probs)
@@ -99,7 +100,7 @@ def test_attention_rows_sum_to_one_and_pads_get_zero():
 def test_batch_permutation_consistency():
     cfg = tiny_cfg()
     rng = np.random.default_rng(4)
-    params = init_encoder_params(cfg, rng)
+    params = init_params(encoder_param_shapes(cfg), rng)
     ids, mask = make_batch(rng, cfg, [5, 3, 6])
     perm = np.array([2, 0, 1])
     h = encoder_forward(params, cfg, ids, mask).data
@@ -112,7 +113,7 @@ def test_multihead_equals_per_head_bruteforce():
     # concat, project, compare to the module's attention output
     cfg = tiny_cfg(n_layers=1, n_heads=2, d_model=8, d_ff=16)
     rng = np.random.default_rng(5)
-    params = init_encoder_params(cfg, rng)
+    params = init_params(encoder_param_shapes(cfg), rng)
     ids, mask = make_batch(rng, cfg, [4, 6])
     B, T = ids.shape
 
@@ -186,7 +187,7 @@ def _parity_case(seed, prefix):
     a right-padded batch, and the leaves whose gradients are compared."""
     cfg = tiny_cfg(n_layers=1, n_heads=2, d_model=8, d_ff=16)
     rng = np.random.default_rng(seed)
-    params = init_encoder_params(cfg, rng)
+    params = init_params(encoder_param_shapes(cfg), rng)
     for t in params.values():
         t.data = rng.normal(size=t.shape)
     _, mask = make_batch(rng, cfg, [6, 2, 4])
@@ -242,7 +243,7 @@ def test_fused_encoder_matches_composed_reference():
     # the layers rebuilt from the composed reference blocks
     cfg = tiny_cfg()
     rng = np.random.default_rng(44)
-    params = init_encoder_params(cfg, rng)
+    params = init_params(encoder_param_shapes(cfg), rng)
     for t in params.values():
         t.data = t.data + rng.normal(0.0, 0.3, size=t.shape)
     ids, mask = make_batch(rng, cfg, [9, 3, 6])
@@ -274,7 +275,7 @@ def test_encoder_graph_uses_fused_blocks():
     # composed ops they replaced may come back into the encoder
     cfg = tiny_cfg(n_layers=3, dropout=0.1)
     rng = np.random.default_rng(45)
-    params = init_encoder_params(cfg, rng)
+    params = init_params(encoder_param_shapes(cfg), rng)
     ids, mask = make_batch(rng, cfg, [5, 2])
     h = encoder_forward(params, cfg, ids, mask, rng=np.random.default_rng(0))
     ops = Counter(t.op for t in ad.ComputationGraph.trace(h).nodes)
@@ -289,7 +290,7 @@ def test_mlm_head_is_one_linear_node():
     # the encoder's, so no matmul or bias add enters the MLM loss graph
     cfg = tiny_cfg(dropout=0.1)
     rng = np.random.default_rng(46)
-    params = init_encoder_params(cfg, rng)
+    params = init_params(encoder_param_shapes(cfg), rng)
     _, _, batch = mlm_batch_for(cfg, rng, [6, 3])
     _, loss = mlm_forward(params, cfg, batch, rng=np.random.default_rng(0))
     ops = Counter(t.op for t in ad.ComputationGraph.trace(loss).nodes)
@@ -415,7 +416,7 @@ def test_mlm_batch_padding_matches_max_seq_len_padding():
     from figlang.encoder import MlmBatch
     cfg = tiny_cfg()
     rng = np.random.default_rng(9)
-    params = init_encoder_params(cfg, rng)
+    params = init_params(encoder_param_shapes(cfg), rng)
     seqs, outs, batch = mlm_batch_for(cfg, rng, [6, 3, 5])
     T = cfg.max_seq_len
     assert batch.ids.shape[1] == 8 < T
@@ -438,7 +439,7 @@ def test_mlm_batch_padding_matches_max_seq_len_padding():
 def test_mlm_initial_loss_near_log_vocab():
     cfg = tiny_cfg()
     rng = np.random.default_rng(6)
-    params = init_encoder_params(cfg, rng)
+    params = init_params(encoder_param_shapes(cfg), rng)
     _, _, batch = mlm_batch_for(cfg, rng, [9, 9, 9, 9])
     logits, loss = mlm_forward(params, cfg, batch)
     assert logits.shape[0] == len(batch.targets)
@@ -453,7 +454,7 @@ def test_mlm_grads_ignore_pad_slots():
     # table itself still gets grad at every row through the tied projection.)
     cfg = tiny_cfg()
     rng = np.random.default_rng(7)
-    params = init_encoder_params(cfg, rng)
+    params = init_params(encoder_param_shapes(cfg), rng)
     seqs, outs, batch = mlm_batch_for(cfg, rng, [6, 3])
     _, loss = mlm_forward(params, cfg, batch)
     backward(loss)
@@ -507,7 +508,7 @@ def test_mlm_overfits_single_sentence():
 def test_mlm_requires_masked_positions():
     cfg = tiny_cfg()
     rng = np.random.default_rng(8)
-    params = init_encoder_params(cfg, rng)
+    params = init_params(encoder_param_shapes(cfg), rng)
     seqs = [content_seq(rng, 4, T=cfg.max_seq_len)]
     from figlang.encoder import MlmBatch
     empty = MlmBatch(ids=np.stack([seqs[0]]), mask=np.ones((1, len(seqs[0])), dtype=bool),

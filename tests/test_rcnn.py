@@ -13,10 +13,10 @@ from figlang.autodiff import Tensor
 from figlang.bpe import (CLS_ID, N_SPECIALS, PAD_ID, SEP_ID, bpe_train, encode,
                          pad_batch)
 from figlang.config import BINARY, REGRESSION, ModelConfig, TrainConfig
-from figlang.encoder import init_encoder_params
-from figlang.rcnn import (HEAD_PREFIXES, bilstm_forward, full_forward,
-                          init_head_params, init_model_params, is_head_param,
-                          model_param_shapes, predict, rcnn_forward)
+from figlang.encoder import encoder_param_shapes
+from figlang.rcnn import (bilstm_forward, full_forward, head_param_shapes,
+                          init_model_params, init_params, model_param_shapes,
+                          predict, rcnn_forward)
 
 V = 290
 
@@ -35,19 +35,19 @@ def sigmoid(x):
 def test_param_inventory_and_split():
     cfg = head_cfg()
     rng = np.random.default_rng(0)
-    head = init_head_params(cfg, rng)
+    head = init_params(head_param_shapes(cfg), rng)
     d, u = cfg.d_model, cfg.lstm_units
     assert head["lstm.fw.w_in.weight"].shape == (d, 4 * u)
     assert head["lstm.bw.w_rec.weight"].shape == (u, 4 * u)
     assert head["proj.weight"].shape == (d + 2 * u, cfg.d_proj)
     assert head["out.weight"].shape == (cfg.d_proj, 2)
-    assert all(is_head_param(k) for k in head)
+    assert {k.split(".")[0] for k in head} == {"lstm", "proj", "out"}
 
     full = init_model_params(cfg, np.random.default_rng(0))
-    enc = init_encoder_params(cfg, np.random.default_rng(0))
+    enc = init_params(encoder_param_shapes(cfg), np.random.default_rng(0))
     assert set(full) == set(enc) | set(head)
-    assert not any(is_head_param(k) for k in enc)
-    assert HEAD_PREFIXES == ("lstm.", "proj.", "out.")
+    assert not set(enc) & set(head)
+    assert list(full)[-len(head):] == list(head)
 
 
 @pytest.mark.parametrize("head", [BINARY, REGRESSION])
@@ -61,7 +61,7 @@ def test_param_shapes_match_init(head):
 
 def test_forget_gate_bias_starts_open():
     cfg = head_cfg()
-    head = init_head_params(cfg, np.random.default_rng(1))
+    head = init_params(head_param_shapes(cfg), np.random.default_rng(1))
     u = cfg.lstm_units
     for direction in ("fw", "bw"):
         b = head[f"lstm.{direction}.bias"].data
@@ -105,7 +105,7 @@ def test_scalar_lstm_matches_hand_recurrence():
 
 def test_zero_weights_give_zero_lstm_output():
     cfg = head_cfg()
-    params = init_head_params(cfg, np.random.default_rng(3))
+    params = init_params(head_param_shapes(cfg), np.random.default_rng(3))
     for k in params:
         if k.startswith("lstm."):
             params[k].data[:] = 0.0
@@ -118,7 +118,7 @@ def test_zero_weights_give_zero_lstm_output():
 
 def test_single_step_width():
     cfg = head_cfg()
-    params = init_head_params(cfg, np.random.default_rng(5))
+    params = init_params(head_param_shapes(cfg), np.random.default_rng(5))
     # tie the sweeps: with one step both directions see the same input and
     # zero state, so their halves must coincide
     for n in ("w_in.weight", "w_rec.weight", "bias"):
@@ -132,7 +132,7 @@ def test_single_step_width():
 
 def test_mask_gating_zeroes_pad_outputs():
     cfg = head_cfg()
-    params = init_head_params(cfg, np.random.default_rng(7))
+    params = init_params(head_param_shapes(cfg), np.random.default_rng(7))
     rng = np.random.default_rng(8)
     x = Tensor(rng.normal(size=(2, 6, cfg.d_model)))
     mask = np.array([[1, 1, 1, 1, 0, 0], [1, 1, 0, 0, 0, 0]], dtype=bool)
@@ -146,7 +146,7 @@ def test_mask_gating_blocks_pad_content():
     # garbage parked behind the mask must not change any unmasked output,
     # in either sweep direction
     cfg = head_cfg()
-    params = init_head_params(cfg, np.random.default_rng(9))
+    params = init_params(head_param_shapes(cfg), np.random.default_rng(9))
     rng = np.random.default_rng(10)
     x = rng.normal(size=(1, 6, cfg.d_model))
     mask = np.array([[1, 1, 1, 1, 0, 0]], dtype=bool)
@@ -159,7 +159,7 @@ def test_mask_gating_blocks_pad_content():
 
 def test_zero_proj_pools_to_tanh_bias():
     cfg = head_cfg()
-    params = init_head_params(cfg, np.random.default_rng(11))
+    params = init_params(head_param_shapes(cfg), np.random.default_rng(11))
     params["proj.weight"].data[:] = 0.0
     params["proj.bias"].data[:] = np.array([0.3, -0.2, 1.5, 0.0])
     rng = np.random.default_rng(12)
@@ -176,7 +176,7 @@ def test_duplicated_timestep_is_pool_idempotent():
     # max over time ignores multiplicity: repeating a column of features
     # cannot change the pooled vector
     cfg = head_cfg()
-    params = init_head_params(cfg, np.random.default_rng(13))
+    params = init_params(head_param_shapes(cfg), np.random.default_rng(13))
     rng = np.random.default_rng(14)
     h1 = rng.normal(size=(1, 3, cfg.d_model))
     l1 = rng.normal(size=(1, 3, 2 * cfg.lstm_units))
@@ -225,7 +225,7 @@ def test_fused_lstm_matches_unrolled_reference(reverse):
     # same gradients of x and all three weights under a padded mask; the last
     # row's holes make a masked step carry state (and its gradient) through
     cfg = head_cfg(d_model=6, lstm_units=4)
-    params = init_head_params(cfg, np.random.default_rng(25))
+    params = init_params(head_param_shapes(cfg), np.random.default_rng(25))
     rng = np.random.default_rng(26)
     # unit-scale recurrence and bias, so the gates leave their linear range
     for k in ("lstm.fw.w_rec.weight", "lstm.fw.bias"):

@@ -14,10 +14,10 @@ from figlang.bpe import bpe_train
 from figlang.config import ModelConfig, TrainConfig, toy_scale
 from figlang.data import LabeledExample
 from figlang.errors import DataError, NumericError
-from figlang.rcnn import is_head_param
+from figlang.rcnn import head_param_shapes, model_param_shapes
 from figlang.training import (STREAMS, AdamState, TrainLog, adam_step,
-                              clip_grad_norm, finetune, no_weight_decay,
-                              pretrain_mlm, rng_streams)
+                              clip_grad_norm, finetune, pretrain_mlm,
+                              rng_streams)
 
 
 def tensor_with_grad(data, grad):
@@ -64,20 +64,19 @@ def test_decay_is_decoupled_and_exact():
 
 
 def test_decay_exclusion_by_name():
-    assert no_weight_decay("proj.bias")
-    assert no_weight_decay("layer3.ln1.gain")
-    assert no_weight_decay("layer0.ln2.bias")
-    assert not no_weight_decay("proj.weight")
-    assert not no_weight_decay("embed.token.weight")
-
+    # every model parameter but the biases and layer-norm parameters decays
+    names = list(model_param_shapes(toy_scale()))
+    names += ["a.bias", "a.weight"]
     cfg = TrainConfig(learning_rate=0.1, weight_decay=0.5)
-    p = {"a.bias": tensor_with_grad([2.0], [0.0]),
-         "layer0.ln1.gain": tensor_with_grad([2.0], [0.0]),
-         "a.weight": tensor_with_grad([2.0], [0.0])}
+    p = {name: tensor_with_grad([2.0], [0.0]) for name in names}
     adam_step(p, AdamState(), cfg)
-    assert p["a.bias"].data[0] == 2.0
+    for name in names:
+        if name.endswith(".bias") or ".ln" in name:
+            assert p[name].data[0] == 2.0, name
+        else:
+            assert p[name].data[0] == pytest.approx(2.0 * (1 - 0.05), abs=1e-15), name
     assert p["layer0.ln1.gain"].data[0] == 2.0
-    assert p["a.weight"].data[0] == pytest.approx(2.0 * (1 - 0.05), abs=1e-15)
+    assert p["embed.token.weight"].data[0] < 2.0
 
 
 def test_gradless_and_frozen_params_are_skipped():
@@ -341,10 +340,29 @@ def test_finetune_freeze_encoder(small):
                      freeze_encoder=True)
     params, _ = finetune(examples, tok, cfg, tc, params=start)
     for k, t in params.items():
-        if is_head_param(k):
+        if k in head_param_shapes(cfg):
             assert not np.array_equal(t.data, snapshot[k]), k
         else:
             np.testing.assert_array_equal(t.data, snapshot[k])
+
+
+def test_frozen_finetune_leaves_no_trace(small):
+    # a later finetune on the same params, unfrozen, trains the encoder too
+    lines, tok, cfg = small
+    examples = labeled(lines)
+    from figlang.rcnn import init_model_params
+    params = init_model_params(cfg, np.random.default_rng(0))
+    frozen = TrainConfig(batch_size=6, epochs=1, learning_rate=1e-3, seed=0,
+                         freeze_encoder=True)
+    finetune(examples, tok, cfg, frozen, params=params)
+    assert all(t.requires_grad for t in params.values())
+    snapshot = {k: t.data.copy() for k, t in params.items()}
+    tc = TrainConfig(batch_size=6, epochs=1, learning_rate=1e-3, seed=0)
+    finetune(examples, tok, cfg, tc, params=params)
+    encoder_weights = [k for k in params
+                       if k not in head_param_shapes(cfg) and k.endswith(".weight")]
+    for k in encoder_weights:
+        assert not np.array_equal(params[k].data, snapshot[k]), k
 
 
 def test_finetune_regression_targets(small):
