@@ -393,7 +393,9 @@ def attention(h, wq, bq, wk, bk, wv, bv, wo, bo, key_bias, n_heads, collect=None
     The q, k and v projections run as one (B*T, d) x (d, 3d) GEMM on the
     three weights concatenated per call. `key_bias`, a plain array that
     broadcasts to the (B, H, T, T) scores (MASK_BIAS at padded keys), is
-    added to the scaled scores before the softmax; both work in place. A
+    added to the scaled scores before the softmax; both work in place.
+    Keys whose bias is MASK_BIAS get exactly 0 weight, so every row needs
+    at least one other key; a row with none is a ContractError. A
     list `collect` receives the attention probabilities as a tensor. The
     backward pass is written out by hand: the softmax gradient is taken
     from the saved probabilities, and the q, k and v weights get their
@@ -408,6 +410,9 @@ def attention(h, wq, bq, wk, bk, wv, bv, wo, bo, key_bias, n_heads, collect=None
     if (any(w.data.shape != (d, d) for w in (wq, wk, wv, wo))
             or any(b.data.shape != (d,) for b in (bq, bk, bv, bo))):
         raise ShapeError(f"attention on width {d} needs (d, d) weights and (d,) biases")
+    masked = key_bias == MASK_BIAS
+    if masked.all(axis=-1).any():
+        raise ContractError("attention: a row has every key masked")
     H, dk = n_heads, d // n_heads
     scale = 1.0 / np.sqrt(dk)
     h2 = h.data.reshape(B * T, d)
@@ -419,7 +424,12 @@ def attention(h, wq, bq, wk, bk, wv, bv, wo, bo, key_bias, n_heads, collect=None
     p *= scale
     p += key_bias
     p -= p.max(axis=-1, keepdims=True)
+    # Masked scores sit near MASK_BIAS, where numpy's exp takes a slow path
+    # (below about -708). Exponentiate zeros there instead, then write the
+    # 0.0 that exp gives at MASK_BIAS.
+    np.copyto(p, 0.0, where=masked)
     np.exp(p, out=p)
+    np.copyto(p, 0.0, where=masked)
     p /= p.sum(axis=-1, keepdims=True)
     if collect is not None:
         collect.append(Tensor(p))

@@ -11,6 +11,14 @@ token table, the vocab and the merge ranks once, and `bpe_train` and
 ids as a plain int64 array, unpadded; `pad_batch` right-pads a list of them
 to the longest in the batch and is the only place a padded batch is built.
 
+Each model memoizes merges per chunk, as GPT-2's encoder caches them per
+word: the first time `encode` meets a chunk it runs the rank-ordered merge
+loop and stores the chunk's content ids in `model.memo`, and every later
+occurrence is one dict lookup. The memo has no size limit; it grows with
+the number of distinct chunks the model has seen. `encode` also stops
+splitting the text into chunks once the `max_seq_len - 2` content ids that
+fit the window exist, so the tail of a long text costs nothing.
+
 Id layout: specials 0..3 (<cls>, <sep>, <pad>, <mask>), the 256 byte tokens
 4..259, learned merges from 260 upward in rank order. `vocab_size` passed to
 training budgets the non-special part (256 byte tokens + merges); specials
@@ -97,7 +105,9 @@ class TokenizerModel:
     constructor derives every table once: `tokens` (the byte-level token of
     each id from N_SPECIALS up), `vocab` (its inverse) and `ranks` (merge
     pair -> rank). A merge whose parts are not earlier tokens, or whose
-    result is already a token, is a DataError."""
+    result is already a token, is a DataError.
+
+    `memo` (chunk -> content ids) starts empty and is filled by `encode`."""
 
     def __init__(self, merges):
         self.merges: list[tuple[bytes, bytes]] = list(merges)
@@ -111,6 +121,7 @@ class TokenizerModel:
             self.vocab[a + b] = N_SPECIALS + len(self.tokens)
             self.tokens.append(a + b)
         self.ranks = self._ranks()
+        self.memo: dict[str, tuple[int, ...]] = {}
 
     @property
     def size(self) -> int:
@@ -157,33 +168,54 @@ def bpe_train(lines, vocab_size: int) -> TokenizerModel:
     return TokenizerModel(merges)
 
 
-def _segment(model: TokenizerModel, text: str) -> list[bytes]:
+def _merge_chunk(model: TokenizerModel, chunk: str) -> tuple[int, ...]:
+    """Content ids of one pre-tokenized chunk: start from its UTF-8 bytes
+    and apply the lowest-ranked adjacent merge until none applies."""
     ranks = model.ranks
-    out: list[bytes] = []
-    for chunk in _chunks(text):
-        toks = [bytes([b]) for b in chunk]
-        while len(toks) > 1:
-            best_rank, best_pair = None, None
-            for i in range(len(toks) - 1):
-                r = ranks.get((toks[i], toks[i + 1]))
-                if r is not None and (best_rank is None or r < best_rank):
-                    best_rank, best_pair = r, (toks[i], toks[i + 1])
-            if best_pair is None:
-                break
-            toks = _merge_pair(toks, best_pair)
-        out.extend(toks)
-    return out
+    toks = [bytes([b]) for b in chunk.encode("utf-8")]
+    while len(toks) > 1:
+        best_rank, best_pair = None, None
+        for i in range(len(toks) - 1):
+            r = ranks.get((toks[i], toks[i + 1]))
+            if r is not None and (best_rank is None or r < best_rank):
+                best_rank, best_pair = r, (toks[i], toks[i + 1])
+        if best_pair is None:
+            break
+        toks = _merge_pair(toks, best_pair)
+    return tuple(model.vocab[t] for t in toks)
+
+
+def _segment(model: TokenizerModel, text: str, limit: int) -> list[int]:
+    """The first `limit` content ids of normalized `text`. Chunks are split
+    off lazily and no chunk is looked at once `limit` ids exist; each chunk
+    is merged on its first sight only, through `model.memo`."""
+    memo = model.memo
+    ids: list[int] = []
+    for match in _CHUNK_RE.finditer(text):
+        if len(ids) >= limit:
+            break
+        chunk = match.group()
+        chunk_ids = memo.get(chunk)
+        if chunk_ids is None:
+            chunk_ids = memo[chunk] = _merge_chunk(model, chunk)
+        ids.extend(chunk_ids)
+    return ids[:limit]
 
 
 def encode(model: TokenizerModel, text: str, max_seq_len: int) -> np.ndarray:
-    """normalize -> BPE segment -> [cls] ... [sep] -> truncate to max_seq_len.
+    """normalize -> BPE segment -> [cls] ... [sep], truncated to max_seq_len.
 
-    Returns the (length,) int64 ids, unpadded; `pad_batch` pads a batch.
+    Segmentation stops once the `max_seq_len - 2` content ids that fit are
+    known, so the rest of a long text is never split or merged. A chunk is
+    merged the first time this model sees it and read from `model.memo`
+    after that, giving the same ids; the memo has no size limit and gains
+    one entry per distinct chunk. Returns a new (length,) int64 array of
+    ids, unpadded; `pad_batch` pads a batch.
     """
     if max_seq_len < 2:
         raise ConfigError(f"max_seq_len must be at least 2 (cls + sep), got {max_seq_len}")
-    content = [model.vocab[t] for t in _segment(model, normalize(text))]
-    return np.array([CLS_ID] + content[:max_seq_len - 2] + [SEP_ID], dtype=np.int64)
+    content = _segment(model, normalize(text), max_seq_len - 2)
+    return np.array([CLS_ID, *content, SEP_ID], dtype=np.int64)
 
 
 def pad_batch(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,9 @@
 """Checkpoint directories: manifest.json + weights.bin + tokenizer.json.
 
 weights.bin is raw little-endian float32, row-major, tensors packed in the
-parameter-dict order recorded by the manifest. Loading restores float64
-working copies; save(load(x)) is bit-identical to x.
+parameter-dict order recorded by the manifest: each entry's offset is where
+the entry before it ends (0 for the first), and loading rejects any other.
+Loading restores float64 working copies; save(load(x)) is bit-identical to x.
 """
 
 from __future__ import annotations
@@ -146,19 +147,23 @@ def load_checkpoint(ckpt_dir) -> CheckpointBundle:
         raise DataError(f"checkpoint missing weights.bin: {root}")
     blob = weights_path.read_bytes()
     params: dict[str, Tensor] = {}
+    end = 0
     for entry in manifest["tensors"]:
         n = entry["nbytes"]
         start = entry["offset"]
+        if start != end:
+            raise DataError(f"tensor {entry['name']!r} starts at byte {start}, "
+                            f"but the tensor before it ends at byte {end}")
         want = 4 * int(np.prod(entry["shape"]))
         if n != want:
             raise DataError(f"tensor {entry['name']!r}: shape {entry['shape']} needs "
                             f"{want} bytes, manifest says {n}")
-        raw = blob[start:start + n]
+        end = start + n
+        raw = blob[start:end]
         if len(raw) != n:
             raise DataError(f"weights.bin truncated at tensor {entry['name']!r}")
         arr = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"]).astype(np.float64)
         params[entry["name"]] = Tensor(arr, requires_grad=True)
-    end = max((e["offset"] + e["nbytes"] for e in manifest["tensors"]), default=0)
     if len(blob) != end:
         raise DataError(f"weights.bin is {len(blob)} bytes but its tensors end at byte {end}")
 

@@ -185,6 +185,48 @@ def test_mask_bias_underflows_to_zero():
     assert np.isfinite(ad.MASK_BIAS)
 
 
+def _attention_probs_by_plain_exp(h, ws, key_bias, n_heads):
+    """The attention probabilities with np.exp run on the masked scores
+    themselves, MASK_BIAS included."""
+    (wq, bq, wk, bk, wv, bv), (B, T, d) = ws[:6], h.shape
+    dk = d // n_heads
+    qkv = h.reshape(B * T, d) @ np.concatenate([wq, wk, wv], axis=1)
+    qkv += np.concatenate([bq, bk, bv])
+    q, k, _ = qkv.reshape(B, T, 3, n_heads, dk).transpose(2, 0, 3, 1, 4)
+    s = q @ k.swapaxes(-1, -2)
+    s *= 1.0 / np.sqrt(dk)
+    s += key_bias
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    return s / s.sum(axis=-1, keepdims=True)
+
+
+def test_attention_masked_keys_get_exactly_zero_weight():
+    B, T, d, H = 3, 7, 8, 2
+    rng = np.random.default_rng(7)
+    h = rng.normal(size=(B, T, d))
+    ws = [rng.normal(size=shape) for _ in range(4) for shape in ((d, d), (d,))]
+    # holes mid-sequence as well as a padded tail
+    mask = np.array([[1, 0, 1, 1, 0, 1, 1], [1, 1, 1, 0, 0, 0, 0], [0, 1, 0, 1, 0, 1, 0]], bool)
+    key_bias = np.where(mask, 0.0, ad.MASK_BIAS)[:, None, None, :]
+    collect = []
+    ad.attention(h, *ws, key_bias, H, collect)
+    probs = collect[0].data
+    assert probs.tobytes() == _attention_probs_by_plain_exp(h, ws, key_bias, H).tobytes()
+    dead = np.broadcast_to(~mask[:, None, None, :], probs.shape)
+    assert (probs[dead] == 0.0).all()
+    assert (probs[~dead] > 0.0).all()
+
+
+def test_attention_row_with_every_key_masked_rejected():
+    h = RNG.normal(size=(2, 3, 4))
+    ws = [RNG.normal(size=shape) for _ in range(4) for shape in ((4, 4), (4,))]
+    key_bias = np.where([[True, True, False], [False, False, False]],
+                        0.0, ad.MASK_BIAS)[:, None, None, :]
+    with pytest.raises(ContractError, match="every key masked"):
+        ad.attention(h, *ws, key_bias, 2)
+
+
 # ---------------------------------------------------------------------------
 # graph bookkeeping
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from figlang import bpe
 from figlang.bpe import (CLS_ID, MASK_ID, N_SPECIALS, PAD_ID, SEP_ID,
                          TokenizerModel, bpe_train, decode, encode,
                          load_tokenizer, normalize, pad_batch, save_tokenizer)
@@ -277,3 +278,79 @@ def test_malformed_tokenizer_file_is_data_error(tmp_path, toy_tok, case):
     write_malformed_tokenizer(path, toy_tok, case)
     with pytest.raises(DataError):
         load_tokenizer(path)
+
+
+# ---------------------------------------------------------------------------
+# the chunk memo and the truncation window
+
+
+def test_long_text_stops_segmenting_at_the_window(monkeypatch, toy_tok):
+    max_seq_len = 16
+    words = [f"w{i}x" for i in range(10 * max_seq_len)]    # every chunk distinct
+    text = " ".join(words)
+    full = encode(TokenizerModel(toy_tok.merges), text, 10**6)
+    assert len(full) > 10 * max_seq_len
+
+    merged = []
+    real = bpe._merge_chunk
+
+    def spy(model, chunk):
+        merged.append(chunk)
+        return real(model, chunk)
+
+    monkeypatch.setattr(bpe, "_merge_chunk", spy)
+    m = TokenizerModel(toy_tok.merges)
+    seq = encode(m, text, max_seq_len)
+    content = full[1:-1]
+    np.testing.assert_array_equal(seq, [CLS_ID, *content[:max_seq_len - 2], SEP_ID])
+    # only the leading chunks that fill the window were split off and merged
+    chunks = [words[0]] + [" " + w for w in words[1:]]
+    assert merged == chunks[:len(merged)]
+    assert sum(len(m.memo[c]) for c in merged[:-1]) < max_seq_len - 2
+    assert sum(len(m.memo[c]) for c in merged) >= max_seq_len - 2
+    assert list(m.memo) == merged
+
+
+_MEMO_TEXT = st.one_of(
+    st.text(max_size=40),
+    st.text(alphabet=" \t\n\u00a0\u3000abcdeé猫🙂THE", max_size=40),
+    st.lists(st.sampled_from(["the", "cat", "  ", "\t\n", "Café", "猫🙂", "sees", "."]),
+             max_size=12).map(" ".join),
+)
+
+
+@given(texts=st.lists(_MEMO_TEXT, max_size=8), max_seq_len=st.integers(2, 24))
+@settings(max_examples=200, deadline=None)
+def test_warm_memo_encodes_like_a_fresh_model(toy_tok, texts, max_seq_len):
+    # toy_tok is shared by the whole suite, so its memo is warm and grows
+    for text in texts + [""]:
+        want = encode(TokenizerModel(toy_tok.merges), text, max_seq_len)
+        np.testing.assert_array_equal(encode(toy_tok, text, max_seq_len), want)
+
+
+def test_models_with_different_merges_share_no_memo_entries():
+    a = TokenizerModel([(b"a", b"b"), (b"ab", b"ab")])
+    b = TokenizerModel([(b"b", b"a")])
+    text = "abab baba"
+    ids_a, ids_b = encode(a, text, 16), encode(b, text, 16)
+    assert decode(a, ids_a) == decode(b, ids_b) == text
+    assert len(ids_a) == 2 + 1 + 4 and len(ids_b) == 2 + 3 + 3
+    assert a.memo is not b.memo
+    assert a.memo["abab"] != b.memo["abab"]
+    np.testing.assert_array_equal(encode(a, text, 16), ids_a)
+    np.testing.assert_array_equal(encode(b, text, 16), ids_b)
+
+
+def test_changing_returned_ids_does_not_change_later_encodes(toy_tok):
+    text = "the cat sees the dog"
+    first = encode(toy_tok, text, 32)
+    want = first.copy()
+    first[:] = PAD_ID
+    np.testing.assert_array_equal(encode(toy_tok, text, 32), want)
+
+
+def test_loaded_model_starts_with_an_empty_memo(tmp_path, toy_tok):
+    encode(toy_tok, "the cat sees the dog", 32)
+    assert toy_tok.memo
+    save_tokenizer(toy_tok, tmp_path / "tok.json")
+    assert load_tokenizer(tmp_path / "tok.json").memo == {}

@@ -114,6 +114,29 @@ def test_shape_that_disagrees_with_nbytes_detected(tmp_path, tok_path):
         load_checkpoint(out)
 
 
+def _offsets_aliasing_q_into_k(man):
+    # k's weight would be read from q's bytes: an overlap, and a gap where
+    # k's own bytes sit
+    by_name = {e["name"]: e for e in man["tensors"]}
+    by_name["layer0.attn.k.weight"]["offset"] = by_name["layer0.attn.q.weight"]["offset"]
+
+
+def _offset_past_a_gap(man):
+    man["tensors"][1]["offset"] += 4
+
+
+@pytest.mark.parametrize("edit", [_offsets_aliasing_q_into_k, _offset_past_a_gap],
+                         ids=["overlap", "gap"])
+def test_unpacked_tensor_offsets_rejected(tmp_path, tok_path, edit):
+    out = save_checkpoint(tmp_path / "ckpt", fresh_params(), model_config=CFG,
+                          task="binary", tokenizer_path=tok_path)
+    man = json.loads((out / "manifest.json").read_text())
+    edit(man)
+    (out / "manifest.json").write_text(json.dumps(man))
+    with pytest.raises(DataError, match="but the tensor before it ends at byte"):
+        load_checkpoint(out)
+
+
 def test_missing_manifest(tmp_path):
     with pytest.raises(DataError, match="manifest"):
         load_checkpoint(tmp_path)

@@ -438,6 +438,14 @@ def test_manifest_tensors_must_match_model_config(ws, capsys, tmp_path, fault):
     assert "do not match its model config" in capsys.readouterr().err
 
 
+def test_overlapping_tensor_offsets_are_data_error(ws, capsys, tmp_path):
+    def alias_k_to_q(man):
+        by_name = {e["name"]: e for e in man["tensors"]}
+        by_name["layer0.attn.k.weight"]["offset"] = by_name["layer0.attn.q.weight"]["offset"]
+    assert _predict_with_manifest(ws, tmp_path, alias_k_to_q) == 2
+    assert "'layer0.attn.k.weight' starts at byte" in capsys.readouterr().err
+
+
 def test_unknown_checkpoint_task_is_data_error(ws, capsys, tmp_path):
     ckpt = _checkpoint_with_manifest(ws, tmp_path, lambda man: man.update(task="sarcasm"))
     assert cli.main(["evaluate", "--test", str(ws["test"]), "--checkpoint", str(ckpt),
