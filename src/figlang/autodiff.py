@@ -25,6 +25,10 @@ from the q/k/v projections through the output projection) and `lstm` (a
 masked LSTM sweep, backpropagated through time). A fused op computes and
 keeps arrays for its backward pass only when some input requires a gradient.
 
+Padding has one format: `attention`, `lstm` and `max_over_time` take the
+(B, T) bool mask of `bpe.pad_batch`, true at real tokens. `dropout` is on
+only when given a generator.
+
 All arithmetic is 64-bit: the finite-difference oracle in `grad_check`
 needs the headroom, and desk-scale models do not need the speed.
 """
@@ -38,10 +42,6 @@ import numpy as np
 from .errors import ContractError, EmptyPoolError, ShapeError
 
 _NODE_IDS = itertools.count()
-
-# Softmax mask bias: large enough that exp underflows to exactly 0.0 after
-# max-subtraction, finite so tensors never hold inf.
-MASK_BIAS = -1e30
 
 _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
@@ -387,32 +387,33 @@ def stack_time(steps) -> Tensor:
 # attention
 
 
-def attention(h, wq, bq, wk, bk, wv, bv, wo, bo, key_bias, n_heads, collect=None) -> Tensor:
+def attention(h, wq, bq, wk, bk, wv, bv, wo, bo, mask, n_heads, collect=None) -> Tensor:
     """Multi-head scaled dot-product self-attention over (B, T, d), one node.
 
     The q, k and v projections run as one (B*T, d) x (d, 3d) GEMM on the
-    three weights concatenated per call. `key_bias`, a plain array that
-    broadcasts to the (B, H, T, T) scores (MASK_BIAS at padded keys), is
-    added to the scaled scores before the softmax; both work in place.
-    Keys whose bias is MASK_BIAS get exactly 0 weight, so every row needs
-    at least one other key; a row with none is a ContractError. A
-    list `collect` receives the attention probabilities as a tensor. The
-    backward pass is written out by hand: the softmax gradient is taken
-    from the saved probabilities, and the q, k and v weights get their
-    gradients from one GEMM on the concatenated (B*T, 3d) gradient.
+    three weights concatenated per call. `mask` is the (B, T) key mask of
+    `bpe.pad_batch`: keys where it is false get exactly 0 weight, so a row
+    needs a true key (a row with none is a ContractError), and the in-place
+    softmax takes its row max over the true keys only. A list `collect`
+    receives the attention probabilities as a tensor. The backward pass is
+    written out by hand: the softmax gradient is taken from the saved
+    probabilities, and the q, k and v weights get their gradients from one
+    GEMM on the concatenated (B*T, 3d) gradient.
     """
     h, wq, bq, wk, bk, wv, bv, wo, bo = (as_tensor(a) for a in (h, wq, bq, wk, bk, wv, bv, wo, bo))
+    mask = np.asarray(mask, dtype=bool)
     if h.ndim != 3:
         raise ShapeError(f"attention expects (B, T, d) input, got {h.data.shape}")
     B, T, d = h.data.shape
     if d % n_heads:
         raise ShapeError(f"attention: width {d} not divisible by {n_heads} heads")
-    if (any(w.data.shape != (d, d) for w in (wq, wk, wv, wo))
+    if (mask.shape != (B, T) or any(w.data.shape != (d, d) for w in (wq, wk, wv, wo))
             or any(b.data.shape != (d,) for b in (bq, bk, bv, bo))):
-        raise ShapeError(f"attention on width {d} needs (d, d) weights and (d,) biases")
-    masked = key_bias == MASK_BIAS
-    if masked.all(axis=-1).any():
+        raise ShapeError(f"attention on input {h.data.shape} with mask {mask.shape} needs "
+                         f"a (B, T) mask, (d, d) weights and (d,) biases")
+    if not mask.any(axis=-1).all():
         raise ContractError("attention: a row has every key masked")
+    masked = ~mask[:, None, None, :]
     H, dk = n_heads, d // n_heads
     scale = 1.0 / np.sqrt(dk)
     h2 = h.data.reshape(B * T, d)
@@ -422,11 +423,11 @@ def attention(h, wq, bq, wk, bk, wv, bv, wo, bo, key_bias, n_heads, collect=None
     q, k, v = qkv.reshape(B, T, 3, H, dk).transpose(2, 0, 3, 1, 4)   # (B, H, T, dk) each
     p = q @ k.swapaxes(-1, -2)                                       # (B, H, T, T)
     p *= scale
-    p += key_bias
+    # -inf keeps masked keys out of the row max (in numpy 2.4 a max with
+    # `where=` takes about three times as long). Exponentiate zeros there,
+    # then write their 0.0 weight: numpy's exp takes a slow path below -708.
+    p += np.where(masked, -np.inf, 0.0)
     p -= p.max(axis=-1, keepdims=True)
-    # Masked scores sit near MASK_BIAS, where numpy's exp takes a slow path
-    # (below about -708). Exponentiate zeros there instead, then write the
-    # 0.0 that exp gives at MASK_BIAS.
     np.copyto(p, 0.0, where=masked)
     np.exp(p, out=p)
     np.copyto(p, 0.0, where=masked)
@@ -615,12 +616,12 @@ def sum_all(x) -> Tensor:
 
 
 def dropout(x, rate, rng) -> Tensor:
-    """Inverted dropout; identity (no node, no draw) when rate is 0."""
+    """Inverted dropout; identity (no node, no draw) at rate 0 or with no `rng`."""
     x = as_tensor(x)
-    if rate == 0.0:
-        return x
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
+    if rate == 0.0 or rng is None:
+        return x
     keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
     return _node(x.data * keep, "dropout", (x,), lambda g: (g * keep,))
 

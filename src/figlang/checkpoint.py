@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .config import ModelConfig, TrainConfig
+from .config import TASK_NAMES, ModelConfig, TrainConfig
 from .errors import ConfigError, DataError
 from .rcnn import model_param_shapes
 
@@ -174,5 +174,8 @@ def load_checkpoint(ckpt_dir) -> CheckpointBundle:
         _check_params(params, model_config)
     except (TypeError, ConfigError) as e:
         raise DataError(f"{man_path}: bad model or train config: {e}") from None
-    return CheckpointBundle(params, model_config, train_config,
-                            manifest["task"], manifest, root)
+    task = manifest["task"]
+    if TASK_NAMES.get(task) != model_config.task_head:
+        raise DataError(f"{man_path}: task {task!r} does not match the model's "
+                        f"{model_config.task_head!r} head (task -> head: {TASK_NAMES})")
+    return CheckpointBundle(params, model_config, train_config, task, manifest, root)

@@ -25,8 +25,8 @@ import numpy as np
 from . import __version__, toy_corpus
 from .bpe import bpe_train, load_tokenizer, save_tokenizer
 from .checkpoint import load_checkpoint, save_checkpoint, sha256_file
-from .config import (BINARY, REGRESSION, ModelConfig, TrainConfig,
-                     paper_scale, toy_scale)
+from .config import (BINARY, TASK_NAMES, ModelConfig, TrainConfig, paper_scale,
+                     toy_scale)
 from .data import load_dataset, read_text
 from .errors import ConfigError, DataError, FiglangError, NumericError
 from .gradsuite import run_suite
@@ -35,7 +35,6 @@ from .nbsvm import nbsvm_predict, nbsvm_train, save_nbsvm
 from .rcnn import head_param_shapes, init_params, predict as model_predict
 from .training import TrainLog, finetune, pretrain_mlm, rng_streams
 
-TASK_NAMES = {"binary": BINARY, "score": REGRESSION}
 TASK_LABELS = {v: k for k, v in TASK_NAMES.items()}
 PRESETS = {"paper": paper_scale, "toy": toy_scale}
 
@@ -242,10 +241,7 @@ def _evaluate_checkpoint(bundle, dataset):
 
 def _cmd_evaluate(args):
     bundle = load_checkpoint(args.checkpoint)
-    if bundle.task not in TASK_NAMES:
-        raise DataError(f"checkpoint task {bundle.task!r} is not one of {sorted(TASK_NAMES)}")
-    schema = TASK_NAMES[bundle.task]
-    dataset = load_dataset(args.test, schema)
+    dataset = load_dataset(args.test, bundle.model_config.task_head)
     out = _write_report(args.report, _evaluate_checkpoint(bundle, dataset))
     return dict(manifest=f"{out}.run.json", seed=None,
                 config={"checkpoint": str(args.checkpoint)},

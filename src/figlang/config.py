@@ -7,6 +7,7 @@ units, dropout 0.1, batch 10, 5 epochs, lr 2e-5, eps 1e-6, weight decay
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -14,8 +15,27 @@ from .errors import ConfigError
 BINARY = "binary"
 REGRESSION = "regression"
 
+# Task label (CLI `--task`, checkpoint manifest `task`) -> model head.
+TASK_NAMES = {"binary": BINARY, "score": REGRESSION}
+
 SCORE_MIN = -5.0
 SCORE_MAX = 5.0
+
+
+def _require_int(cfg, name: str, low: int = 1) -> None:
+    value = getattr(cfg, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _require_number(cfg, name: str, ok, rule: str) -> None:
+    value = getattr(cfg, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
+        raise ConfigError(f"{name} must be a number {rule}, got {value!r}")
+
+
+def _fraction(v) -> bool:
+    return 0 <= v < 1
 
 
 @dataclass
@@ -32,13 +52,16 @@ class ModelConfig:
     task_head: str = BINARY
 
     def __post_init__(self):
+        for name in ("n_layers", "n_heads", "d_model", "d_ff", "vocab_size",
+                     "lstm_units", "d_proj"):
+            _require_int(self, name)
+        _require_int(self, "max_seq_len", 2)
+        _require_number(self, "dropout", _fraction, "in [0, 1)")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.task_head not in (BINARY, REGRESSION):
             raise ConfigError(f"unknown task head {self.task_head!r}")
-        if self.max_seq_len < 2:
-            raise ConfigError(f"max_seq_len must be >= 2, got {self.max_seq_len}")
 
     @property
     def n_outputs(self) -> int:
@@ -71,11 +94,19 @@ class TrainConfig:
     freeze_encoder: bool = False
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be positive, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ConfigError(f"max_steps must be positive, got {self.max_steps}")
+        _require_int(self, "batch_size")
+        _require_int(self, "epochs")
+        if self.max_steps is not None:
+            _require_int(self, "max_steps")
+        _require_int(self, "seed", 0)
+        for name in ("learning_rate", "adam_eps"):
+            _require_number(self, name, lambda v: v > 0, "> 0")
+        # None turns clipping off; a ceiling <= 0 would flip or zero every gradient
+        if self.grad_clip_norm is not None:
+            _require_number(self, "grad_clip_norm", lambda v: v > 0, "> 0")
+        _require_number(self, "weight_decay", lambda v: v >= 0, ">= 0")
+        for name in ("beta1", "beta2"):
+            _require_number(self, name, _fraction, "in [0, 1)")
+        if not isinstance(self.freeze_encoder, bool):
+            raise ConfigError(f"freeze_encoder must be true or false, "
+                              f"got {self.freeze_encoder!r}")

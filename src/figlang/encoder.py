@@ -3,9 +3,9 @@
 Post-norm blocks: self-attention -> residual -> layer norm -> GELU
 feed-forward -> residual -> layer norm. The self-attention is one fused
 `autodiff.attention` node and the feed-forward two `autodiff.linear` nodes,
-the first with its GELU. Attention logits at padded keys get a large
-negative bias before softmax, so padded positions receive exactly zero
-attention weight and padding can never leak into unmasked outputs.
+the first with its GELU. Attention takes the (B, T) padding mask of
+`bpe.pad_batch` as it is: padded keys receive exactly zero attention
+weight, so padding can never leak into unmasked outputs.
 """
 
 from __future__ import annotations
@@ -45,10 +45,10 @@ def encoder_param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _attention(p, i, h, key_bias, cfg, collect=None):
+def _attention(p, i, h, mask, cfg, collect=None):
     return ad.attention(h, *(p[f"layer{i}.attn.{proj}.{kind}"]
                              for proj in "qkvo" for kind in ("weight", "bias")),
-                        key_bias, cfg.n_heads, collect)
+                        mask, cfg.n_heads, collect)
 
 
 def encoder_forward(params, cfg: ModelConfig, ids, attn_mask, *, rng=None,
@@ -62,25 +62,21 @@ def encoder_forward(params, cfg: ModelConfig, ids, attn_mask, *, rng=None,
     block outputs (B, T, d_model).
     """
     ids = np.asarray(ids, dtype=np.int64)
-    attn_mask = np.asarray(attn_mask, dtype=bool)
     T = ids.shape[1]
     if T > cfg.max_seq_len:
         raise ConfigError(f"sequence length {T} exceeds max_seq_len {cfg.max_seq_len}")
 
     tok = ad.embedding(params["embed.token.weight"], ids)
     pos = ad.embedding(params["embed.position.weight"], np.arange(T))   # (T, d)
-    drop = cfg.dropout if rng is not None else 0.0
-    h = ad.dropout(ad.add(tok, pos), drop, rng)
-
-    key_bias = np.where(attn_mask, 0.0, ad.MASK_BIAS)[:, None, None, :]
+    h = ad.dropout(ad.add(tok, pos), cfg.dropout, rng)
     for i in range(cfg.n_layers):
-        a = ad.dropout(_attention(params, i, h, key_bias, cfg, collect=collect_attn),
-                       drop, rng)
+        a = ad.dropout(_attention(params, i, h, attn_mask, cfg, collect=collect_attn),
+                       cfg.dropout, rng)
         h = ad.layer_norm(ad.add(h, a), params[f"layer{i}.ln1.gain"], params[f"layer{i}.ln1.bias"])
         f = ad.linear(h, params[f"layer{i}.ff.fc1.weight"], params[f"layer{i}.ff.fc1.bias"],
                       gelu=True)
         f = ad.dropout(ad.linear(f, params[f"layer{i}.ff.fc2.weight"],
-                                 params[f"layer{i}.ff.fc2.bias"]), drop, rng)
+                                 params[f"layer{i}.ff.fc2.bias"]), cfg.dropout, rng)
         h = ad.layer_norm(ad.add(h, f), params[f"layer{i}.ln2.gain"], params[f"layer{i}.ln2.bias"])
         if collect_hidden is not None:
             collect_hidden.append(h)

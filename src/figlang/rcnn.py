@@ -80,7 +80,6 @@ def bilstm_forward(params, hidden: Tensor, mask) -> Tensor:
     concatenated per position. Mask gating freezes the state across padded
     steps and zeroes their outputs, so pad content cannot reach any
     unmasked position."""
-    mask = np.asarray(mask, dtype=bool)
     fw, bw = (ad.lstm(hidden, params[f"lstm.{d}.w_in.weight"],
                       params[f"lstm.{d}.w_rec.weight"], params[f"lstm.{d}.bias"],
                       mask, reverse=d == "bw")
@@ -92,7 +91,7 @@ def rcnn_forward(params, hidden: Tensor, lstm_out: Tensor, mask) -> Tensor:
     """Concat -> position-wise affine + tanh -> max over time -> output layer."""
     feats = ad.concat([hidden, lstm_out], axis=-1)
     z = ad.tanh(ad.linear(feats, params["proj.weight"], params["proj.bias"]))
-    pooled = ad.max_over_time(z, np.asarray(mask, dtype=bool))
+    pooled = ad.max_over_time(z, mask)
     return ad.linear(pooled, params["out.weight"], params["out.bias"])
 
 
@@ -103,9 +102,8 @@ def full_forward(params, cfg: ModelConfig, ids, mask, *, rng=None) -> Tensor:
     BiLSTM's input and output; the concat keeps the raw encoder states.
     """
     h = encoder_forward(params, cfg, ids, mask, rng=rng)
-    drop = cfg.dropout if rng is not None else 0.0
-    lstm_out = bilstm_forward(params, ad.dropout(h, drop, rng), mask)
-    return rcnn_forward(params, h, ad.dropout(lstm_out, drop, rng), mask)
+    lstm_out = bilstm_forward(params, ad.dropout(h, cfg.dropout, rng), mask)
+    return rcnn_forward(params, h, ad.dropout(lstm_out, cfg.dropout, rng), mask)
 
 
 def predict(params, cfg: ModelConfig, tokenizer: TokenizerModel,

@@ -180,14 +180,9 @@ def test_sigmoid_extreme_inputs_finite():
     np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-12)
 
 
-def test_mask_bias_underflows_to_zero():
-    assert np.exp(ad.MASK_BIAS) == 0.0
-    assert np.isfinite(ad.MASK_BIAS)
-
-
-def _attention_probs_by_plain_exp(h, ws, key_bias, n_heads):
+def _attention_probs_by_plain_exp(h, ws, mask, n_heads):
     """The attention probabilities with np.exp run on the masked scores
-    themselves, MASK_BIAS included."""
+    themselves, after a -1e30 additive bias at masked keys."""
     (wq, bq, wk, bk, wv, bv), (B, T, d) = ws[:6], h.shape
     dk = d // n_heads
     qkv = h.reshape(B * T, d) @ np.concatenate([wq, wk, wv], axis=1)
@@ -195,7 +190,7 @@ def _attention_probs_by_plain_exp(h, ws, key_bias, n_heads):
     q, k, _ = qkv.reshape(B, T, 3, n_heads, dk).transpose(2, 0, 3, 1, 4)
     s = q @ k.swapaxes(-1, -2)
     s *= 1.0 / np.sqrt(dk)
-    s += key_bias
+    s += np.where(mask, 0.0, -1e30)[:, None, None, :]
     s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     return s / s.sum(axis=-1, keepdims=True)
@@ -208,11 +203,10 @@ def test_attention_masked_keys_get_exactly_zero_weight():
     ws = [rng.normal(size=shape) for _ in range(4) for shape in ((d, d), (d,))]
     # holes mid-sequence as well as a padded tail
     mask = np.array([[1, 0, 1, 1, 0, 1, 1], [1, 1, 1, 0, 0, 0, 0], [0, 1, 0, 1, 0, 1, 0]], bool)
-    key_bias = np.where(mask, 0.0, ad.MASK_BIAS)[:, None, None, :]
     collect = []
-    ad.attention(h, *ws, key_bias, H, collect)
+    ad.attention(h, *ws, mask, H, collect)
     probs = collect[0].data
-    assert probs.tobytes() == _attention_probs_by_plain_exp(h, ws, key_bias, H).tobytes()
+    assert probs.tobytes() == _attention_probs_by_plain_exp(h, ws, mask, H).tobytes()
     dead = np.broadcast_to(~mask[:, None, None, :], probs.shape)
     assert (probs[dead] == 0.0).all()
     assert (probs[~dead] > 0.0).all()
@@ -221,10 +215,18 @@ def test_attention_masked_keys_get_exactly_zero_weight():
 def test_attention_row_with_every_key_masked_rejected():
     h = RNG.normal(size=(2, 3, 4))
     ws = [RNG.normal(size=shape) for _ in range(4) for shape in ((4, 4), (4,))]
-    key_bias = np.where([[True, True, False], [False, False, False]],
-                        0.0, ad.MASK_BIAS)[:, None, None, :]
+    mask = np.array([[True, True, False], [False, False, False]])
     with pytest.raises(ContractError, match="every key masked"):
-        ad.attention(h, *ws, key_bias, 2)
+        ad.attention(h, *ws, mask, 2)
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (2, 1, 1, 3)])
+def test_attention_mask_must_be_batch_by_time(shape):
+    # one key too many, or a mask laid out to broadcast over the (B, H, T, T) scores
+    h = RNG.normal(size=(2, 3, 4))
+    ws = [RNG.normal(size=s) for _ in range(4) for s in ((4, 4), (4,))]
+    with pytest.raises(ShapeError, match=r"\(B, T\) mask"):
+        ad.attention(h, *ws, np.ones(shape, dtype=bool), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +516,12 @@ def test_dropout_rate_zero_is_identity():
     x = t(RNG.normal(size=(3, 3)))
     out = ad.dropout(x, 0.0, None)
     np.testing.assert_allclose(out.data, x.data, atol=0)
+
+
+def test_dropout_without_generator_is_identity():
+    # inference passes the config's rate and no generator: no node, no draw
+    x = Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
+    assert ad.dropout(x, 0.3, None) is x
 
 
 def test_dropout_inverted_scaling():

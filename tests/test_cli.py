@@ -417,6 +417,8 @@ MANIFEST_FIELD_FAULTS = {
     "tensor-entry-not-object": lambda man: man["tensors"].__setitem__(3, "proj.weight"),
     "tensor-named-twice": lambda man: man["tensors"].append(man["tensors"][0]),
     "unknown-config-field": lambda man: man["model_config"].update(n_experts=4),
+    "model-config-zero-heads": lambda man: man["model_config"].update(n_heads=0),
+    "train-config-beta1-one": lambda man: man["train_config"].update(beta1=1.0),
 }
 
 
@@ -451,6 +453,15 @@ def test_unknown_checkpoint_task_is_data_error(ws, capsys, tmp_path):
     assert cli.main(["evaluate", "--test", str(ws["test"]), "--checkpoint", str(ckpt),
                      "--report", str(tmp_path / "eval.json")]) == 2
     assert "'sarcasm'" in capsys.readouterr().err
+
+
+def test_checkpoint_task_must_match_its_head(ws, capsys, tmp_path):
+    # a binary model labelled "score" would read the test set as scores
+    ckpt = _checkpoint_with_manifest(ws, tmp_path, lambda man: man.update(task="score"))
+    assert cli.main(["evaluate", "--test", str(ws["test"]), "--checkpoint", str(ckpt),
+                     "--report", str(tmp_path / "eval.json")]) == 2
+    assert "'score'" in capsys.readouterr().err
+    assert not (tmp_path / "eval.json").exists()
 
 
 @pytest.mark.parametrize("fault", ["missing", "vocab-disagrees"])
@@ -548,6 +559,49 @@ def test_max_steps_below_one_rejected(ws, capsys, tmp_path, steps):
                      "--tokenizer", str(ws["tok"]), "--out", str(tmp_path / "o"),
                      "--config", str(ws["cfg"]), "--max-steps", steps]) == 1
     assert "max_steps" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("clip", ["0", "-1"])
+def test_grad_clip_at_or_below_zero_rejected(ws, capsys, tmp_path, clip):
+    # a ceiling of -1 would flip the sign of every gradient, 0 would zero it
+    assert cli.main(["pretrain", "--corpus", str(ws["corpus"]),
+                     "--tokenizer", str(ws["tok"]), "--out", str(tmp_path / "o"),
+                     "--config", str(ws["cfg"]), "--grad-clip", clip]) == 1
+    assert "grad_clip_norm" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+BAD_CONFIG_VALUES = {
+    "zero-heads": {"model": {"n_heads": 0}},
+    "fractional-layers": {"model": {"n_layers": 1.5}},
+    "bool-layers": {"model": {"n_layers": True}},
+    "negative-lstm-units": {"model": {"lstm_units": -2}},
+    "string-d-proj": {"model": {"d_proj": "8"}},
+    "dropout-above-one": {"model": {"dropout": 1.5}},
+    "beta1-one": {"train": {"beta1": 1.0}},
+    "negative-beta2": {"train": {"beta2": -0.1}},
+    "zero-adam-eps": {"train": {"adam_eps": 0}},
+    "negative-weight-decay": {"train": {"weight_decay": -1e-5}},
+    "fractional-batch": {"train": {"batch_size": 2.5}},
+    "string-seed": {"train": {"seed": "7"}},
+    "negative-seed": {"train": {"seed": -1}},
+    "string-freeze": {"train": {"freeze_encoder": "yes"}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_VALUES))
+def test_malformed_config_values_are_config_errors(ws, capsys, tmp_path, case):
+    doc = BAD_CONFIG_VALUES[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"model": {**TINY_MODEL, **doc.get("model", {})},
+                               "train": doc.get("train", {})}), encoding="utf-8")
+    assert cli.main(["pretrain", "--corpus", str(ws["corpus"]),
+                     "--tokenizer", str(ws["tok"]), "--out", str(tmp_path / "o"),
+                     "--config", str(bad), "--max-steps", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert next(iter({**doc.get("model", {}), **doc.get("train", {})})) in err
     assert not (tmp_path / "o").exists()
 
 

@@ -141,15 +141,14 @@ def test_multihead_equals_per_head_bruteforce():
         + params["layer0.attn.o.bias"].data
 
     from figlang.encoder import _attention
-    key_bias = np.where(mask, 0.0, ad.MASK_BIAS)[:, None, None, :]
-    got = _attention(params, 0, Tensor(h), key_bias, cfg).data
+    got = _attention(params, 0, Tensor(h), mask, cfg).data
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-def _composed_attention(params, i, h, key_bias, cfg):
+def _composed_attention(params, i, h, mask, cfg):
     """Self-attention as the composed graph `ad.attention` replaced: three
-    projections, head split, scaled scores, key bias, softmax, merge, output
-    projection, one node per op."""
+    projections, head split, scaled scores, a -1e30 additive bias at masked
+    keys, softmax, merge, output projection, one node per op."""
     B, T, d = h.shape
     H = cfg.n_heads
     dk = d // H
@@ -163,6 +162,7 @@ def _composed_attention(params, i, h, key_bias, cfg):
 
     q, k, v = (heads(proj(h, name)) for name in ("q", "k", "v"))
     scores = ad.mul(ad.matmul(q, ad.swap_axes(k, -1, -2)), 1.0 / np.sqrt(dk))
+    key_bias = np.where(mask, 0.0, -1e30)[:, None, None, :]
     probs = ad.softmax(ad.add(scores, Tensor(key_bias)), axis=-1)
     ctx = ad.reshape(ad.swap_axes(ad.matmul(probs, v), 1, 2), (B, T, d))
     return proj(ctx, "o")
@@ -215,12 +215,11 @@ def _assert_close(got, want, rtol=1e-12):
 def test_fused_attention_matches_composed_reference():
     # forward values and the gradients of the input and all eight weights
     cfg, params, mask, h, leaves = _parity_case(40, "layer0.attn.")
-    key_bias = np.where(mask, 0.0, ad.MASK_BIAS)[:, None, None, :]
     weight = Tensor(np.random.default_rng(41).normal(size=h.shape))
     got = _run(lambda: ad.attention(
         h, *(params[f"layer0.attn.{p}.{k}"] for p in "qkvo" for k in ("weight", "bias")),
-        key_bias, cfg.n_heads), leaves, weight)
-    want = _run(lambda: _composed_attention(params, 0, h, key_bias, cfg), leaves, weight)
+        mask, cfg.n_heads), leaves, weight)
+    want = _run(lambda: _composed_attention(params, 0, h, mask, cfg), leaves, weight)
     names = ["out", "h"] + [k for k in params if k.startswith("layer0.attn.")]
     scale = np.abs(want[names.index("layer0.attn.q.bias")]).max()
     # the key bias shifts every score of a row equally, which softmax ignores:
@@ -254,9 +253,8 @@ def test_fused_encoder_matches_composed_reference():
         T = ids.shape[1]
         h = ad.add(ad.embedding(params["embed.token.weight"], ids),
                    ad.embedding(params["embed.position.weight"], np.arange(T)))
-        key_bias = np.where(mask, 0.0, ad.MASK_BIAS)[:, None, None, :]
         for i in range(cfg.n_layers):
-            h = ad.layer_norm(ad.add(h, _composed_attention(params, i, h, key_bias, cfg)),
+            h = ad.layer_norm(ad.add(h, _composed_attention(params, i, h, mask, cfg)),
                               params[f"layer{i}.ln1.gain"], params[f"layer{i}.ln1.bias"])
             h = ad.layer_norm(ad.add(h, _composed_ffn(params, i, h)),
                               params[f"layer{i}.ln2.gain"], params[f"layer{i}.ln2.bias"])
