@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -71,15 +71,12 @@ def save_checkpoint(out_dir, params: dict[str, Tensor], *, model_config: ModelCo
     return out
 
 
+@dataclass
 class CheckpointBundle:
-    def __init__(self, params, model_config, train_config, task, manifest, path):
-        self.params = params
-        self.model_config = model_config
-        self.train_config = train_config
-        self.task = task
-        self.manifest = manifest
-        self.path = path
-        self.tokenizer_path = Path(path) / "tokenizer.json"
+    params: dict[str, Tensor]
+    model_config: ModelConfig
+    train_config: TrainConfig | None
+    tokenizer_path: Path
 
 
 def _naturals(xs) -> bool:
@@ -103,7 +100,7 @@ def _check_fields(manifest: dict) -> None:
         raise DataError("checkpoint manifest names a tensor twice")
 
 
-def _check_params(params: dict[str, Tensor], cfg: ModelConfig) -> None:
+def check_params(params: dict[str, Tensor], cfg: ModelConfig) -> None:
     """The tensors must be exactly those the model config calls for."""
     want = model_param_shapes(cfg)
     got = {name: t.shape for name, t in params.items()}
@@ -171,11 +168,11 @@ def load_checkpoint(ckpt_dir) -> CheckpointBundle:
         model_config = ModelConfig(**manifest["model_config"])
         tc = manifest.get("train_config")
         train_config = TrainConfig(**tc) if tc else None
-        _check_params(params, model_config)
+        check_params(params, model_config)
     except (TypeError, ConfigError) as e:
         raise DataError(f"{man_path}: bad model or train config: {e}") from None
     task = manifest["task"]
     if TASK_NAMES.get(task) != model_config.task_head:
         raise DataError(f"{man_path}: task {task!r} does not match the model's "
                         f"{model_config.task_head!r} head (task -> head: {TASK_NAMES})")
-    return CheckpointBundle(params, model_config, train_config, task, manifest, root)
+    return CheckpointBundle(params, model_config, train_config, tok_path)

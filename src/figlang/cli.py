@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, toy_corpus
 from .bpe import bpe_train, load_tokenizer, save_tokenizer
-from .checkpoint import load_checkpoint, save_checkpoint, sha256_file
+from .checkpoint import check_params, load_checkpoint, save_checkpoint, sha256_file
 from .config import (BINARY, TASK_NAMES, ModelConfig, TrainConfig, paper_scale,
                      toy_scale)
 from .data import load_dataset, read_text
@@ -78,11 +78,13 @@ def _read_lines(path) -> list[str]:
     return [line for line in read_text(path, "corpus").splitlines() if line.strip()]
 
 
-def _resolve_configs(args) -> tuple[ModelConfig, TrainConfig, bool]:
-    """Precedence: command-line flags > --config file > preset defaults.
-    Returns the configs plus whether the config file pinned vocab_size."""
-    file_model: dict = {}
-    file_train: dict = {}
+def _resolve_configs(args, tokenizer, base: ModelConfig | None = None
+                     ) -> tuple[ModelConfig, TrainConfig]:
+    """The one precedence chain of every training command, later wins: the
+    base model config (`base`, an --init checkpoint's, else the --preset),
+    then the --config file, then the flags. vocab_size is always the
+    tokenizer's; a config file that sets another value is a data error."""
+    doc: dict = {}
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as f:
@@ -96,47 +98,41 @@ def _resolve_configs(args) -> tuple[ModelConfig, TrainConfig, bool]:
         unknown = set(doc) - {"model", "train"}
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-        file_model = dict(doc.get("model", {}))
-        file_train = dict(doc.get("train", {}))
 
-    model_kwargs = dataclasses.asdict(PRESETS[args.preset]())
-    for key in file_model:
-        if key not in model_kwargs:
-            raise ConfigError(f"unknown model config field: {key!r}")
-    model_kwargs.update(file_model)
-    if args.max_seq_len is not None:
-        model_kwargs["max_seq_len"] = args.max_seq_len
-    task_flag = getattr(args, "task", None)
-    if task_flag:
-        model_kwargs["task_head"] = TASK_NAMES[task_flag]
-
-    train_kwargs = dataclasses.asdict(TrainConfig())
-    for key in file_train:
-        if key not in train_kwargs:
-            raise ConfigError(f"unknown train config field: {key!r}")
-    train_kwargs.update(file_train)
-    for field in train_kwargs:
-        value = getattr(args, field, None)
-        if value is not None:
-            train_kwargs[field] = value
+    if base is None:
+        base = PRESETS[args.preset or "paper"]()
+    elif args.preset:
+        raise ConfigError("--preset does not apply with --init: the checkpoint's "
+                          "model config is the base")
+    layers = {"model": dataclasses.asdict(base),
+              "train": dataclasses.asdict(TrainConfig())}
+    for section, kwargs in layers.items():
+        given = doc.get(section, {})
+        if not isinstance(given, dict):
+            raise ConfigError(f"config section {section!r} must be a JSON object, "
+                              f"got {given!r}")
+        for key in given:
+            if key not in kwargs:
+                raise ConfigError(f"unknown {section} config field: {key!r}")
+        kwargs.update(given)
+        for field in kwargs:        # a flag's dest is the field it sets
+            value = getattr(args, field, None)
+            if value is not None:
+                kwargs[field] = value
+    if getattr(args, "task", None):
+        layers["model"]["task_head"] = TASK_NAMES[args.task]
+    file_vocab = doc.get("model", {}).get("vocab_size", tokenizer.size)
+    layers["model"]["vocab_size"] = tokenizer.size
 
     try:
-        model_cfg = ModelConfig(**model_kwargs)
-        train_cfg = TrainConfig(**train_kwargs)
+        model_cfg = ModelConfig(**layers["model"])
+        train_cfg = TrainConfig(**layers["train"])
     except TypeError as e:
         raise ConfigError(str(e)) from None
-    return model_cfg, train_cfg, "vocab_size" in file_model
-
-
-def _adopt_tokenizer_vocab(model_cfg: ModelConfig, pinned: bool, tokenizer):
-    """The embedding table is sized by the tokenizer unless the config pinned
-    a conflicting value, which is an error worth stopping on."""
-    if pinned and model_cfg.vocab_size != tokenizer.size:
-        raise DataError(f"config vocab_size={model_cfg.vocab_size} does not match "
+    if file_vocab != tokenizer.size:
+        raise DataError(f"config vocab_size={file_vocab} does not match "
                         f"tokenizer ({tokenizer.size} ids)")
-    if model_cfg.vocab_size != tokenizer.size:
-        model_cfg = dataclasses.replace(model_cfg, vocab_size=tokenizer.size)
-    return model_cfg
+    return model_cfg, train_cfg
 
 
 def _checkpoint_record(out, model_cfg, train_cfg, inputs) -> dict:
@@ -171,8 +167,7 @@ def _cmd_bpe_train(args):
 
 def _cmd_pretrain(args):
     tokenizer = load_tokenizer(args.tokenizer)
-    model_cfg, train_cfg, pinned = _resolve_configs(args)
-    model_cfg = _adopt_tokenizer_vocab(model_cfg, pinned, tokenizer)
+    model_cfg, train_cfg = _resolve_configs(args, tokenizer)
     lines = toy_corpus() if args.corpus == "toy" else _read_lines(args.corpus)
 
     out = Path(args.out)
@@ -190,27 +185,27 @@ def _cmd_pretrain(args):
 
 
 def _cmd_finetune(args):
-    model_cfg, train_cfg, pinned = _resolve_configs(args)
-    task = TASK_NAMES[args.task]
-
-    start = None
+    start = base = None
     tokenizer_path = args.tokenizer
     if args.init:
+        # its embedding rows are indexed by its own tokenizer's ids
         bundle = load_checkpoint(args.init)
-        start = bundle.params
-        model_cfg = dataclasses.replace(bundle.model_config, task_head=task)
-        if tokenizer_path is None:
-            tokenizer_path = bundle.tokenizer_path
-        if bundle.task != args.task:
+        start, base, tokenizer_path = (bundle.params, bundle.model_config,
+                                       bundle.tokenizer_path)
+    tokenizer = load_tokenizer(tokenizer_path)
+    model_cfg, train_cfg = _resolve_configs(args, tokenizer, base)
+    if args.init:
+        if base.task_head != model_cfg.task_head:
             # head shape may differ across tasks; encoder weights carry over
             start.update(init_params(head_param_shapes(model_cfg),
                                      rng_streams(train_cfg.seed)["init"]))
-    if tokenizer_path is None:
-        raise ConfigError("--tokenizer is required unless --init provides one")
-    tokenizer = load_tokenizer(tokenizer_path)
-    model_cfg = _adopt_tokenizer_vocab(model_cfg, pinned, tokenizer)
+        try:
+            check_params(start, model_cfg)
+        except DataError as e:
+            raise DataError(f"--init {args.init}: --config or flag values change "
+                            f"its tensor shapes; {e}") from None
 
-    dataset = load_dataset(args.train, task)
+    dataset = load_dataset(args.train, model_cfg.task_head)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     log = TrainLog(out / "train_log.jsonl")
@@ -262,6 +257,8 @@ def _cmd_predict(args):
 
 def _cmd_gradcheck(args):
     n_seeds = 20 if args.full else args.seeds
+    if n_seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {n_seeds}")
     worst = run_suite(n_seeds=n_seeds)
     print(f"max relative error: {worst:.3e} over {n_seeds} seeds "
           f"(tolerance {GRAD_TOL:.0e})")
@@ -292,7 +289,7 @@ def _add_config_flags(p, *, with_task=False):
     d = TrainConfig()
     m = ModelConfig()
     p.add_argument("--config", help="JSON file with {'model': {...}, 'train': {...}}")
-    p.add_argument("--preset", choices=sorted(PRESETS), default="paper",
+    p.add_argument("--preset", choices=sorted(PRESETS),
                    help=f"base model size (default: paper = {m.n_layers} layers, "
                         f"{m.n_heads} heads, {m.lstm_units} LSTM units, "
                         f"dropout {m.dropout})")
@@ -341,8 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("finetune", help="supervised training")
     p.add_argument("--train", required=True, help="TSV: id<TAB>label<TAB>text")
-    p.add_argument("--init", help="checkpoint directory to start from")
-    p.add_argument("--tokenizer", help="defaults to the --init checkpoint's")
+    start = p.add_mutually_exclusive_group(required=True)
+    start.add_argument("--init", help="checkpoint directory to start from: its model "
+                                      "config is the base layer (in place of --preset) "
+                                      "and its tokenizer is used")
+    start.add_argument("--tokenizer", help="tokenizer of a from-scratch run")
     p.add_argument("--out", required=True, help="checkpoint directory")
     p.add_argument("--freeze-encoder", action="store_const", const=True, default=None)
     p.add_argument("--manifest")
@@ -362,8 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    p.add_argument("--full", action="store_true", help="run all 20 seeds")
-    p.add_argument("--seeds", type=int, default=3)
+    seeds = p.add_mutually_exclusive_group()
+    seeds.add_argument("--full", action="store_true", help="run all 20 seeds")
+    seeds.add_argument("--seeds", type=int, default=3,
+                       help="number of seeds to check (default 3)")
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("baseline-nbsvm", help="n-gram logistic baseline")

@@ -10,6 +10,8 @@ sanity-check the neural numbers.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +19,7 @@ import numpy as np
 from .autodiff import Tensor, zero_grads
 from .bpe import normalize
 from .config import TrainConfig
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .training import AdamState, _batches, adam_step, rng_streams
 
 
@@ -48,6 +50,13 @@ def _features(texts, vocab, r) -> np.ndarray:
 def nbsvm_train(examples, *, alpha: float = 1.0, lr: float = 1e-3,
                 epochs: int = 5, batch_size: int = 10, seed: int = 42) -> NbsvmModel:
     """examples: objects with .text and .target in {0, 1}."""
+    # the smoothing prior: at 0 an n-gram seen in one class only gets an
+    # infinite log ratio, below 0 a count can go negative
+    if (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)
+            or not 0 < alpha < math.inf):
+        raise ConfigError(f"alpha must be a finite number > 0, got {alpha!r}")
+    cfg = TrainConfig(batch_size=batch_size, epochs=epochs, learning_rate=lr,
+                      weight_decay=0.0, seed=seed)
     texts = [ex.text for ex in examples]
     y = np.asarray([int(ex.target) for ex in examples], dtype=np.float64)
     if len(texts) == 0:
@@ -67,8 +76,6 @@ def nbsvm_train(examples, *, alpha: float = 1.0, lr: float = 1e-3,
     x = _features(texts, vocab, r)
     params = {"w": Tensor(np.zeros(len(vocab)), requires_grad=True),
               "b": Tensor(np.zeros(()), requires_grad=True)}
-    cfg = TrainConfig(batch_size=batch_size, epochs=epochs, learning_rate=lr,
-                      weight_decay=0.0, seed=seed)
     state = AdamState()
     shuffle = rng_streams(seed)["shuffle"]
     for _ in range(epochs):

@@ -39,7 +39,6 @@ def test_load_restores_f4_quantized_values(tmp_path, tok_path):
         np.testing.assert_array_equal(bundle.params[k].data, want)
         assert bundle.params[k].data.dtype == np.float64
         assert bundle.params[k].requires_grad
-    assert bundle.task == "binary"
     assert bundle.model_config == CFG
     assert bundle.train_config.seed == 9
     assert bundle.tokenizer_path == out / "tokenizer.json"

@@ -254,6 +254,63 @@ def test_freeze_encoder_flag(ws):
     assert run["config"]["train"]["freeze_encoder"] is True
 
 
+def test_finetune_from_scratch(ws, capsys, tmp_path):
+    out = tmp_path / "scratch"
+    assert cli.main(["finetune", "--train", str(ws["train"]), "--tokenizer", str(ws["tok"]),
+                     "--out", str(out), "--task", "binary", "--config", str(ws["cfg"]),
+                     "--epochs", "1", "--batch-size", "6", "--seed", "0"]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    tok_blob = json.loads(ws["tok"].read_text())
+    assert man["model_config"]["vocab_size"] == 256 + 4 + len(tok_blob["merges"])
+    assert cli.main(["evaluate", "--test", str(ws["test"]), "--checkpoint", str(out),
+                     "--report", str(tmp_path / "r.json")]) == 0
+    capsys.readouterr()
+
+
+# an --init checkpoint brings its own tokenizer, so exactly one of the two
+@pytest.mark.parametrize("start", [["--init", "pre", "--tokenizer", "tok"], []],
+                         ids=["both", "neither"])
+def test_finetune_needs_init_or_tokenizer(ws, capsys, tmp_path, start):
+    start = [str(ws[a]) if a in ws else a for a in start]
+    assert cli.main(["finetune", "--train", str(ws["train"]), *start,
+                     "--out", str(tmp_path / "o"), "--task", "binary",
+                     "--config", str(ws["cfg"]), "--epochs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--init" in err and "--tokenizer" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_init_shape_change_is_data_error(ws, capsys, tmp_path):
+    # the --init checkpoint is the base layer; flags may not reshape its tensors
+    assert cli.main(["finetune", "--train", str(ws["train"]), "--init", str(ws["pre"]),
+                     "--out", str(tmp_path / "o"), "--task", "binary",
+                     "--max-seq-len", "8", "--epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(ws["pre"]) in err
+    assert "wrong shape ['embed.position.weight']" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_init_run_takes_config_file_fields(ws, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"dropout": 0.25}}), encoding="utf-8")
+    out = tmp_path / "o"
+    assert cli.main(["finetune", "--train", str(ws["train"]), "--init", str(ws["pre"]),
+                     "--out", str(out), "--task", "binary", "--config", str(cfg),
+                     "--epochs", "1"]) == 0
+    model = json.loads((out / "manifest.json").read_text())["model_config"]
+    assert model["dropout"] == 0.25
+    assert model["d_model"] == TINY_MODEL["d_model"]     # the rest from --init
+
+
+def test_preset_with_init_is_usage_error(ws, capsys, tmp_path):
+    assert cli.main(["finetune", "--train", str(ws["train"]), "--init", str(ws["pre"]),
+                     "--out", str(tmp_path / "o"), "--task", "binary",
+                     "--preset", "toy", "--epochs", "1"]) == 1
+    assert "--preset" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_baseline_nbsvm(ws, capsys):
     report = ws["root"] / "nbsvm.json"
     model_out = ws["root"] / "nbsvm_model.json"
@@ -283,6 +340,25 @@ def test_gradcheck_failure_is_numeric_exit(monkeypatch, capsys):
     assert cli.main(["gradcheck", "--seeds", "2"]) == 3
     err = capsys.readouterr().err
     assert "numeric failure" in err
+
+
+@pytest.mark.parametrize("argv", [["--seeds", "0"], ["--seeds", "-2"],
+                                  ["--full", "--seeds", "5"]])
+def test_gradcheck_must_check_a_gradient(monkeypatch, capsys, argv):
+    monkeypatch.setattr(cli, "run_suite", lambda n_seeds: 0.0)
+    assert cli.main(["gradcheck", *argv]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("alpha", ["-1", "0", "nan", "inf"])
+def test_nbsvm_alpha_must_be_finite_and_positive(ws, capsys, tmp_path, alpha):
+    report = tmp_path / "r.json"
+    assert cli.main(["baseline-nbsvm", "--train", str(ws["train"]),
+                     "--test", str(ws["test"]), "--report", str(report),
+                     "--alpha", alpha]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "alpha" in err
+    assert not report.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +678,21 @@ def test_malformed_config_values_are_config_errors(ws, capsys, tmp_path, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert next(iter({**doc.get("model", {}), **doc.get("train", {})})) in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("doc", [{"model": None}, {"model": [1, 2]},
+                                 {"train": "ab"}],
+                         ids=["model-null", "model-list", "train-string"])
+def test_config_sections_must_be_objects(ws, capsys, tmp_path, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    cli.main(["pretrain", "--corpus", str(ws["corpus"]),
+              "--tokenizer", str(ws["tok"]), "--out", str(tmp_path / "o"),
+              "--config", str(bad), "--max-steps", "1"])
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "must be a JSON object" in err
     assert not (tmp_path / "o").exists()
 
 

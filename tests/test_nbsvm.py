@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from figlang.data import LabeledExample
-from figlang.errors import DataError
+from figlang.errors import ConfigError, DataError
 from figlang.nbsvm import (NbsvmModel, load_nbsvm, nbsvm_predict, nbsvm_train,
                            ngrams, save_nbsvm)
 
@@ -157,3 +157,10 @@ def test_case_folding_matches_training():
     _, upper = nbsvm_predict(model, ["GREAT"])
     _, lower = nbsvm_predict(model, ["great"])
     assert upper[0] == lower[0]
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf"), True, "1"])
+def test_alpha_must_be_a_finite_positive_number(alpha):
+    train = [ex(0, "good movie", 1), ex(1, "bad movie", 0)]
+    with pytest.raises(ConfigError, match="alpha"):
+        nbsvm_train(train, alpha=alpha)
