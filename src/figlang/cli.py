@@ -14,8 +14,10 @@ error, 2 data error (including unreadable, non-UTF-8 or unwritable files),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import shutil
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -53,6 +55,18 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def _peak_rss_mib() -> float | None:
+    """This process's peak resident set size, or None where the platform
+    has no `resource` module (Windows)."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is in bytes on macOS and in KiB on Linux
+    return round(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1)
+
+
 def _write_run_manifest(args, argv, started, *, manifest, seed, config, inputs,
                         outputs):
     doc = {
@@ -65,6 +79,7 @@ def _write_run_manifest(args, argv, started, *, manifest, seed, config, inputs,
         "outputs": {str(p): sha256_file(p) for p in outputs if Path(p).is_file()},
         "started": started,
         "finished": _utc_now(),
+        "peak_rss_mib": _peak_rss_mib(),
     }
     path = Path(args.manifest or manifest)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -144,6 +159,24 @@ def _checkpoint_record(out, model_cfg, train_cfg, inputs) -> dict:
                 inputs=inputs, outputs=[out / name for name in files])
 
 
+@contextlib.contextmanager
+def _checkpoint_dir(path):
+    """Create the checkpoint directory `path` and yield it with its open
+    training log. If the body fails with a FiglangError, whatever this call
+    created is removed again, so a failed run leaves no half-written
+    checkpoint. A directory that existed before is not removed."""
+    out = Path(path)
+    created = next((p for p in reversed([out, *out.parents]) if not p.exists()), None)
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        with contextlib.closing(TrainLog(out / "train_log.jsonl")) as log:
+            yield out, log
+    except FiglangError:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
+
+
 def _write_report(path, report) -> Path:
     text = report_json(report)
     out = Path(path)
@@ -170,13 +203,11 @@ def _cmd_pretrain(args):
     model_cfg, train_cfg = _resolve_configs(args, tokenizer)
     lines = toy_corpus() if args.corpus == "toy" else _read_lines(args.corpus)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    log = TrainLog(out / "train_log.jsonl")
-    params, log = pretrain_mlm(lines, tokenizer, model_cfg, train_cfg, log=log)
-    save_checkpoint(out, params, model_config=model_cfg, train_config=train_cfg,
-                    task=TASK_LABELS[model_cfg.task_head],
-                    tokenizer_path=args.tokenizer)
+    with _checkpoint_dir(args.out) as (out, log):
+        params, log = pretrain_mlm(lines, tokenizer, model_cfg, train_cfg, log=log)
+        save_checkpoint(out, params, model_config=model_cfg, train_config=train_cfg,
+                        task=TASK_LABELS[model_cfg.task_head],
+                        tokenizer_path=args.tokenizer)
     first, last = log.records[0]["loss"], log.records[-1]["loss"]
     print(f"pretrained {len(log.records)} steps; loss {first:.4f} -> {last:.4f}; "
           f"checkpoint at {out}")
@@ -206,13 +237,11 @@ def _cmd_finetune(args):
                             f"its tensor shapes; {e}") from None
 
     dataset = load_dataset(args.train, model_cfg.task_head)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    log = TrainLog(out / "train_log.jsonl")
-    params, log = finetune(dataset.examples, tokenizer, model_cfg, train_cfg,
-                           params=start, log=log)
-    save_checkpoint(out, params, model_config=model_cfg, train_config=train_cfg,
-                    task=args.task, tokenizer_path=tokenizer_path)
+    with _checkpoint_dir(args.out) as (out, log):
+        params, log = finetune(dataset.examples, tokenizer, model_cfg, train_cfg,
+                               params=start, log=log)
+        save_checkpoint(out, params, model_config=model_cfg, train_config=train_cfg,
+                        task=args.task, tokenizer_path=tokenizer_path)
     print(f"finetuned {len(log.records)} steps on {len(dataset)} examples; "
           f"final loss {log.records[-1]['loss']:.4f}; checkpoint at {out}")
     return _checkpoint_record(out, model_cfg, train_cfg,

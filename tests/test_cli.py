@@ -5,6 +5,7 @@ cli.main() in process."""
 import io
 import json
 import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -92,6 +93,16 @@ def test_run_manifest_contents(ws):
         assert sha256_file(path) == digest
     assert run["started"] <= run["finished"]
     assert run["tool"].startswith("figlang ")
+    # MiB: a KiB count read as bytes, or bytes read as KiB, lands far outside
+    assert 10 < run["peak_rss_mib"] < 100_000
+
+
+def test_peak_rss_is_null_without_resource(ws, capsys, tmp_path, monkeypatch):
+    monkeypatch.setitem(sys.modules, "resource", None)    # import raises
+    argv, manifest = MANIFEST_RUNS["evaluate"](ws, tmp_path)
+    assert cli.main(["evaluate", *argv]) == 0
+    capsys.readouterr()
+    assert json.loads(manifest.read_text())["peak_rss_mib"] is None
 
 
 # argv after the subcommand, and where run.json goes without --manifest
@@ -126,11 +137,33 @@ def test_manifest_flag_places_run_record(ws, capsys, tmp_path, command):
     assert manifest.is_file() and not default.exists()
     run = json.loads(manifest.read_text())
     assert list(run) == ["tool", "subcommand", "argv", "seed", "config", "inputs",
-                         "outputs", "started", "finished"]
+                         "outputs", "started", "finished", "peak_rss_mib"]
     assert run["subcommand"] == command
     assert run["outputs"]
     for path, digest in run["outputs"].items():
         assert sha256_file(path) == digest
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_failed_training_run_removes_the_out_dir_it_made(ws, capsys, tmp_path, command):
+    made = tmp_path / "new"
+    argv, _ = MANIFEST_RUNS[command](ws, made / "out")
+    assert cli.main([command, *argv, "--lr", "1e12", "--epochs", "30"]) == 3
+    assert "non-finite training loss" in capsys.readouterr().err
+    assert tmp_path.is_dir() and not made.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_failed_training_run_keeps_an_existing_out_dir(ws, capsys, tmp_path, command):
+    (tmp_path / "keep.txt").write_text("kept", encoding="utf-8")
+    argv, _ = MANIFEST_RUNS[command](ws, tmp_path)
+    assert cli.main([command, *argv, "--lr", "1e12", "--epochs", "30"]) == 3
+    capsys.readouterr()
+    assert (tmp_path / "keep.txt").read_text(encoding="utf-8") == "kept"
 
 
 def test_pretrain_loss_trajectory(ws):
