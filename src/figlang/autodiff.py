@@ -290,10 +290,9 @@ def layer_norm(x, gain, bias, eps=1e-5) -> Tensor:
         raise ShapeError(
             f"layer_norm gain/bias must match last dim {d}, "
             f"got {gain.data.shape} and {bias.data.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv     # centred once, scaled in place: no second (..., d) array
 
     def _bw(g):
         dxhat = g * gain.data

@@ -29,16 +29,10 @@ def auc(scores, golds) -> float:
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC needs both classes in the gold labels")
 
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(n, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j + 2) / 2.0   # 1-based average rank
-        i = j + 1
+    # a tie block's average 1-based rank is its last rank minus (count - 1) / 2
+    _, block, counts = np.unique(scores, return_inverse=True, return_counts=True,
+                                 equal_nan=False)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[block]
     rank_sum = float(ranks[golds == 1].sum())
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

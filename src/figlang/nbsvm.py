@@ -2,9 +2,10 @@
 
 Features are binarized indicators of whitespace-token n-grams (lowercased
 text), each scaled by its log-count ratio r_i between the two classes.
-A logistic layer on top is trained with Adam, on the same seeded batches
-as the neural trainers (`training._batches`). Strong for the cost; used to
-sanity-check the neural numbers.
+A logistic layer on top is trained by the step loop all three trainers
+share, `training._fit`: the same seeded batches, finite-loss check and Adam
+step as pretraining and finetuning, with the gradient built by autodiff.
+Strong for the cost; used to sanity-check the neural numbers.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, zero_grads
+from . import autodiff as ad
+from .autodiff import Tensor
 from .bpe import normalize
 from .config import TrainConfig
 from .errors import ConfigError, DataError
-from .training import AdamState, _batches, adam_step, rng_streams
+from .training import TrainLog, _fit, rng_streams
 
 
 def ngrams(text: str) -> list[str]:
@@ -58,7 +60,7 @@ def nbsvm_train(examples, *, alpha: float = 1.0, lr: float = 1e-3,
     cfg = TrainConfig(batch_size=batch_size, epochs=epochs, learning_rate=lr,
                       weight_decay=0.0, seed=seed)
     texts = [ex.text for ex in examples]
-    y = np.asarray([int(ex.target) for ex in examples], dtype=np.float64)
+    y = np.asarray([int(ex.target) for ex in examples], dtype=np.int64)
     if len(texts) == 0:
         raise DataError("empty training set")
     if not (0 < y.sum() < len(y)):
@@ -74,28 +76,25 @@ def nbsvm_train(examples, *, alpha: float = 1.0, lr: float = 1e-3,
     r = np.log((pos / pos.sum()) / (neg / neg.sum()))
 
     x = _features(texts, vocab, r)
-    params = {"w": Tensor(np.zeros(len(vocab)), requires_grad=True),
-              "b": Tensor(np.zeros(()), requires_grad=True)}
-    state = AdamState()
-    shuffle = rng_streams(seed)["shuffle"]
-    for _ in range(epochs):
-        for idx in _batches(len(texts), batch_size, shuffle):
-            xb, yb = x[idx], y[idx]
-            p = 1.0 / (1.0 + np.exp(-(xb @ params["w"].data + params["b"].data)))
-            err = (p - yb) / len(idx)
-            params["w"].grad = xb.T @ err
-            params["b"].grad = np.asarray(err.sum())
-            adam_step(params, state, cfg)
-            zero_grads(params.values())
-    return NbsvmModel(vocab=vocab, r=r, weights=params["w"].data.copy(),
-                      bias=float(params["b"].data), alpha=alpha)
+    params = {"w": Tensor(np.zeros((len(vocab), 1)), requires_grad=True),
+              "b": Tensor(np.zeros(1), requires_grad=True)}
+
+    def batch_loss(idx):
+        # binary logistic loss as a two-class softmax whose class-0 logit
+        # is fixed at 0: the class-1 gradient is (sigmoid(z) - y) / n
+        z = ad.linear(x[idx], params["w"], params["b"])
+        return ad.cross_entropy(ad.concat([np.zeros((len(idx), 1)), z]), y[idx])
+
+    _fit(params, len(texts), batch_loss, cfg, rng_streams(seed)["shuffle"], TrainLog())
+    return NbsvmModel(vocab=vocab, r=r, weights=params["w"].data[:, 0].copy(),
+                      bias=float(params["b"].data[0]), alpha=alpha)
 
 
 def nbsvm_predict(model: NbsvmModel, texts):
     """Returns (labels, scores): sigmoid scores thresholded at 0.5.
     N-grams unseen in training are ignored; empty text scores at the bias."""
     x = _features(texts, model.vocab, model.r)
-    scores = 1.0 / (1.0 + np.exp(-(x @ model.weights + model.bias)))
+    scores = ad.sigmoid(x @ model.weights + model.bias).data
     return (scores > 0.5).astype(np.int64), scores
 
 

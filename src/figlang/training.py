@@ -1,8 +1,9 @@
 """Optimization and training: masked-LM pretraining and task fine-tuning.
 
-Both trainers run one step loop, `_fit` (shuffle, `max_steps` cap, Adam
-step, log); each only prepares its data and parameters and hands `_fit` a
-closure from a batch of example indices to its loss.
+These two and `nbsvm.nbsvm_train` run one step loop, `_fit` (shuffle,
+`max_steps` cap, finite-loss check, Adam step, log); each trainer only
+prepares its data and parameters and hands `_fit` a closure from a batch of
+example indices to its loss.
 
 Adam uses decoupled weight decay: the decay term is added to the update
 after the moment step, never folded into the gradient. Only `.weight`
@@ -110,15 +111,18 @@ def _fit(params, n: int, batch_loss, cfg: TrainConfig, shuffle: np.random.Genera
     """One Adam step and one `log.add` per batch of the n examples, over
     `cfg.epochs` seeded shuffles or until `cfg.max_steps`. The loss goes
     straight into the step, so no local keeps its graph alive into the next
-    forward. The log is closed however the loop ends."""
+    forward. The log is closed however the loop ends. numpy's overflow and
+    invalid-value warnings are off in the loop: the finite checks report a
+    diverging run, once."""
     state = AdamState()
     batches = ((epoch, idx) for epoch in range(cfg.epochs)
                for idx in _batches(n, cfg.batch_size, shuffle))
     try:
-        for step, (epoch, idx) in enumerate(batches, start=1):
-            log.add(step, epoch, _optim_step(params, state, cfg, batch_loss(idx)))
-            if cfg.max_steps is not None and step >= cfg.max_steps:
-                break
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step, (epoch, idx) in enumerate(batches, start=1):
+                log.add(step, epoch, _optim_step(params, state, cfg, batch_loss(idx)))
+                if cfg.max_steps is not None and step >= cfg.max_steps:
+                    break
     finally:
         log.close()
 

@@ -144,8 +144,7 @@ def test_manifest_flag_places_run_record(ws, capsys, tmp_path, command):
         assert sha256_file(path) == digest
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["pretrain", "finetune"])
 def test_failed_training_run_removes_the_out_dir_it_made(ws, capsys, tmp_path, command):
     made = tmp_path / "new"
@@ -155,8 +154,7 @@ def test_failed_training_run_removes_the_out_dir_it_made(ws, capsys, tmp_path, c
     assert tmp_path.is_dir() and not made.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["pretrain", "finetune"])
 def test_failed_training_run_keeps_an_existing_out_dir(ws, capsys, tmp_path, command):
     (tmp_path / "keep.txt").write_text("kept", encoding="utf-8")

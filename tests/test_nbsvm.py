@@ -4,6 +4,8 @@ training behavior, persistence."""
 import numpy as np
 import pytest
 
+from figlang import nbsvm
+from figlang.autodiff import backward
 from figlang.data import LabeledExample
 from figlang.errors import ConfigError, DataError
 from figlang.nbsvm import (NbsvmModel, load_nbsvm, nbsvm_predict, nbsvm_train,
@@ -164,3 +166,47 @@ def test_alpha_must_be_a_finite_positive_number(alpha):
     train = [ex(0, "good movie", 1), ex(1, "bad movie", 0)]
     with pytest.raises(ConfigError, match="alpha"):
         nbsvm_train(train, alpha=alpha)
+
+
+def test_autodiff_gradient_matches_the_logistic_formula(monkeypatch):
+    # the hand-derived logistic gradient is the oracle for the loss that
+    # `_fit` differentiates: for z = x @ w + b, dL/dw = x.T @ (sigmoid(z) - y) / n
+    captured = {}
+
+    def capture(params, n, batch_loss, cfg, shuffle, log):
+        captured.update(params=params, batch_loss=batch_loss)
+
+    monkeypatch.setattr(nbsvm, "_fit", capture)
+    train = [ex(i, t, i % 2) for i, t in enumerate(
+        ["sun out again", "sure, love that", "train on time", "oh joy, delays",
+         "coffee was hot", "great, more rain", "bus came early", "yay, a queue"])]
+    model = nbsvm_train(train)
+    params, batch_loss = captured["params"], captured["batch_loss"]
+    rng = np.random.default_rng(0)
+    params["w"].data[...] = rng.normal(size=params["w"].data.shape)
+    params["b"].data[...] = rng.normal(size=1)
+
+    idx = np.array([5, 0, 3, 6, 1])
+    backward(batch_loss(idx))
+    x = nbsvm._features([train[i].text for i in idx], model.vocab, model.r)
+    y = np.array([train[i].target for i in idx], dtype=np.float64)
+    z = x @ params["w"].data[:, 0] + params["b"].data[0]
+    err = (1.0 / (1.0 + np.exp(-z)) - y) / len(idx)
+    np.testing.assert_allclose(params["w"].grad[:, 0], x.T @ err, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(params["b"].grad, [err.sum()], rtol=1e-12, atol=0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_large_learning_rate_trains_and_predicts_without_warnings():
+    # on these 13-n-gram texts lr 10 drives |x @ w| past exp's overflow
+    # point (709); training and scoring must stay finite and quiet
+    pos = [f"oh {w} just {v}, what a day" for w in ("great", "wonderful", "perfect")
+           for v in ("great", "lovely")]
+    neg = [f"the {w} was {v} as planned today" for w in ("report", "meeting", "train")
+           for v in ("fine", "late")]
+    train = [ex(i, t, 1) for i, t in enumerate(pos)] + \
+            [ex(100 + i, t, 0) for i, t in enumerate(neg)]
+    model = nbsvm_train(train, lr=10.0, epochs=20)
+    labels, scores = nbsvm_predict(model, [e.text for e in train])
+    assert np.isfinite(model.weights).all() and np.isfinite(scores).all()
+    assert (labels == np.array([e.target for e in train])).all()
