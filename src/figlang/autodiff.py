@@ -467,12 +467,13 @@ def lstm(x, w_in, w_rec, bias, mask, reverse=False) -> Tensor:
 
     Gates are packed i, f, g, o along the 4u axis of `w_in` (d, 4u),
     `w_rec` (u, 4u) and `bias` (4u,). The sweep runs over t = 0..T-1, or
-    T-1..0 when `reverse`. A step whose `mask` (B, T) entry is false keeps
-    h and c as they were and outputs zeros, so pad content reaches no
-    unmasked position. The input projection is one (B*T, d) x (d, 4u)
-    matmul outside the time loop; the backward pass runs the loop in
-    reverse to fill the pre-activation gradient of every step, then takes
-    the gradients of x and the weights from one matmul (or sum) each.
+    T-1..0 when `reverse`. Each step multiplies its new cell state by its
+    `mask` (B, T) entry; h = o * tanh(c) is its output and the next step's
+    state, so a padded step outputs zeros and hands on a zero state (under
+    right padding, no real step reads it). The input projection is one
+    (B*T, d) x (d, 4u) matmul outside the time loop; the backward pass runs
+    the loop in reverse to fill the pre-activation gradient of every step,
+    then takes the x and weight gradients from one matmul (or sum) each.
     """
     x, w_in, w_rec, bias = (as_tensor(a) for a in (x, w_in, w_rec, bias))
     mask = np.asarray(mask, dtype=bool)
@@ -497,24 +498,22 @@ def lstm(x, w_in, w_rec, bias, mask, reverse=False) -> Tensor:
         tanh_c = np.empty((B, T, u))         # tanh of the step's new cell state
         h_prev = np.empty((B, T, u))         # state each step started from
         c_prev = np.empty((B, T, u))
+    m = mask.astype(np.float64)[..., None]   # (B, T, 1): each step's multiplier
     out = np.empty((B, T, u))
     h = np.zeros((B, u))
     c = np.zeros((B, u))
     steps = range(T - 1, -1, -1) if reverse else range(T)
     for t in steps:
+        if track:
+            h_prev[:, t], c_prev[:, t] = h, c
         z = zx[:, t] + h @ wr
         a = _sigmoid(z)
         a[:, 2 * u:3 * u] = np.tanh(z[:, 2 * u:3 * u])
-        c_new = a[:, u:2 * u] * c + a[:, :u] * a[:, 2 * u:3 * u]
-        tc = np.tanh(c_new)
-        h_new = a[:, 3 * u:] * tc
+        c = (a[:, u:2 * u] * c + a[:, :u] * a[:, 2 * u:3 * u]) * m[:, t]
+        tc = np.tanh(c)
+        h = out[:, t] = a[:, 3 * u:] * tc
         if track:
-            h_prev[:, t], c_prev[:, t] = h, c
             gates[:, t], tanh_c[:, t] = a, tc
-        m = mask[:, t, None]
-        c = np.where(m, c_new, c)
-        h = np.where(m, h_new, h)
-        out[:, t] = np.where(m, h_new, 0.0)
 
     def _bw(g):
         # Each step's local gate derivatives, for all steps at once; the loop
@@ -528,13 +527,12 @@ def lstm(x, w_in, w_rec, bias, mask, reverse=False) -> Tensor:
         dh = np.zeros((B, u))
         dc = np.zeros((B, u))
         for t in reversed(steps):
-            m = mask[:, t, None]
-            dh_new = np.where(m, dh + g[:, t], 0.0)
-            dc_new = np.where(m, dc + dh_new * c_by_dh[:, t], 0.0)
-            dz[:, t, :3] = dc_new[:, None, :] * by_dc[:, t]
-            dz[:, t, 3] = dh_new * o_by_dh[:, t]
-            dh = dz[:, t].reshape(B, 4 * u) @ wr.T + np.where(m, 0.0, dh)
-            dc = dc_new * f[:, t] + np.where(m, 0.0, dc)
+            dh = dh + g[:, t]
+            dc = (dc + dh * c_by_dh[:, t]) * m[:, t]
+            dz[:, t, :3] = dc[:, None, :] * by_dc[:, t]
+            dz[:, t, 3] = dh * o_by_dh[:, t]
+            dh = dz[:, t].reshape(B, 4 * u) @ wr.T
+            dc = dc * f[:, t]
         dz = dz.reshape(B * T, 4 * u)
         return ((dz @ w_in.data.T).reshape(B, T, d),
                 x.data.reshape(B * T, d).T @ dz,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .config import TASK_NAMES, ModelConfig, TrainConfig
-from .errors import ConfigError, DataError
+from .errors import ConfigError, ContractError, DataError
 from .rcnn import model_param_shapes
 
 FORMAT_VERSION = 1
@@ -35,6 +35,10 @@ def sha256_file(path) -> str:
 
 def save_checkpoint(out_dir, params: dict[str, Tensor], *, model_config: ModelConfig,
                     task: str, tokenizer_path, train_config: TrainConfig | None = None) -> Path:
+    if TASK_NAMES.get(task) != model_config.task_head:
+        # load_checkpoint would refuse it: write nothing
+        raise ContractError(f"task {task!r} does not match the model's "
+                            f"{model_config.task_head!r} head (task -> head: {TASK_NAMES})")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

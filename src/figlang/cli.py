@@ -162,16 +162,17 @@ def _checkpoint_record(out, model_cfg, train_cfg, inputs) -> dict:
 @contextlib.contextmanager
 def _checkpoint_dir(path):
     """Create the checkpoint directory `path` and yield it with its open
-    training log. If the body fails with a FiglangError, whatever this call
-    created is removed again, so a failed run leaves no half-written
-    checkpoint. A directory that existed before is not removed."""
+    training log. If the body fails in any way (a FiglangError, a full disk,
+    Ctrl-C), whatever this call created is removed again and the exception
+    goes on, so a failed run leaves no half-written checkpoint. A directory
+    that existed before is not removed."""
     out = Path(path)
     created = next((p for p in reversed([out, *out.parents]) if not p.exists()), None)
     out.mkdir(parents=True, exist_ok=True)
     try:
         with contextlib.closing(TrainLog(out / "train_log.jsonl")) as log:
             yield out, log
-    except FiglangError:
+    except BaseException:
         if created is not None:
             shutil.rmtree(created, ignore_errors=True)
         raise
@@ -306,8 +307,10 @@ def _cmd_baseline_nbsvm(args):
     out = _write_report(args.report, classification_metrics(labels, golds, scores=scores))
     outputs = [out]
     if args.model_out:
-        save_nbsvm(args.model_out, model)
-        outputs.append(Path(args.model_out))
+        model_out = Path(args.model_out)
+        model_out.parent.mkdir(parents=True, exist_ok=True)
+        save_nbsvm(model_out, model)
+        outputs.append(model_out)
     return dict(manifest=f"{out}.run.json", seed=args.seed,
                 config={"alpha": args.alpha, "lr": args.lr, "epochs": args.epochs,
                         "batch_size": args.batch_size},

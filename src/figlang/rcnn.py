@@ -77,8 +77,8 @@ def init_model_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, T
 def bilstm_forward(params, hidden: Tensor, mask) -> Tensor:
     """(B, T, d_model) -> (B, T, 2*units), units fixed by the LSTM weights:
     forward and backward sweeps, one fused `ad.lstm` node each,
-    concatenated per position. Mask gating freezes the state across padded
-    steps and zeroes their outputs, so pad content cannot reach any
+    concatenated per position. A padded step zeroes its cell state, so it
+    outputs zeros and hands a zero state on: pad content cannot reach any
     unmasked position."""
     fw, bw = (ad.lstm(hidden, params[f"lstm.{d}.w_in.weight"],
                       params[f"lstm.{d}.w_rec.weight"], params[f"lstm.{d}.bias"],

@@ -23,7 +23,7 @@ from .autodiff import Tensor, backward, zero_grads
 from .bpe import TokenizerModel, encode, pad_batch
 from .config import BINARY, ModelConfig, TrainConfig
 from .encoder import collate_mlm, dynamic_mask, mlm_forward
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .rcnn import full_forward, head_param_shapes, init_model_params
 
 STREAMS = ("init", "shuffle", "mask", "dropout")
@@ -162,6 +162,9 @@ def pretrain_mlm(lines: list[str], tokenizer: TokenizerModel, model_cfg: ModelCo
     Returns (params, log). Lines that tokenize to zero content tokens are
     skipped (nothing to mask).
     """
+    if train_cfg.freeze_encoder:
+        raise ConfigError("freeze_encoder applies to finetuning only: pretraining "
+                          "trains the encoder")
     _check_vocab(tokenizer, model_cfg)
     streams = rng_streams(train_cfg.seed)
     seqs = [encode(tokenizer, line, model_cfg.max_seq_len) for line in lines]

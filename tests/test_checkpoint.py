@@ -1,6 +1,7 @@
 """Checkpoint round trips, manifest integrity checks, corruption handling."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from figlang.bpe import bpe_train, save_tokenizer
 from figlang.checkpoint import (DTYPE, FORMAT_VERSION, load_checkpoint,
                                 save_checkpoint, sha256_file)
-from figlang.config import ModelConfig, TrainConfig
-from figlang.errors import DataError
+from figlang.config import REGRESSION, ModelConfig, TrainConfig
+from figlang.errors import ContractError, DataError
 from figlang.rcnn import init_model_params
 
 CFG = ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16, max_seq_len=8,
@@ -55,8 +56,9 @@ def test_save_load_save_is_bit_identical(tmp_path, tok_path):
 
 
 def test_manifest_structure(tmp_path, tok_path):
-    params = fresh_params()
-    out = save_checkpoint(tmp_path / "ckpt", params, model_config=CFG,
+    cfg = replace(CFG, task_head=REGRESSION)
+    params = init_model_params(cfg, np.random.default_rng(0))
+    out = save_checkpoint(tmp_path / "ckpt", params, model_config=cfg,
                           task="score", tokenizer_path=tok_path)
     man = json.loads((out / "manifest.json").read_text())
     assert man["format_version"] == FORMAT_VERSION == 1
@@ -64,7 +66,7 @@ def test_manifest_structure(tmp_path, tok_path):
     assert man["task"] == "score"
     assert man["train_config"] is None
     assert man["tokenizer_sha256"] == sha256_file(out / "tokenizer.json")
-    assert ModelConfig(**man["model_config"]) == CFG
+    assert ModelConfig(**man["model_config"]) == cfg
 
     names = [e["name"] for e in man["tensors"]]
     assert names == list(params)            # dict order is the pack order
@@ -74,6 +76,14 @@ def test_manifest_structure(tmp_path, tok_path):
         assert e["nbytes"] == int(np.prod(e["shape"])) * 4
         offset += e["nbytes"]
     assert (out / "weights.bin").stat().st_size == offset
+
+
+def test_task_that_does_not_match_the_head_writes_nothing(tmp_path, tok_path):
+    # load_checkpoint would refuse a "score" label on a binary head
+    with pytest.raises(ContractError, match="'score' does not match"):
+        save_checkpoint(tmp_path / "ckpt", fresh_params(), model_config=CFG,
+                        task="score", tokenizer_path=tok_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_tokenizer_tamper_detected(tmp_path, tok_path):

@@ -164,6 +164,33 @@ def test_failed_training_run_keeps_an_existing_out_dir(ws, capsys, tmp_path, com
     assert (tmp_path / "keep.txt").read_text(encoding="utf-8") == "kept"
 
 
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"),
+                                   KeyboardInterrupt()], ids=["disk-full", "ctrl-c"])
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_any_failure_removes_the_out_dir_it_made(ws, capsys, tmp_path, monkeypatch,
+                                                 command, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "save_checkpoint", fail)
+
+    def run(out):
+        argv, _ = MANIFEST_RUNS[command](ws, out)
+        if isinstance(error, OSError):
+            assert cli.main([command, *argv]) == 2
+            assert "No space left on device" in capsys.readouterr().err
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                cli.main([command, *argv])
+
+    made = tmp_path / "new"
+    run(made / "out")
+    assert tmp_path.is_dir() and not made.exists()
+    (tmp_path / "keep.txt").write_text("kept", encoding="utf-8")
+    run(tmp_path)
+    assert (tmp_path / "keep.txt").read_text(encoding="utf-8") == "kept"
+
+
 def test_pretrain_loss_trajectory(ws):
     rows = [json.loads(l) for l in (ws["pre"] / "train_log.jsonl").read_text().splitlines()]
     assert [r["step"] for r in rows] == list(range(1, len(rows) + 1))
@@ -358,6 +385,16 @@ def test_baseline_nbsvm(ws, capsys):
     # the run record names the seed the model was trained with, default too
     assert json.loads((ws["root"] / "nbsvm.json.run.json").read_text())["seed"] == 42
     capsys.readouterr()
+
+
+def test_baseline_nbsvm_creates_the_model_out_dir(ws, capsys, tmp_path):
+    report, model_out = tmp_path / "a" / "report.json", tmp_path / "b" / "model.json"
+    assert cli.main(["baseline-nbsvm", "--train", str(ws["train"]),
+                     "--test", str(ws["test"]), "--report", str(report),
+                     "--model-out", str(model_out)]) == 0
+    capsys.readouterr()
+    run = json.loads((tmp_path / "a" / "report.json.run.json").read_text())
+    assert run["outputs"][str(model_out)] == sha256_file(model_out)
 
 
 def test_gradcheck_quick(capsys):
@@ -694,6 +731,7 @@ BAD_CONFIG_VALUES = {
     "string-seed": {"train": {"seed": "7"}},
     "negative-seed": {"train": {"seed": -1}},
     "string-freeze": {"train": {"freeze_encoder": "yes"}},
+    "pretrain-freeze": {"train": {"freeze_encoder": True}},   # pretraining trains the encoder
 }
 
 

@@ -191,8 +191,9 @@ def test_duplicated_timestep_is_pool_idempotent():
 
 def _lstm_direction(params, prefix: str, hidden: Tensor, mask: np.ndarray,
                     units: int, reverse: bool) -> list:
-    """One LSTM sweep. Mask gating freezes the state across padded steps and
-    zeroes their outputs, so pad content cannot reach any unmasked position."""
+    """One LSTM sweep. A padded step zeroes its cell state, so it outputs
+    zeros and hands a zero state on: pad content cannot reach any unmasked
+    position."""
     B, T, _ = hidden.shape
     w_in = params[f"{prefix}.w_in.weight"]
     w_rec = params[f"{prefix}.w_rec.weight"]
@@ -202,20 +203,16 @@ def _lstm_direction(params, prefix: str, hidden: Tensor, mask: np.ndarray,
     outs: list = [None] * T
     steps = range(T - 1, -1, -1) if reverse else range(T)
     for t in steps:
-        m = mask[:, t:t + 1].astype(np.float64)
-        m_t = Tensor(m)
-        keep_t = Tensor(1.0 - m)
+        m_t = Tensor(mask[:, t:t + 1].astype(np.float64))
         x_t = ad.time_slice(hidden, t)
         z = ad.add(ad.add(ad.matmul(x_t, w_in), ad.matmul(h, w_rec)), bias)
         gi = ad.sigmoid(ad.slice_last(z, 0, units))
         gf = ad.sigmoid(ad.slice_last(z, units, 2 * units))
         gg = ad.tanh(ad.slice_last(z, 2 * units, 3 * units))
         go = ad.sigmoid(ad.slice_last(z, 3 * units, 4 * units))
-        c_new = ad.add(ad.mul(gf, c), ad.mul(gi, gg))
-        h_new = ad.mul(go, ad.tanh(c_new))
-        c = ad.add(ad.mul(m_t, c_new), ad.mul(keep_t, c))
-        h = ad.add(ad.mul(m_t, h_new), ad.mul(keep_t, h))
-        outs[t] = ad.mul(h, m_t)
+        c = ad.mul(m_t, ad.add(ad.mul(gf, c), ad.mul(gi, gg)))
+        h = ad.mul(go, ad.tanh(c))
+        outs[t] = h
     return outs
 
 
@@ -223,7 +220,7 @@ def _lstm_direction(params, prefix: str, hidden: Tensor, mask: np.ndarray,
 def test_fused_lstm_matches_unrolled_reference(reverse):
     # the fused sweep against the per-step graph it replaced: same output and
     # same gradients of x and all three weights under a padded mask; the last
-    # row's holes make a masked step carry state (and its gradient) through
+    # row's holes make a real step start from a padded step's zero state
     cfg = head_cfg(d_model=6, lstm_units=4)
     params = init_params(head_param_shapes(cfg), np.random.default_rng(25))
     rng = np.random.default_rng(26)
@@ -247,6 +244,23 @@ def test_fused_lstm_matches_unrolled_reference(reverse):
                                                      cfg.lstm_units, reverse)))
     for a, b in zip(got, want):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_restarts_from_zero_state_after_a_hole(reverse):
+    # a padded step hands on a zero state: beyond a hole at step k, in sweep
+    # order, the outputs are those of a fresh sweep over that side alone
+    T, k, d, u = 7, 3, 5, 4
+    rng = np.random.default_rng(28)
+    x = rng.normal(size=(1, T, d))
+    weights = [rng.normal(size=s) for s in ((d, 4 * u), (u, 4 * u), (4 * u,))]
+    mask = np.ones((1, T), dtype=bool)
+    mask[0, k] = False
+    side = slice(None, k) if reverse else slice(k + 1, None)
+    out = ad.lstm(x, *weights, mask, reverse=reverse).data[:, side]
+    fresh = ad.lstm(x[:, side], *weights, mask[:, side], reverse=reverse).data
+    assert np.abs(out).min() > 0
+    np.testing.assert_allclose(out, fresh, rtol=1e-12, atol=0)
 
 
 def test_untracked_lstm_saves_nothing_for_backward():
