@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Drive the whole stack at toy scale: synthesize data, train a tokenizer,
 pretrain with the masked-LM objective, fine-tune the classifier, evaluate,
-and fit the NBSVM baseline for comparison. A few minutes on one CPU core.
+predict, and fit the NBSVM baseline for comparison. A few minutes on one CPU
+core.
 
 Every step goes through the same CLI entry points a user would call, so this
 doubles as a smoke test of the command surface."""
 
 import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -15,14 +18,17 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from figlang import cli
+from figlang.config import BINARY
+from figlang.data import load_dataset
 
 TINY = {"n_layers": 2, "n_heads": 2, "d_model": 32, "d_ff": 64,
         "max_seq_len": 24, "dropout": 0.1, "lstm_units": 8, "d_proj": 16}
 
 
-def run(argv):
+def run(argv, stdout=None):
     print(f"$ figlang {' '.join(argv)}")
-    code = cli.main(argv)
+    with contextlib.redirect_stdout(stdout or sys.stdout):
+        code = cli.main(argv)
     if code != 0:
         sys.exit(code)
 
@@ -66,6 +72,17 @@ def main():
     report = work / "eval.json"
     run(["evaluate", "--test", str(data / "test.tsv"),
          "--checkpoint", str(fine), "--report", str(report)])
+
+    # one JSON record per input line, each answering its own line
+    texts = [ex.text for ex in load_dataset(data / "test.tsv", BINARY)]
+    inputs = work / "test_texts.txt"
+    inputs.write_text("".join(t + "\n" for t in texts), encoding="utf-8")
+    captured = io.StringIO()
+    run(["predict", "--checkpoint", str(fine), "--input", str(inputs)], stdout=captured)
+    records = [json.loads(line) for line in captured.getvalue().splitlines()]
+    if [r.get("text") for r in records] != texts:
+        sys.exit(f"predict gave {len(records)} records for {len(texts)} inputs, "
+                 "or a record that does not carry its input text")
 
     baseline = work / "nbsvm.json"
     run(["baseline-nbsvm", "--train", str(data / "train.tsv"),

@@ -626,15 +626,18 @@ def dropout(x, rate, rng) -> Tensor:
 # ---------------------------------------------------------------------------
 # finite-difference oracle
 
+_FD_STEP = 1e-5
 
-def grad_check(build, tensors, h=1e-5, max_coords=None, rng=None) -> float:
+
+def grad_check(build, tensors, max_coords=None, rng=None) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     `build` must rebuild the scalar loss from the current `.data` of the
     given tensors (deterministically: dropout off). Relative error per
-    coordinate is |a - n| / max(1e-8, |a| + |n|). When `max_coords` is set,
-    that many coordinates per tensor are checked (seeded sample) instead of
-    all of them.
+    coordinate is |a - n| / max(1e-8, |a| + |n|), with central differences
+    at step `_FD_STEP`. A NaN error on any coordinate makes the result NaN.
+    When `max_coords` is set, that many coordinates per tensor are checked
+    (seeded sample) instead of all of them.
     """
     zero_grads(tensors)
     loss = build()
@@ -653,13 +656,13 @@ def grad_check(build, tensors, h=1e-5, max_coords=None, rng=None) -> float:
             coords = range(n)
         for i in coords:
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + _FD_STEP
             fp = float(build().data)
-            flat[i] = orig - h
+            flat[i] = orig - _FD_STEP
             fm = float(build().data)
             flat[i] = orig
-            num = (fp - fm) / (2.0 * h)
+            num = (fp - fm) / (2.0 * _FD_STEP)
             ana = aflat[i]
             rel = abs(ana - num) / max(1e-8, abs(ana) + abs(num))
-            worst = max(worst, rel)
-    return worst
+            worst = np.maximum(worst, rel)  # a NaN stays NaN; max() would drop it
+    return float(worst)

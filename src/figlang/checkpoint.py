@@ -41,6 +41,9 @@ def save_checkpoint(out_dir, params: dict[str, Tensor], *, model_config: ModelCo
                             f"{model_config.task_head!r} head (task -> head: {TASK_NAMES})")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # the manifest is the commit marker: written last, after the old one is
+    # gone, so a save cut short leaves no manifest rather than a mixed checkpoint
+    (out / "manifest.json").unlink(missing_ok=True)
 
     tok_dst = out / "tokenizer.json"
     src = Path(tokenizer_path)

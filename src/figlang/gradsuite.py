@@ -3,7 +3,8 @@
 Builds a tiny model whose combined loss (classification + masked-LM) touches
 every parameter tensor, then compares backward-pass gradients against central
 finite differences on sampled coordinates. Dropout stays off: the check
-needs a deterministic loss surface.
+needs a deterministic loss surface. The batch comes from the trainers' own
+builders, `pad_batch` and `collate_mlm`, so the check follows their layout.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .bpe import CLS_ID, MASK_ID, N_SPECIALS, PAD_ID, SEP_ID
+from .bpe import CLS_ID, MASK_ID, N_SPECIALS, SEP_ID, pad_batch
 from .config import ModelConfig
-from .encoder import MlmBatch, mlm_forward
+from .encoder import MaskingOutcome, collate_mlm, mlm_forward
 from .rcnn import full_forward, init_model_params
 
 TINY = ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16, max_seq_len=8,
@@ -21,29 +22,17 @@ TINY = ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16, max_seq_len=8,
 
 
 def _tiny_batch(rng):
-    """Two rows, one padded, with two masked-LM targets."""
-    T = 6
-    ids = np.full((2, T), PAD_ID, dtype=np.int64)
-    ids[0, 0] = ids[1, 0] = CLS_ID
-    ids[0, 1:5] = rng.integers(N_SPECIALS, TINY.vocab_size, size=4)
-    ids[0, 5] = SEP_ID
-    ids[1, 1:3] = rng.integers(N_SPECIALS, TINY.vocab_size, size=2)
-    ids[1, 3] = SEP_ID
-    mask = np.array([[True] * 6, [True] * 4 + [False] * 2])
-
-    flat_positions = np.array([2, T + 1], dtype=np.int64)
-    targets = np.array([ids[0, 2], ids[1, 1]], dtype=np.int64)
-    ids_masked = ids.copy()
-    ids_masked[0, 2] = MASK_ID
-    ids_masked[1, 1] = MASK_ID
-    mlm = MlmBatch(ids=ids_masked, mask=mask,
-                   flat_positions=flat_positions, targets=targets)
-    labels = np.array([0, 1], dtype=np.int64)
-    return ids, mask, labels, mlm
+    """Two rows, one padded, with one masked-LM target each."""
+    seqs = [np.array([CLS_ID, *rng.integers(N_SPECIALS, TINY.vocab_size, size=n), SEP_ID])
+            for n in (4, 2)]
+    ids, mask = pad_batch(seqs)
+    masked = [MaskingOutcome(np.array([p]), s[[p]], np.array([MASK_ID]), ["mask"])
+              for s, p in zip(seqs, (2, 1))]
+    return ids, mask, np.array([0, 1], dtype=np.int64), collate_mlm(seqs, masked)
 
 
-def check_full_model(seed: int, *, coords_per_tensor: int = 2, h: float = 1e-5) -> float:
-    """Max relative error over sampled coordinates of every parameter."""
+def check_full_model(seed: int) -> float:
+    """Max relative error over two sampled coordinates of every parameter."""
     rng = np.random.default_rng(seed)
     params = init_model_params(TINY, rng)
     # production init (std 0.02) leaves the query/key path with ~1e-9
@@ -59,13 +48,10 @@ def check_full_model(seed: int, *, coords_per_tensor: int = 2, h: float = 1e-5) 
         _, mlm_loss = mlm_forward(params, TINY, mlm)
         return ad.add(cls_loss, mlm_loss)
 
-    return ad.grad_check(build, list(params.values()), h=h,
-                         max_coords=coords_per_tensor,
+    return ad.grad_check(build, list(params.values()), max_coords=2,
                          rng=np.random.default_rng(seed + 7919))
 
 
-def run_suite(n_seeds: int = 20, *, coords_per_tensor: int = 2) -> float:
-    worst = 0.0
-    for seed in range(n_seeds):
-        worst = max(worst, check_full_model(seed, coords_per_tensor=coords_per_tensor))
-    return worst
+def run_suite(n_seeds: int) -> float:
+    """Worst error over seeds 0..n_seeds-1; NaN if any seed gives NaN."""
+    return float(np.max([check_full_model(seed) for seed in range(n_seeds)]))

@@ -172,7 +172,7 @@ def test_c01_gradient_suite():
     for seed in range(GRAD_SEEDS):
         rng = np.random.default_rng(1000 + seed)
         for name, build, tensors in _primitive_cases(rng):
-            err = ad.grad_check(build, tensors, h=1e-5, max_coords=3,
+            err = ad.grad_check(build, tensors, max_coords=3,
                                 rng=np.random.default_rng(seed))
             assert err < GRAD_TOL, (name, seed, err)
             worst_prim = max(worst_prim, err)

@@ -292,6 +292,19 @@ def test_multi_consumer_grads_sum():
     assert grad_check(build, [x]) < 1e-10
 
 
+def test_grad_check_reports_a_nan_gradient():
+    # one NaN coordinate among finite ones must not be dropped by the max
+    x = t([0.5, 0.7, 0.9])
+
+    def build():
+        def bw(g):
+            d = 2.0 * x.data * float(g)
+            d[1] = np.nan
+            return (d,)
+        return ad._node(np.float64((x.data ** 2).sum()), "nan_grad", (x,), bw)
+    assert np.isnan(grad_check(build, [x]))
+
+
 @pytest.mark.parametrize("run_backward", [True, False])
 def test_graph_is_freed_without_the_cycle_collector(run_backward):
     # no op keeps its own output alive, so dropping the loss and the

@@ -194,3 +194,22 @@ def test_resave_into_same_directory(tmp_path, tok_path):
                     tokenizer_path=bundle.tokenizer_path)
     assert (out / "weights.bin").read_bytes() == before
     load_checkpoint(out)
+
+
+def test_interrupted_resave_leaves_no_manifest(tmp_path, tok_path, monkeypatch):
+    # a save cut short between weights.bin and manifest.json must not leave
+    # the new weights under the old manifest
+    from figlang import checkpoint
+    out = save_checkpoint(tmp_path / "ckpt", fresh_params(0), model_config=CFG,
+                          task="binary", tokenizer_path=tok_path,
+                          train_config=TrainConfig(seed=1))
+
+    def interrupted(path):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(checkpoint, "sha256_file", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        save_checkpoint(out, fresh_params(1), model_config=CFG, task="binary",
+                        tokenizer_path=tok_path, train_config=TrainConfig(seed=2))
+    monkeypatch.undo()
+    with pytest.raises(DataError, match="no manifest.json"):
+        load_checkpoint(out)

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from figlang import cli
+from figlang import cli, gradsuite
 from figlang.checkpoint import sha256_file
 
 TINY_MODEL = {"n_layers": 1, "n_heads": 2, "d_model": 16, "d_ff": 32,
@@ -397,6 +397,17 @@ def test_baseline_nbsvm_creates_the_model_out_dir(ws, capsys, tmp_path):
     assert run["outputs"][str(model_out)] == sha256_file(model_out)
 
 
+def test_baseline_nbsvm_unsaveable_model_leaves_no_report(ws, capsys, tmp_path):
+    report, model_out = tmp_path / "report.json", tmp_path / "model"
+    model_out.mkdir()
+    assert cli.main(["baseline-nbsvm", "--train", str(ws["train"]),
+                     "--test", str(ws["test"]), "--report", str(report),
+                     "--model-out", str(model_out)]) == 2
+    assert capsys.readouterr().err.startswith("data error: ")
+    assert not report.exists()
+    assert not (tmp_path / "report.json.run.json").exists()
+
+
 def test_gradcheck_quick(capsys):
     assert cli.main(["gradcheck", "--seeds", "1"]) == 0
     out = capsys.readouterr().out
@@ -410,8 +421,16 @@ def test_gradcheck_failure_is_numeric_exit(monkeypatch, capsys):
     assert "numeric failure" in err
 
 
+def test_gradcheck_nan_is_numeric_exit(monkeypatch, capsys):
+    # a NaN error on one seed fails the audit, whatever the other seeds give
+    monkeypatch.setattr(gradsuite, "check_full_model",
+                        lambda seed: float("nan") if seed == 1 else 1e-9)
+    assert cli.main(["gradcheck", "--seeds", "3"]) == 3
+    assert "nan" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["--seeds", "0"], ["--seeds", "-2"],
-                                  ["--full", "--seeds", "5"]])
+                                  ["--full"]])
 def test_gradcheck_must_check_a_gradient(monkeypatch, capsys, argv):
     monkeypatch.setattr(cli, "run_suite", lambda n_seeds: 0.0)
     assert cli.main(["gradcheck", *argv]) == 1
