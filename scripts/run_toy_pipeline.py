@@ -73,8 +73,10 @@ def main():
     run(["evaluate", "--test", str(data / "test.tsv"),
          "--checkpoint", str(fine), "--report", str(report)])
 
-    # one JSON record per input line, each answering its own line
+    # one JSON record per input line, each answering its own line; a form
+    # feed or U+2028 inside a line does not break it
     texts = [ex.text for ex in load_dataset(data / "test.tsv", BINARY)]
+    texts += ["yeah right\x0cgreat", "what a day\u2028for it"]
     inputs = work / "test_texts.txt"
     inputs.write_text("".join(t + "\n" for t in texts), encoding="utf-8")
     captured = io.StringIO()

@@ -25,9 +25,13 @@ from the q/k/v projections through the output projection) and `lstm` (a
 masked LSTM sweep, backpropagated through time). A fused op computes and
 keeps arrays for its backward pass only when some input requires a gradient.
 
-Padding has one format: `attention`, `lstm` and `max_over_time` take the
-(B, T) bool mask of `bpe.pad_batch`, true at real tokens. `dropout` is on
-only when given a generator.
+Padding has one format: the (B, T) bool mask of `bpe.pad_batch`, true at
+real tokens. `lstm` and `max_over_time` take it with padded (B, T, ...)
+input. `attention`, `pad_rows` and a masked `dropout` take it with the
+(N, d) real-token rows, `x[mask]` in row-major order, so a row-wise op
+between them (`linear`, `add`, `layer_norm`) computes nothing for padding.
+`pad_rows` lays rows out as (B, T, d) with zeros at padded positions.
+`dropout` is on only when given a generator.
 
 All arithmetic is 64-bit: the finite-difference oracle in `grad_check`
 needs the headroom, and desk-scale models do not need the speed.
@@ -334,6 +338,25 @@ def gather_rows(x, idx) -> Tensor:
                  lambda g: (_scatter_rows(x.data.shape, idx, g),))
 
 
+def _rows_mask(op, x, mask) -> np.ndarray:
+    """`mask` as a (B, T) bool array with one true entry per row of `x`."""
+    mask = np.asarray(mask, dtype=bool)
+    if x.ndim < 1 or mask.ndim != 2 or mask.sum() != x.data.shape[0]:
+        raise ShapeError(f"{op} on rows {x.data.shape} needs a (B, T) mask with one "
+                         f"true entry per row, got a mask of shape {mask.shape}")
+    return mask
+
+
+def pad_rows(x, mask) -> Tensor:
+    """The (N, ...) real rows of a (B, T) `mask` laid out as (B, T, ...),
+    zeros at padded positions; backward gathers the real rows of g."""
+    x = as_tensor(x)
+    mask = _rows_mask("pad_rows", x, mask)
+    out = np.zeros(mask.shape + x.data.shape[1:])
+    out[mask] = x.data
+    return _node(out, "pad_rows", (x,), lambda g: (g[mask],))
+
+
 def reshape(x, shape) -> Tensor:
     x = as_tensor(x)
     return _node(x.data.reshape(shape), "reshape", (x,),
@@ -387,38 +410,45 @@ def stack_time(steps) -> Tensor:
 
 
 def attention(h, wq, bq, wk, bk, wv, bv, wo, bo, mask, n_heads, collect=None) -> Tensor:
-    """Multi-head scaled dot-product self-attention over (B, T, d), one node.
+    """Multi-head scaled dot-product self-attention over real-token rows, one node.
 
-    The q, k and v projections run as one (B*T, d) x (d, 3d) GEMM on the
-    three weights concatenated per call. `mask` is the (B, T) key mask of
-    `bpe.pad_batch`: keys where it is false get exactly 0 weight, so a row
-    needs a true key (a row with none is a ContractError), and the in-place
-    softmax takes its row max over the true keys only. A list `collect`
-    receives the attention probabilities as a tensor. The backward pass is
-    written out by hand: the softmax gradient is taken from the saved
-    probabilities, and the q, k and v weights get their gradients from one
-    GEMM on the concatenated (B*T, 3d) gradient.
+    `h` holds the (N, d) rows of the (B, T) key mask `mask` of
+    `bpe.pad_batch`, in row-major order (`x[mask]` of a (B, T, d) array);
+    N must equal `mask.sum()`. The q, k and v projections run on the N rows
+    as one (N, d) x (d, 3d) GEMM on the three weights concatenated per call.
+    Only the scores need the (B, T) layout: q, k and v are scattered into
+    zeros there, and the context is gathered back to its N rows before the
+    output projection. Keys where `mask` is false get exactly 0 weight, so
+    a row needs a true key (a row with none is a ContractError), and the
+    in-place softmax takes its row max over the true keys only. A list
+    `collect` receives the (B, H, T, T) probabilities as a tensor; a padded
+    query row, whose q is zero, spreads its weight evenly over the real
+    keys. The backward pass is written out by hand: the softmax gradient is
+    taken from the saved probabilities, and the q, k and v weights get
+    their gradients from one GEMM on the (N, 3d) gradient.
     """
     h, wq, bq, wk, bk, wv, bv, wo, bo = (as_tensor(a) for a in (h, wq, bq, wk, bk, wv, bv, wo, bo))
-    mask = np.asarray(mask, dtype=bool)
-    if h.ndim != 3:
-        raise ShapeError(f"attention expects (B, T, d) input, got {h.data.shape}")
-    B, T, d = h.data.shape
+    if h.ndim != 2:
+        raise ShapeError(f"attention expects (N, d) rows, got {h.data.shape}")
+    mask = _rows_mask("attention", h, mask)
+    N, d = h.data.shape
     if d % n_heads:
         raise ShapeError(f"attention: width {d} not divisible by {n_heads} heads")
-    if (mask.shape != (B, T) or any(w.data.shape != (d, d) for w in (wq, wk, wv, wo))
+    if (any(w.data.shape != (d, d) for w in (wq, wk, wv, wo))
             or any(b.data.shape != (d,) for b in (bq, bk, bv, bo))):
-        raise ShapeError(f"attention on input {h.data.shape} with mask {mask.shape} needs "
-                         f"a (B, T) mask, (d, d) weights and (d,) biases")
+        raise ShapeError(f"attention on rows {h.data.shape} needs (d, d) weights "
+                         f"and (d,) biases")
     if not mask.any(axis=-1).all():
         raise ContractError("attention: a row has every key masked")
+    B, T = mask.shape
     masked = ~mask[:, None, None, :]
     H, dk = n_heads, d // n_heads
     scale = 1.0 / np.sqrt(dk)
-    h2 = h.data.reshape(B * T, d)
     w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
-    qkv = h2 @ w_qkv
-    qkv += np.concatenate([bq.data, bk.data, bv.data])
+    qkv_rows = h.data @ w_qkv
+    qkv_rows += np.concatenate([bq.data, bk.data, bv.data])
+    qkv = np.zeros((B, T, 3 * d))
+    qkv[mask] = qkv_rows
     q, k, v = qkv.reshape(B, T, 3, H, dk).transpose(2, 0, 3, 1, 4)   # (B, H, T, dk) each
     p = q @ k.swapaxes(-1, -2)                                       # (B, H, T, T)
     p *= scale
@@ -433,13 +463,14 @@ def attention(h, wq, bq, wk, bk, wv, bv, wo, bo, mask, n_heads, collect=None) ->
     p /= p.sum(axis=-1, keepdims=True)
     if collect is not None:
         collect.append(Tensor(p))
-    ctx = (p @ v).swapaxes(1, 2).reshape(B * T, d)
+    ctx = (p @ v).swapaxes(1, 2)[mask].reshape(N, d)
     out = ctx @ wo.data
     out += bo.data
 
     def _bw(g):
-        g = g.reshape(B * T, d)
-        dctx = (g @ wo.data.T).reshape(B, T, H, dk).swapaxes(1, 2)
+        gctx = np.zeros((B, T, d))
+        gctx[mask] = g @ wo.data.T
+        dctx = gctx.reshape(B, T, H, dk).swapaxes(1, 2)
         dqkv = np.empty((B, T, 3, H, dk))
         dq, dkey, dv = dqkv.transpose(2, 0, 3, 1, 4)
         np.matmul(p.swapaxes(-1, -2), dctx, out=dv)
@@ -449,13 +480,13 @@ def attention(h, wq, bq, wk, bk, wv, bv, wo, bo, mask, n_heads, collect=None) ->
         ds *= scale
         np.matmul(ds, k, out=dq)
         np.matmul(ds.swapaxes(-1, -2), q, out=dkey)
-        dqkv = dqkv.reshape(B * T, 3 * d)
-        dw = h2.T @ dqkv
+        dqkv = dqkv[mask].reshape(N, 3 * d)
+        dw = h.data.T @ dqkv
         db = dqkv.sum(axis=0)
-        return ((dqkv @ w_qkv.T).reshape(B, T, d),
+        return (dqkv @ w_qkv.T,
                 dw[:, :d], db[:d], dw[:, d:2 * d], db[d:2 * d], dw[:, 2 * d:], db[2 * d:],
                 ctx.T @ g, g.sum(axis=0))
-    return _node(out.reshape(B, T, d), "attention", (h, wq, bq, wk, bk, wv, bv, wo, bo), _bw)
+    return _node(out, "attention", (h, wq, bq, wk, bk, wv, bv, wo, bo), _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -612,14 +643,24 @@ def sum_all(x) -> Tensor:
                  lambda g: (np.full_like(x.data, float(g)),))
 
 
-def dropout(x, rate, rng) -> Tensor:
-    """Inverted dropout; identity (no node, no draw) at rate 0 or with no `rng`."""
+def dropout(x, rate, rng, mask=None) -> Tensor:
+    """Inverted dropout; identity (no node, no draw) at rate 0 or with no `rng`.
+
+    With a (B, T) `mask`, `x` holds the mask's (N, d) real rows: the op
+    draws for the padded (B, T, d) layout and keeps the real rows of that
+    draw, so the generator moves as it does for the padded tensor.
+    """
     x = as_tensor(x)
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0 or rng is None:
         return x
-    keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
+    if mask is None:
+        draw = rng.random(x.data.shape)
+    else:
+        mask = _rows_mask("dropout", x, mask)
+        draw = rng.random(mask.shape + x.data.shape[1:])[mask]
+    keep = (draw >= rate) / (1.0 - rate)
     return _node(x.data * keep, "dropout", (x,), lambda g: (g * keep,))
 
 

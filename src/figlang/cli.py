@@ -29,7 +29,7 @@ from .bpe import bpe_train, load_tokenizer, save_tokenizer
 from .checkpoint import check_params, load_checkpoint, save_checkpoint, sha256_file
 from .config import (BINARY, TASK_NAMES, ModelConfig, TrainConfig, paper_scale,
                      toy_scale)
-from .data import load_dataset, read_text
+from .data import load_dataset, read_text, split_lines
 from .errors import ConfigError, DataError, FiglangError, NumericError
 from .gradsuite import run_suite
 from .metrics import classification_metrics, regression_metrics, report_json
@@ -90,7 +90,7 @@ def _write_run_manifest(args, argv, started, *, manifest, seed, config, inputs,
 
 def _read_lines(path) -> list[str]:
     """Non-blank lines of a corpus file."""
-    return [line for line in read_text(path, "corpus").splitlines() if line.strip()]
+    return [line for line in split_lines(read_text(path, "corpus")) if line.strip()]
 
 
 def _resolve_configs(args, tokenizer, base: ModelConfig | None = None
@@ -278,8 +278,8 @@ def _cmd_predict(args):
     bundle = load_checkpoint(args.checkpoint)
     tokenizer = load_tokenizer(bundle.tokenizer_path)
     # every line, blank ones too, so output record N answers input line N
-    texts = (read_text(args.input, "input") if args.input
-             else sys.stdin.read()).splitlines()
+    texts = split_lines(read_text(args.input, "input") if args.input
+                        else sys.stdin.read())
     records = model_predict(bundle.params, bundle.model_config, tokenizer, texts)
     for rec in records:
         sys.stdout.write(json.dumps(rec) + "\n")

@@ -48,6 +48,16 @@ def read_text(path, what: str) -> str:
         raise DataError(f"cannot read {what} {path}: {e}") from None
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of `text`, split at "\\n" only, so a form feed, U+2028 or
+    another separator that `str.splitlines` breaks at stays inside its
+    line; the one empty piece after a final newline is dropped."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def _parse_label(raw: str, schema: str, lineno: int):
     try:
         value = int(raw)
@@ -66,9 +76,7 @@ def _parse_label(raw: str, schema: str, lineno: int):
 def load_dataset(path, schema: str) -> Dataset:
     if schema not in (BINARY, REGRESSION):
         raise DataError(f"unknown dataset schema: {schema!r}")
-    raw_lines = read_text(path, "dataset").split("\n")
-    if raw_lines and raw_lines[-1] == "":
-        raw_lines.pop()
+    raw_lines = split_lines(read_text(path, "dataset"))
     if not raw_lines:
         raise DataError(f"{path}: empty file")
     header = tuple(raw_lines[0].split("\t"))

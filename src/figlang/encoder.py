@@ -3,9 +3,13 @@
 Post-norm blocks: self-attention -> residual -> layer norm -> GELU
 feed-forward -> residual -> layer norm. The self-attention is one fused
 `autodiff.attention` node and the feed-forward two `autodiff.linear` nodes,
-the first with its GELU. Attention takes the (B, T) padding mask of
-`bpe.pad_batch` as it is: padded keys receive exactly zero attention
-weight, so padding can never leak into unmasked outputs.
+the first with its GELU. Between its embedding and its output the encoder
+holds its hidden states as the (N, d_model) rows of the real tokens of the
+(B, T) padding mask of `bpe.pad_batch`, so every position-wise op runs on
+real tokens only; attention lays the rows out as (B, T) for its scores,
+where padded keys receive exactly zero weight. The output is padded back
+to (B, T, d_model) once, with zeros at padded positions, so padding can
+never leak into unmasked outputs.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .bpe import MASK_ID, N_SPECIALS, pad_batch
 from .config import ModelConfig
-from .errors import ConfigError, ContractError, MaskingError
+from .errors import ConfigError, ContractError, MaskingError, ShapeError
 
 MASK_RATE = 0.15
 
@@ -53,7 +57,8 @@ def _attention(p, i, h, mask, cfg, collect=None):
 
 def encoder_forward(params, cfg: ModelConfig, ids, attn_mask, *, rng=None,
                     collect_attn=None, collect_hidden=None) -> Tensor:
-    """Hidden states (B, T, d_model) for right-padded batches.
+    """Hidden states (B, T, d_model) for right-padded batches, exactly 0.0
+    at padded positions.
 
     Dropout at `cfg.dropout` runs exactly when a generator `rng` is passed.
 
@@ -62,25 +67,29 @@ def encoder_forward(params, cfg: ModelConfig, ids, attn_mask, *, rng=None,
     block outputs (B, T, d_model).
     """
     ids = np.asarray(ids, dtype=np.int64)
+    attn_mask = np.asarray(attn_mask, dtype=bool)
     T = ids.shape[1]
     if T > cfg.max_seq_len:
         raise ConfigError(f"sequence length {T} exceeds max_seq_len {cfg.max_seq_len}")
+    if attn_mask.shape != ids.shape:
+        raise ShapeError(f"encoder mask {attn_mask.shape} does not match ids {ids.shape}")
 
-    tok = ad.embedding(params["embed.token.weight"], ids)
-    pos = ad.embedding(params["embed.position.weight"], np.arange(T))   # (T, d)
-    h = ad.dropout(ad.add(tok, pos), cfg.dropout, rng)
+    # (N, d) rows of the real tokens, in row-major order, from here to the end
+    tok = ad.embedding(params["embed.token.weight"], ids[attn_mask])
+    pos = ad.embedding(params["embed.position.weight"], np.nonzero(attn_mask)[1])
+    h = ad.dropout(ad.add(tok, pos), cfg.dropout, rng, attn_mask)
     for i in range(cfg.n_layers):
         a = ad.dropout(_attention(params, i, h, attn_mask, cfg, collect=collect_attn),
-                       cfg.dropout, rng)
+                       cfg.dropout, rng, attn_mask)
         h = ad.layer_norm(ad.add(h, a), params[f"layer{i}.ln1.gain"], params[f"layer{i}.ln1.bias"])
         f = ad.linear(h, params[f"layer{i}.ff.fc1.weight"], params[f"layer{i}.ff.fc1.bias"],
                       gelu=True)
         f = ad.dropout(ad.linear(f, params[f"layer{i}.ff.fc2.weight"],
-                                 params[f"layer{i}.ff.fc2.bias"]), cfg.dropout, rng)
+                                 params[f"layer{i}.ff.fc2.bias"]), cfg.dropout, rng, attn_mask)
         h = ad.layer_norm(ad.add(h, f), params[f"layer{i}.ln2.gain"], params[f"layer{i}.ln2.bias"])
         if collect_hidden is not None:
-            collect_hidden.append(h)
-    return h
+            collect_hidden.append(ad.pad_rows(h, attn_mask))
+    return ad.pad_rows(h, attn_mask)
 
 
 # ---------------------------------------------------------------------------

@@ -81,10 +81,10 @@ def _primitive_cases(rng):
              lambda gelu=gelu: ad.sum_all(ad.mul(ad.linear(m1, m2, lb5, gelu=gelu), wlin)),
              m1, m2, lb5)
 
-    ah = leaf(2, 3, 4)
+    ah = leaf(5, 4)                                     # the real rows of amask
     aw = [leaf(*s) for s in ((4, 4), (4,)) * 4]        # q, k, v, o: weight, bias
     amask = np.array([[True, True, True], [True, True, False]])
-    wat = Tensor(rng.normal(size=(2, 3, 4)))
+    wat = Tensor(rng.normal(size=(5, 4)))
     # the k bias is left out: softmax ignores a shift shared by a row's
     # scores, so its gradient is 0 and central differences see only rounding
     case("attention",
@@ -112,6 +112,9 @@ def _primitive_cases(rng):
     wr = Tensor(rng.normal(size=(4, 4)))
     case("gather_rows", lambda: ad.sum_all(ad.mul(ad.gather_rows(rows, idx), wr)),
          rows)
+
+    wpr = Tensor(rng.normal(size=(2, 3, 4)))
+    case("pad_rows", lambda: ad.sum_all(ad.mul(ad.pad_rows(ah, amask), wpr)), ah)
 
     r = leaf(2, 6)
     wrs = Tensor(rng.normal(size=(2, 3, 2)))

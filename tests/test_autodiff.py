@@ -204,9 +204,12 @@ def test_attention_masked_keys_get_exactly_zero_weight():
     # holes mid-sequence as well as a padded tail
     mask = np.array([[1, 0, 1, 1, 0, 1, 1], [1, 1, 1, 0, 0, 0, 0], [0, 1, 0, 1, 0, 1, 0]], bool)
     collect = []
-    ad.attention(h, *ws, mask, H, collect)
+    ad.attention(h[mask], *ws, mask, H, collect)
     probs = collect[0].data
-    assert probs.tobytes() == _attention_probs_by_plain_exp(h, ws, mask, H).tobytes()
+    # real query rows only: a padded query row is not computed from h
+    real_q = (probs.transpose(0, 2, 1, 3)[mask],
+              _attention_probs_by_plain_exp(h, ws, mask, H).transpose(0, 2, 1, 3)[mask])
+    assert real_q[0].tobytes() == real_q[1].tobytes()
     dead = np.broadcast_to(~mask[:, None, None, :], probs.shape)
     assert (probs[dead] == 0.0).all()
     assert (probs[~dead] > 0.0).all()
@@ -217,13 +220,13 @@ def test_attention_row_with_every_key_masked_rejected():
     ws = [RNG.normal(size=shape) for _ in range(4) for shape in ((4, 4), (4,))]
     mask = np.array([[True, True, False], [False, False, False]])
     with pytest.raises(ContractError, match="every key masked"):
-        ad.attention(h, *ws, mask, 2)
+        ad.attention(h[mask], *ws, mask, 2)
 
 
 @pytest.mark.parametrize("shape", [(2, 4), (2, 1, 1, 3)])
 def test_attention_mask_must_be_batch_by_time(shape):
     # one key too many, or a mask laid out to broadcast over the (B, H, T, T) scores
-    h = RNG.normal(size=(2, 3, 4))
+    h = RNG.normal(size=(2, 3, 4)).reshape(6, 4)       # the rows of a (2, 3) mask
     ws = [RNG.normal(size=s) for _ in range(4) for s in ((4, 4), (4,))]
     with pytest.raises(ShapeError, match=r"\(B, T\) mask"):
         ad.attention(h, *ws, np.ones(shape, dtype=bool), 2)
@@ -559,3 +562,44 @@ def test_dropout_backward_masks_grad():
     dropped = out.data == 0
     assert (x.grad[dropped] == 0).all()
     np.testing.assert_allclose(x.grad[~dropped], 2.0, atol=1e-12)
+
+
+def test_dropout_on_rows_keeps_the_padded_draw():
+    # the real rows of the (B, T, d) draw, and the generator left where the
+    # padded call leaves it, so training keeps its dropout masks
+    mask = np.array([[True, True, True, False], [True, False, False, False],
+                     [True, True, False, False]])
+    x = RNG.normal(size=mask.shape + (5,))
+    rng_pad, rng_rows = np.random.default_rng(3), np.random.default_rng(3)
+    padded = ad.dropout(t(x), 0.4, rng_pad)
+    rows = t(x[mask])
+    out = ad.dropout(rows, 0.4, rng_rows, mask)
+    assert out.data.tobytes() == padded.data[mask].tobytes()
+    assert rng_rows.bit_generator.state == rng_pad.bit_generator.state
+    backward(ad.sum_all(out))
+    np.testing.assert_array_equal(rows.grad, (padded.data[mask] != 0) / 0.6)
+
+
+# ---------------------------------------------------------------------------
+# pad_rows
+
+
+def test_pad_rows_scatters_forward_and_gathers_backward():
+    mask = np.array([[True, False, True], [False, True, True]])
+    rows = t(RNG.normal(size=(4, 2)))
+    out = ad.pad_rows(rows, mask)
+    assert out.shape == (2, 3, 2)
+    np.testing.assert_array_equal(out.data[mask], rows.data)
+    assert (out.data[~mask] == 0.0).all()
+    g = RNG.normal(size=(2, 3, 2))
+    backward(ad.sum_all(ad.mul(out, g)))
+    np.testing.assert_array_equal(rows.grad, g[mask])
+
+
+@pytest.mark.parametrize("op", [ad.pad_rows,
+                                lambda x, m: ad.dropout(x, 0.5, np.random.default_rng(0), m)],
+                         ids=["pad_rows", "dropout"])
+@pytest.mark.parametrize("mask", [np.ones((2, 3), dtype=bool), np.ones((4,), dtype=bool)])
+def test_rows_ops_need_one_row_per_true_mask_entry(op, mask):
+    with pytest.raises(ShapeError, match=r"\(B, T\) mask"):
+        op(t(np.ones((4, 2))), mask)

@@ -247,6 +247,33 @@ def test_predict_keeps_blank_lines(ws, capsys, monkeypatch, tmp_path, source):
     assert [r["text"] for r in recs] == ["a", "", "b"]
 
 
+@pytest.mark.parametrize("source", ["input", "stdin"])
+def test_predict_splits_at_newlines_only(ws, capsys, monkeypatch, tmp_path, source):
+    # a form feed or U+2028 inside a line is text, not a line break
+    text = "yeah right\x0cgreat\nplain line\u2028too\n"
+    argv = ["predict", "--checkpoint", str(ws["fine"])]
+    if source == "input":
+        inp = tmp_path / "inputs.txt"
+        inp.write_text(text, encoding="utf-8")
+        argv += ["--input", str(inp)]
+    else:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert cli.main(argv) == 0
+    recs = [json.loads(l) for l in capsys.readouterr().out.split("\n")[:-1]]
+    assert [r["text"] for r in recs] == ["yeah right\x0cgreat", "plain line\u2028too"]
+
+
+def test_corpus_line_with_a_form_feed_is_one_line(ws, tmp_path):
+    # one pretraining step a line at batch size 1
+    corpus = tmp_path / "ff.txt"
+    corpus.write_text("oh great\x0crain again\nthe train arrives\n", encoding="utf-8")
+    out = tmp_path / "ffrun"
+    assert cli.main(["pretrain", "--corpus", str(corpus), "--tokenizer", str(ws["tok"]),
+                     "--out", str(out), "--config", str(ws["cfg"]),
+                     "--epochs", "1", "--batch-size", "1", "--lr", "1e-3"]) == 0
+    assert len((out / "train_log.jsonl").read_text().splitlines()) == 2
+
+
 def test_same_seed_same_artifacts(ws):
     outs = []
     for sub in ("rep1", "rep2"):

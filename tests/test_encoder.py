@@ -12,7 +12,7 @@ from figlang.bpe import CLS_ID, MASK_ID, N_SPECIALS, PAD_ID, SEP_ID, encode
 from figlang.config import ModelConfig, toy_scale
 from figlang.encoder import (MASK_RATE, _mask_count, collate_mlm, dynamic_mask,
                              encoder_forward, encoder_param_shapes, mlm_forward)
-from figlang.errors import ConfigError, ContractError, MaskingError
+from figlang.errors import ConfigError, ContractError, MaskingError, ShapeError
 from figlang.rcnn import init_params
 
 V = 300
@@ -53,6 +53,15 @@ def test_too_long_sequence_rejected():
     ids, mask = make_batch(rng, cfg, [8])
     with pytest.raises(ConfigError):
         encoder_forward(params, cfg, ids, mask)
+
+
+def test_mask_must_match_ids():
+    cfg = tiny_cfg()
+    rng = np.random.default_rng(0)
+    params = init_params(encoder_param_shapes(cfg), rng)
+    ids, mask = make_batch(rng, cfg, [5, 3])
+    with pytest.raises(ShapeError, match="does not match ids"):
+        encoder_forward(params, cfg, ids, mask[:, :-1])
 
 
 def test_init_is_deterministic():
@@ -141,8 +150,8 @@ def test_multihead_equals_per_head_bruteforce():
         + params["layer0.attn.o.bias"].data
 
     from figlang.encoder import _attention
-    got = _attention(params, 0, Tensor(h), mask, cfg).data
-    np.testing.assert_allclose(got, want, atol=1e-12)
+    got = _attention(params, 0, Tensor(h[mask]), mask, cfg).data
+    np.testing.assert_allclose(got, want[mask], atol=1e-12)
 
 
 def _composed_attention(params, i, h, mask, cfg):
@@ -213,13 +222,20 @@ def _assert_close(got, want, rtol=1e-12):
 
 
 def test_fused_attention_matches_composed_reference():
-    # forward values and the gradients of the input and all eight weights
+    # attention on the real-token rows of a batch of three lengths, against
+    # the composed graph on the padded layout read at the real rows: forward
+    # values and the gradients of the rows and all eight weights
     cfg, params, mask, h, leaves = _parity_case(40, "layer0.attn.")
-    weight = Tensor(np.random.default_rng(41).normal(size=h.shape))
+    rows = Tensor(h.data[mask], requires_grad=True)
+    leaves[0] = rows
+    real = np.flatnonzero(mask)
+    weight = Tensor(np.random.default_rng(41).normal(size=rows.shape))
     got = _run(lambda: ad.attention(
-        h, *(params[f"layer0.attn.{p}.{k}"] for p in "qkvo" for k in ("weight", "bias")),
+        rows, *(params[f"layer0.attn.{p}.{k}"] for p in "qkvo" for k in ("weight", "bias")),
         mask, cfg.n_heads), leaves, weight)
-    want = _run(lambda: _composed_attention(params, 0, h, mask, cfg), leaves, weight)
+    want = _run(lambda: ad.gather_rows(ad.reshape(_composed_attention(
+        params, 0, ad.pad_rows(rows, mask), mask, cfg), (mask.size, cfg.d_model)), real),
+        leaves, weight)
     names = ["out", "h"] + [k for k in params if k.startswith("layer0.attn.")]
     scale = np.abs(want[names.index("layer0.attn.q.bias")]).max()
     # the key bias shifts every score of a row equally, which softmax ignores:
@@ -246,7 +262,8 @@ def test_fused_encoder_matches_composed_reference():
     for t in params.values():
         t.data = t.data + rng.normal(0.0, 0.3, size=t.shape)
     ids, mask = make_batch(rng, cfg, [9, 3, 6])
-    weight = Tensor(rng.normal(size=ids.shape + (cfg.d_model,)))
+    # only real positions are compared: the encoder's padded outputs are zeros
+    weight = Tensor(rng.normal(size=ids.shape + (cfg.d_model,)) * mask[..., None])
     leaves = list(params.values())
 
     def composed():
@@ -262,10 +279,29 @@ def test_fused_encoder_matches_composed_reference():
 
     got = _run(lambda: encoder_forward(params, cfg, ids, mask), leaves, weight)
     want = _run(composed, leaves, weight)
+    got[0], want[0] = got[0][mask], want[0][mask]
     # mlm.bias takes no gradient here; the k biases get rounding noise only
     skip = {i + 1 for i, k in enumerate(params) if k == "mlm.bias" or k.endswith("attn.k.bias")}
     _assert_close([a for i, a in enumerate(got) if i not in skip],
                   [b for i, b in enumerate(want) if i not in skip])
+
+
+def test_padded_positions_are_zero_and_pass_no_gradient():
+    cfg = tiny_cfg(dropout=0.1)
+    rng = np.random.default_rng(47)
+    params = init_params(encoder_param_shapes(cfg), rng)
+    ids, mask = make_batch(rng, cfg, [7, 2, 4])
+    ids[~mask] = rng.integers(N_SPECIALS, V, size=(~mask).sum())
+    layers = []
+    h = encoder_forward(params, cfg, ids, mask, rng=np.random.default_rng(0),
+                        collect_hidden=layers)
+    for out in [h] + layers:
+        assert (out.data[~mask] == 0.0).all()
+        assert (out.data[mask] != 0.0).all()
+    weight = rng.normal(size=h.shape) * ~mask[..., None]
+    backward(ad.sum_all(ad.mul(h, weight)))
+    for name, p in params.items():
+        assert p.grad is None or not p.grad.any(), name
 
 
 def test_encoder_graph_uses_fused_blocks():

@@ -398,6 +398,21 @@ def test_batch_equals_one_by_one():
     np.testing.assert_allclose(together, singles, atol=1e-9)
 
 
+def test_ragged_batch_equals_one_by_one():
+    # three lengths in one padded batch against each text alone, unpadded
+    cfg = head_cfg(n_layers=2)
+    rng = np.random.default_rng(18)
+    params = init_model_params(cfg, rng)
+    for t in params.values():      # unit-scale logits, so 1e-12 is relative
+        t.data = rng.normal(0.0, 0.3, size=t.shape)
+    ids, mask = make_batch(rng, cfg, [6, 1, 3])
+    together = full_forward(params, cfg, ids, mask).data
+    singles = np.concatenate([
+        full_forward(params, cfg, ids[b:b + 1, m], mask[b:b + 1, m]).data
+        for b, m in enumerate(mask)])
+    assert np.abs(together - singles).max() <= 1e-12 * np.abs(singles).max()
+
+
 def test_word_order_reaches_the_logits():
     # frozen random model: swapping two content tokens changes the output
     # (position embeddings + recurrence make the head order-aware)
