@@ -11,11 +11,13 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
 from figlang import cli
 from figlang.config import BINARY
@@ -73,18 +75,29 @@ def main():
     run(["evaluate", "--test", str(data / "test.tsv"),
          "--checkpoint", str(fine), "--report", str(report)])
 
-    # one JSON record per input line, each answering its own line; a form
-    # feed or U+2028 inside a line does not break it
+    # one JSON record per input line, each answering its own line, through
+    # --input and through stdin alike; a form feed, U+2028 or lone "\r"
+    # inside a line does not break it, and "\r\n" ends a line as "\n" does
     texts = [ex.text for ex in load_dataset(data / "test.tsv", BINARY)]
     texts += ["yeah right\x0cgreat", "what a day\u2028for it"]
+    raw = "".join(t + "\n" for t in texts) + "ends in crlf\r\n" + "oh\rsure\n"
+    texts += ["ends in crlf", "oh\rsure"]
     inputs = work / "test_texts.txt"
-    inputs.write_text("".join(t + "\n" for t in texts), encoding="utf-8")
+    inputs.write_bytes(raw.encode("utf-8"))
     captured = io.StringIO()
-    run(["predict", "--checkpoint", str(fine), "--input", str(inputs)], stdout=captured)
+    predict = ["predict", "--checkpoint", str(fine)]
+    run(predict + ["--input", str(inputs)], stdout=captured)
+    print(f"$ figlang {' '.join(predict)} < {inputs}")
+    piped = subprocess.run([sys.executable, "-m", "figlang", *predict], input=raw.encode("utf-8"),
+                           stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(SRC)})
+    if piped.returncode != 0:
+        sys.exit(piped.returncode)
     records = [json.loads(line) for line in captured.getvalue().splitlines()]
+    if [json.loads(line) for line in piped.stdout.decode("utf-8").splitlines()] != records:
+        sys.exit("predict gave different records from --input and from stdin")
     if [r.get("text") for r in records] != texts:
-        sys.exit(f"predict gave {len(records)} records for {len(texts)} inputs, "
-                 "or a record that does not carry its input text")
+        sys.exit(f"predict gave {len(records)} records for {len(texts)} input lines, "
+                 "or a record that does not carry its line")
 
     baseline = work / "nbsvm.json"
     run(["baseline-nbsvm", "--train", str(data / "train.tsv"),

@@ -26,12 +26,12 @@ masked LSTM sweep, backpropagated through time). A fused op computes and
 keeps arrays for its backward pass only when some input requires a gradient.
 
 Padding has one format: the (B, T) bool mask of `bpe.pad_batch`, true at
-real tokens. `lstm` and `max_over_time` take it with padded (B, T, ...)
-input. `attention`, `pad_rows` and a masked `dropout` take it with the
-(N, d) real-token rows, `x[mask]` in row-major order, so a row-wise op
-between them (`linear`, `add`, `layer_norm`) computes nothing for padding.
-`pad_rows` lays rows out as (B, T, d) with zeros at padded positions.
-`dropout` is on only when given a generator.
+real tokens. Hidden states have one layout: the (N, d) real-token rows,
+`x[mask]` in row-major order. `attention`, `lstm`, `max_over_time` and
+`dropout` take rows with their mask, so a row-wise op between them
+(`linear`, `add`, `layer_norm`, `concat`, `tanh`) computes nothing for
+padding. Only inside the ops that need time structure are the rows laid
+out as (B, T, ...), by `_pad`. `dropout` is on only when given a generator.
 
 All arithmetic is 64-bit: the finite-difference oracle in `grad_check`
 needs the headroom, and desk-scale models do not need the speed.
@@ -49,6 +49,7 @@ _NODE_IDS = itertools.count()
 
 _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
+_LN_EPS = 1e-5
 
 
 class Tensor:
@@ -271,22 +272,20 @@ def gelu(x) -> Tensor:
     return _node(0.5 * v * (1.0 + t), "gelu", (x,), _bw)
 
 
-def softmax(x, axis=-1) -> Tensor:
-    """Max-subtracted softmax along `axis`; rows sum to 1."""
+def softmax(x) -> Tensor:
+    """Max-subtracted softmax along the last axis; rows sum to 1."""
     x = as_tensor(x)
-    if not -x.ndim <= axis < x.ndim:
-        raise ShapeError(f"softmax axis {axis} invalid for shape {x.data.shape}")
-    z = x.data - x.data.max(axis=axis, keepdims=True)
+    z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    p = e / e.sum(axis=axis, keepdims=True)
+    p = e / e.sum(axis=-1, keepdims=True)
 
     def _bw(g):
-        dot = (g * p).sum(axis=axis, keepdims=True)
+        dot = (g * p).sum(axis=-1, keepdims=True)
         return (p * (g - dot),)
     return _node(p, "softmax", (x,), _bw)
 
 
-def layer_norm(x, gain, bias, eps=1e-5) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the last axis to mean 0 / variance 1, then apply gain and bias."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     d = x.data.shape[-1]
@@ -295,7 +294,7 @@ def layer_norm(x, gain, bias, eps=1e-5) -> Tensor:
             f"layer_norm gain/bias must match last dim {d}, "
             f"got {gain.data.shape} and {bias.data.shape}")
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + _LN_EPS)
     xhat *= inv     # centred once, scaled in place: no second (..., d) array
 
     def _bw(g):
@@ -339,22 +338,21 @@ def gather_rows(x, idx) -> Tensor:
 
 
 def _rows_mask(op, x, mask) -> np.ndarray:
-    """`mask` as a (B, T) bool array with one true entry per row of `x`."""
+    """`mask` as a (B, T) bool array with one true entry per row of the
+    (N, d) rows `x`."""
     mask = np.asarray(mask, dtype=bool)
-    if x.ndim < 1 or mask.ndim != 2 or mask.sum() != x.data.shape[0]:
-        raise ShapeError(f"{op} on rows {x.data.shape} needs a (B, T) mask with one "
-                         f"true entry per row, got a mask of shape {mask.shape}")
+    if x.ndim != 2 or mask.ndim != 2 or mask.sum() != x.data.shape[0]:
+        raise ShapeError(f"{op} on rows {x.data.shape} needs (N, d) rows and a (B, T) "
+                         f"mask with one true entry per row, got a mask of shape {mask.shape}")
     return mask
 
 
-def pad_rows(x, mask) -> Tensor:
-    """The (N, ...) real rows of a (B, T) `mask` laid out as (B, T, ...),
-    zeros at padded positions; backward gathers the real rows of g."""
-    x = as_tensor(x)
-    mask = _rows_mask("pad_rows", x, mask)
-    out = np.zeros(mask.shape + x.data.shape[1:])
-    out[mask] = x.data
-    return _node(out, "pad_rows", (x,), lambda g: (g[mask],))
+def _pad(rows: np.ndarray, mask: np.ndarray, fill) -> np.ndarray:
+    """The (N, ...) rows of a (B, T) `mask` laid out as (B, T, ...), `fill`
+    at padded positions."""
+    out = np.full(mask.shape + rows.shape[1:], fill)
+    out[mask] = rows
+    return out
 
 
 def reshape(x, shape) -> Tensor:
@@ -369,11 +367,12 @@ def swap_axes(x, a, b) -> Tensor:
                  lambda g: (np.swapaxes(g, a, b),))
 
 
-def concat(parts, axis=-1) -> Tensor:
+def concat(parts) -> Tensor:
+    """Join tensors along the last axis."""
     parts = tuple(as_tensor(p) for p in parts)
-    splits = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
-    return _node(np.concatenate([p.data for p in parts], axis=axis), "concat", parts,
-                 lambda g: np.split(g, splits, axis=axis))
+    splits = np.cumsum([p.data.shape[-1] for p in parts])[:-1]
+    return _node(np.concatenate([p.data for p in parts], axis=-1), "concat", parts,
+                 lambda g: np.split(g, splits, axis=-1))
 
 
 def slice_last(x, start, stop) -> Tensor:
@@ -428,8 +427,6 @@ def attention(h, wq, bq, wk, bk, wv, bv, wo, bo, mask, n_heads, collect=None) ->
     their gradients from one GEMM on the (N, 3d) gradient.
     """
     h, wq, bq, wk, bk, wv, bv, wo, bo = (as_tensor(a) for a in (h, wq, bq, wk, bk, wv, bv, wo, bo))
-    if h.ndim != 2:
-        raise ShapeError(f"attention expects (N, d) rows, got {h.data.shape}")
     mask = _rows_mask("attention", h, mask)
     N, d = h.data.shape
     if d % n_heads:
@@ -447,8 +444,7 @@ def attention(h, wq, bq, wk, bk, wv, bv, wo, bo, mask, n_heads, collect=None) ->
     w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
     qkv_rows = h.data @ w_qkv
     qkv_rows += np.concatenate([bq.data, bk.data, bv.data])
-    qkv = np.zeros((B, T, 3 * d))
-    qkv[mask] = qkv_rows
+    qkv = _pad(qkv_rows, mask, 0.0)
     q, k, v = qkv.reshape(B, T, 3, H, dk).transpose(2, 0, 3, 1, 4)   # (B, H, T, dk) each
     p = q @ k.swapaxes(-1, -2)                                       # (B, H, T, T)
     p *= scale
@@ -468,8 +464,7 @@ def attention(h, wq, bq, wk, bk, wv, bv, wo, bo, mask, n_heads, collect=None) ->
     out += bo.data
 
     def _bw(g):
-        gctx = np.zeros((B, T, d))
-        gctx[mask] = g @ wo.data.T
+        gctx = _pad(g @ wo.data.T, mask, 0.0)
         dctx = gctx.reshape(B, T, H, dk).swapaxes(1, 2)
         dqkv = np.empty((B, T, 3, H, dk))
         dq, dkey, dv = dqkv.transpose(2, 0, 3, 1, 4)
@@ -494,34 +489,36 @@ def attention(h, wq, bq, wk, bk, wv, bv, wo, bo, mask, n_heads, collect=None) ->
 
 
 def lstm(x, w_in, w_rec, bias, mask, reverse=False) -> Tensor:
-    """One masked LSTM sweep: (B, T, d) -> (B, T, u), recorded as one node.
+    """One masked LSTM sweep over the (N, d) rows of a (B, T) `mask`,
+    recorded as one node; its output is the (N, u) rows.
 
     Gates are packed i, f, g, o along the 4u axis of `w_in` (d, 4u),
-    `w_rec` (u, 4u) and `bias` (4u,). The sweep runs over t = 0..T-1, or
-    T-1..0 when `reverse`. Each step multiplies its new cell state by its
-    `mask` (B, T) entry; h = o * tanh(c) is its output and the next step's
-    state, so a padded step outputs zeros and hands on a zero state (under
-    right padding, no real step reads it). The input projection is one
-    (B*T, d) x (d, 4u) matmul outside the time loop; the backward pass runs
-    the loop in reverse to fill the pre-activation gradient of every step,
-    then takes the x and weight gradients from one matmul (or sum) each.
+    `w_rec` (u, 4u) and `bias` (4u,). The input projection is one
+    (N, d) x (d, 4u) GEMM on the rows; each step gathers its B rows of it.
+    The sweep runs over t = 0..T-1, or T-1..0 when `reverse`. Each step
+    multiplies its new cell state by its `mask` entry; h = o * tanh(c) is
+    its output and the next step's state, so a padded step hands on a zero
+    state (under right padding, no real step reads it). The backward pass
+    runs the loop in reverse to fill the (B, T) pre-activation gradient of
+    every step, then takes the x and weight gradients from one GEMM (or
+    sum) each.
     """
     x, w_in, w_rec, bias = (as_tensor(a) for a in (x, w_in, w_rec, bias))
-    mask = np.asarray(mask, dtype=bool)
-    if x.ndim != 3:
-        raise ShapeError(f"lstm expects (B, T, d) input, got {x.data.shape}")
-    B, T, d = x.data.shape
+    mask = _rows_mask("lstm", x, mask)
+    B, T = mask.shape
+    N, d = x.data.shape
     u = w_rec.data.shape[0]
     if (w_in.data.shape != (d, 4 * u) or w_rec.data.shape != (u, 4 * u)
-            or bias.data.shape != (4 * u,) or mask.shape != (B, T)):
+            or bias.data.shape != (4 * u,)):
         raise ShapeError(
-            f"lstm: input {x.data.shape} and mask {mask.shape} need w_in (d, 4u), "
-            f"w_rec (u, 4u) and bias (4u,), got {w_in.data.shape}, "
-            f"{w_rec.data.shape} and {bias.data.shape}")
+            f"lstm on rows {x.data.shape} needs w_in (d, 4u), w_rec (u, 4u) and "
+            f"bias (4u,), got {w_in.data.shape}, {w_rec.data.shape} and {bias.data.shape}")
     wr = w_rec.data
-    zx = x.data.reshape(B * T, d) @ w_in.data
+    zx = x.data @ w_in.data
     zx += bias.data
-    zx = zx.reshape(B, T, 4 * u)
+    # each step's rows of zx; a padded step reads row 0, which its zero
+    # multiplier then discards
+    row_at = _pad(np.arange(N), mask, 0).T.copy()         # (T, B)
     # The backward pass is the only reader of what a step saves.
     track = any(p.requires_grad for p in (x, w_in, w_rec, bias))
     if track:
@@ -537,7 +534,8 @@ def lstm(x, w_in, w_rec, bias, mask, reverse=False) -> Tensor:
     for t in steps:
         if track:
             h_prev[:, t], c_prev[:, t] = h, c
-        z = zx[:, t] + h @ wr
+        z = zx[row_at[t]]
+        z += h @ wr
         a = _sigmoid(z)
         a[:, 2 * u:3 * u] = np.tanh(z[:, 2 * u:3 * u])
         c = (a[:, u:2 * u] * c + a[:, :u] * a[:, 2 * u:3 * u]) * m[:, t]
@@ -549,6 +547,7 @@ def lstm(x, w_in, w_rec, bias, mask, reverse=False) -> Tensor:
     def _bw(g):
         # Each step's local gate derivatives, for all steps at once; the loop
         # only multiplies them by the state gradients carried back in time.
+        g = _pad(g, mask, 0.0)
         i, f, gg, o = (gates[..., k * u:(k + 1) * u] for k in range(4))
         by_dc = np.stack([gg * i * (1.0 - i), c_prev * f * (1.0 - f),
                           i * (1.0 - gg * gg)], axis=2)          # dz_i, dz_f, dz_g per dc
@@ -564,12 +563,12 @@ def lstm(x, w_in, w_rec, bias, mask, reverse=False) -> Tensor:
             dz[:, t, 3] = dh * o_by_dh[:, t]
             dh = dz[:, t].reshape(B, 4 * u) @ wr.T
             dc = dc * f[:, t]
-        dz = dz.reshape(B * T, 4 * u)
-        return ((dz @ w_in.data.T).reshape(B, T, d),
-                x.data.reshape(B * T, d).T @ dz,
-                h_prev.reshape(B * T, u).T @ dz,
-                dz.sum(axis=0))
-    return _node(out, "lstm", (x, w_in, w_rec, bias), _bw)
+        dz_rows = dz[mask].reshape(N, 4 * u)
+        return (dz_rows @ w_in.data.T,
+                x.data.T @ dz_rows,
+                h_prev.reshape(B * T, u).T @ dz.reshape(B * T, 4 * u),
+                dz_rows.sum(axis=0))
+    return _node(out[mask], "lstm", (x, w_in, w_rec, bias), _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -577,28 +576,24 @@ def lstm(x, w_in, w_rec, bias, mask, reverse=False) -> Tensor:
 
 
 def max_over_time(x, mask) -> Tensor:
-    """Per-feature max over unmasked time steps: (B, T, d) with mask (B, T)
-    gives (B, d).
+    """Per-feature max over each sequence's rows: the (N, d) rows of a
+    (B, T) `mask` give (B, d).
 
-    Gradient routes 1 to each argmax position, first index on ties; masked
-    positions never receive gradient.
+    Gradient routes 1 to each argmax row, first time step on ties.
     """
     x = as_tensor(x)
-    mask = np.asarray(mask, dtype=bool)
-    if x.ndim != 3 or mask.shape != x.data.shape[:2]:
-        raise ShapeError(f"max_over_time expects (B, T, d) with mask (B, T), "
-                         f"got {x.data.shape} and {mask.shape}")
+    mask = _rows_mask("max_over_time", x, mask)
     if not mask.any(axis=1).all():
         raise EmptyPoolError("max_over_time: a sequence has every position masked")
-    neg = np.where(mask[:, :, None], x.data, -np.inf)
-    am = neg.argmax(axis=1)                              # (B, d)
-    pooled = np.take_along_axis(x.data, am[:, None, :], axis=1)[:, 0, :]
+    am = _pad(x.data, mask, -np.inf).argmax(axis=1)                  # (B, d) time steps
+    row_at = _pad(np.arange(x.data.shape[0]), mask, 0)               # (B, T) row of each step
+    rows, cols = np.take_along_axis(row_at, am, axis=1), np.arange(x.data.shape[1])
 
     def _bw(g):
         gx = np.zeros_like(x.data)
-        np.put_along_axis(gx, am[:, None, :], g[:, None, :], axis=1)
+        gx[rows, cols] = g
         return (gx,)
-    return _node(pooled, "max_over_time", (x,), _bw)
+    return _node(x.data[rows, cols], "max_over_time", (x,), _bw)
 
 
 def cross_entropy(logits, targets) -> Tensor:
@@ -643,24 +638,20 @@ def sum_all(x) -> Tensor:
                  lambda g: (np.full_like(x.data, float(g)),))
 
 
-def dropout(x, rate, rng, mask=None) -> Tensor:
-    """Inverted dropout; identity (no node, no draw) at rate 0 or with no `rng`.
+def dropout(x, rate, rng, mask) -> Tensor:
+    """Inverted dropout on the (N, d) rows of a (B, T) `mask`; identity (no
+    node, no draw) at rate 0 or with no `rng`.
 
-    With a (B, T) `mask`, `x` holds the mask's (N, d) real rows: the op
-    draws for the padded (B, T, d) layout and keeps the real rows of that
-    draw, so the generator moves as it does for the padded tensor.
+    The op draws for the padded (B, T, d) layout and keeps the real rows of
+    that draw, so the generator moves by the same amount for any lengths.
     """
     x = as_tensor(x)
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0 or rng is None:
         return x
-    if mask is None:
-        draw = rng.random(x.data.shape)
-    else:
-        mask = _rows_mask("dropout", x, mask)
-        draw = rng.random(mask.shape + x.data.shape[1:])[mask]
-    keep = (draw >= rate) / (1.0 - rate)
+    mask = _rows_mask("dropout", x, mask)
+    keep = (rng.random(mask.shape + x.data.shape[1:])[mask] >= rate) / (1.0 - rate)
     return _node(x.data * keep, "dropout", (x,), lambda g: (g * keep,))
 
 

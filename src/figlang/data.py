@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .bpe import normalize
 from .config import BINARY, REGRESSION, SCORE_MAX, SCORE_MIN
@@ -40,21 +39,25 @@ class Dataset:
 
 
 def read_text(path, what: str) -> str:
-    """A UTF-8 file's text; a file that cannot be read or decoded is a
-    DataError that names it."""
+    """A UTF-8 file's text, line ends untranslated as `sys.stdin` gives
+    them; a file that cannot be read or decoded is a DataError that names
+    it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as f:
+            return f.read()
     except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read {what} {path}: {e}") from None
 
 
 def split_lines(text: str) -> list[str]:
-    """The lines of `text`, split at "\\n" only, so a form feed, U+2028 or
-    another separator that `str.splitlines` breaks at stays inside its
-    line; the one empty piece after a final newline is dropped."""
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
+    """The lines of `text`, ended by "\\n" or "\\r\\n" only, so a lone "\\r",
+    a form feed, U+2028 or another separator that `str.splitlines` breaks
+    at stays inside its line; the one empty piece after a final line end
+    is dropped."""
+    *lines, last = text.split("\n")
+    lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    if last:
+        lines.append(last)
     return lines
 
 

@@ -3,13 +3,12 @@
 Post-norm blocks: self-attention -> residual -> layer norm -> GELU
 feed-forward -> residual -> layer norm. The self-attention is one fused
 `autodiff.attention` node and the feed-forward two `autodiff.linear` nodes,
-the first with its GELU. Between its embedding and its output the encoder
-holds its hidden states as the (N, d_model) rows of the real tokens of the
-(B, T) padding mask of `bpe.pad_batch`, so every position-wise op runs on
+the first with its GELU. The hidden states, output included, are the
+(N, d_model) rows of the real tokens of the (B, T) padding mask of
+`bpe.pad_batch` (`x[mask]`, row-major), so every position-wise op runs on
 real tokens only; attention lays the rows out as (B, T) for its scores,
-where padded keys receive exactly zero weight. The output is padded back
-to (B, T, d_model) once, with zeros at padded positions, so padding can
-never leak into unmasked outputs.
+where padded keys receive exactly zero weight, so padding can never leak
+into a real token's state.
 """
 
 from __future__ import annotations
@@ -57,14 +56,14 @@ def _attention(p, i, h, mask, cfg, collect=None):
 
 def encoder_forward(params, cfg: ModelConfig, ids, attn_mask, *, rng=None,
                     collect_attn=None, collect_hidden=None) -> Tensor:
-    """Hidden states (B, T, d_model) for right-padded batches, exactly 0.0
-    at padded positions.
+    """Hidden states of a right-padded batch: the (N, d_model) rows of the
+    real tokens of `attn_mask`, in row-major order.
 
     Dropout at `cfg.dropout` runs exactly when a generator `rng` is passed.
 
     `collect_attn`, when a list, receives the per-layer attention
     probability tensors (B, H, T, T); `collect_hidden` the per-layer
-    block outputs (B, T, d_model).
+    block outputs (N, d_model).
     """
     ids = np.asarray(ids, dtype=np.int64)
     attn_mask = np.asarray(attn_mask, dtype=bool)
@@ -74,7 +73,6 @@ def encoder_forward(params, cfg: ModelConfig, ids, attn_mask, *, rng=None,
     if attn_mask.shape != ids.shape:
         raise ShapeError(f"encoder mask {attn_mask.shape} does not match ids {ids.shape}")
 
-    # (N, d) rows of the real tokens, in row-major order, from here to the end
     tok = ad.embedding(params["embed.token.weight"], ids[attn_mask])
     pos = ad.embedding(params["embed.position.weight"], np.nonzero(attn_mask)[1])
     h = ad.dropout(ad.add(tok, pos), cfg.dropout, rng, attn_mask)
@@ -88,8 +86,8 @@ def encoder_forward(params, cfg: ModelConfig, ids, attn_mask, *, rng=None,
                                  params[f"layer{i}.ff.fc2.bias"]), cfg.dropout, rng, attn_mask)
         h = ad.layer_norm(ad.add(h, f), params[f"layer{i}.ln2.gain"], params[f"layer{i}.ln2.bias"])
         if collect_hidden is not None:
-            collect_hidden.append(ad.pad_rows(h, attn_mask))
-    return ad.pad_rows(h, attn_mask)
+            collect_hidden.append(h)
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -144,21 +142,22 @@ def dynamic_mask(seq: np.ndarray, rng: np.random.Generator,
 class MlmBatch:
     ids: np.ndarray         # (B, T) with replacements applied
     mask: np.ndarray        # (B, T) attention mask
-    flat_positions: np.ndarray  # masked positions flattened to b*T + t
+    rows: np.ndarray        # masked positions as indices into the real-token rows
     targets: np.ndarray     # original ids at the masked positions
 
 
 def collate_mlm(sequences: list[np.ndarray],
                 outcomes: list[MaskingOutcome]) -> MlmBatch:
     ids, mask = pad_batch(sequences)
-    T = ids.shape[1]
-    flat, targets = [], []
+    rows, targets = [], []
+    start = 0      # row of the sequence's first token
     for b, (s, o) in enumerate(zip(sequences, outcomes)):
         ids[b, o.positions] = o.replacement_ids
-        flat.extend(b * T + o.positions)
+        rows.extend(start + o.positions)
         targets.extend(o.original_ids)
+        start += len(s)
     return MlmBatch(ids=ids, mask=mask,
-                    flat_positions=np.array(flat, dtype=np.int64),
+                    rows=np.array(rows, dtype=np.int64),
                     targets=np.array(targets, dtype=np.int64))
 
 
@@ -168,11 +167,10 @@ def mlm_forward(params, cfg: ModelConfig, batch: MlmBatch, *,
 
     The output projection is tied to the token embedding matrix.
     """
-    if batch.flat_positions.size == 0:
+    if batch.rows.size == 0:
         raise ContractError("mlm_forward requires at least one masked position in the batch")
     h = encoder_forward(params, cfg, batch.ids, batch.mask, rng=rng)
-    B, T, d = h.shape
-    sel = ad.gather_rows(ad.reshape(h, (B * T, d)), batch.flat_positions)
+    sel = ad.gather_rows(h, batch.rows)
     logits = ad.linear(sel, ad.swap_axes(params["embed.token.weight"], 0, 1),
                        params["mlm.bias"])
     loss = ad.cross_entropy(logits, batch.targets)

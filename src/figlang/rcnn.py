@@ -3,12 +3,14 @@
 A BiLSTM contextualizes the final hidden states. Each of its two sweeps is
 one fused `autodiff.lstm` node (input projection hoisted out of the time
 loop, hand-written backward through time). Its output is concatenated
-per position with those states, pushed through a shared position-wise affine
+per token with those states, pushed through a shared token-wise affine
 + tanh (a width-1 "convolution" over the full feature stack, one fused
-`autodiff.linear` node over every position), max-pooled over unmasked time
-steps, and mapped by a second `linear` node to two logits (binary head) or
-one linear unit (regression head, clamped to the score range at predict
-time).
+`autodiff.linear` node), max-pooled over each text's tokens, and mapped by
+a second `linear` node to two logits (binary head) or one linear unit
+(regression head, clamped to the score range at predict time). Like the
+encoder's, every state here is the (N, ·) rows of a batch's real tokens
+(`x[mask]`, row-major): only `lstm` and `max_over_time` lay them out in
+time, inside their nodes.
 
 `model_param_shapes` is the model's one parameter table: the encoder's
 parameters, then the head's. Initialization, the encoder freeze, the
@@ -75,21 +77,21 @@ def init_model_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, T
 
 
 def bilstm_forward(params, hidden: Tensor, mask) -> Tensor:
-    """(B, T, d_model) -> (B, T, 2*units), units fixed by the LSTM weights:
+    """(N, d_model) rows -> (N, 2*units), units fixed by the LSTM weights:
     forward and backward sweeps, one fused `ad.lstm` node each,
-    concatenated per position. A padded step zeroes its cell state, so it
-    outputs zeros and hands a zero state on: pad content cannot reach any
-    unmasked position."""
+    concatenated per token. A padded step hands a zero state on, so no
+    text's state reaches another's."""
     fw, bw = (ad.lstm(hidden, params[f"lstm.{d}.w_in.weight"],
                       params[f"lstm.{d}.w_rec.weight"], params[f"lstm.{d}.bias"],
                       mask, reverse=d == "bw")
               for d in ("fw", "bw"))
-    return ad.concat([fw, bw], axis=-1)
+    return ad.concat([fw, bw])
 
 
 def rcnn_forward(params, hidden: Tensor, lstm_out: Tensor, mask) -> Tensor:
-    """Concat -> position-wise affine + tanh -> max over time -> output layer."""
-    feats = ad.concat([hidden, lstm_out], axis=-1)
+    """Concat -> token-wise affine + tanh -> max over each text's rows ->
+    output layer."""
+    feats = ad.concat([hidden, lstm_out])
     z = ad.tanh(ad.linear(feats, params["proj.weight"], params["proj.bias"]))
     pooled = ad.max_over_time(z, mask)
     return ad.linear(pooled, params["out.weight"], params["out.bias"])
@@ -102,8 +104,8 @@ def full_forward(params, cfg: ModelConfig, ids, mask, *, rng=None) -> Tensor:
     BiLSTM's input and output; the concat keeps the raw encoder states.
     """
     h = encoder_forward(params, cfg, ids, mask, rng=rng)
-    lstm_out = bilstm_forward(params, ad.dropout(h, cfg.dropout, rng), mask)
-    return rcnn_forward(params, h, ad.dropout(lstm_out, cfg.dropout, rng), mask)
+    lstm_out = bilstm_forward(params, ad.dropout(h, cfg.dropout, rng, mask), mask)
+    return rcnn_forward(params, h, ad.dropout(lstm_out, cfg.dropout, rng, mask), mask)
 
 
 def predict(params, cfg: ModelConfig, tokenizer: TokenizerModel,
@@ -121,7 +123,7 @@ def predict(params, cfg: ModelConfig, tokenizer: TokenizerModel,
         ids, mask = pad_batch([encode(tokenizer, t, cfg.max_seq_len) for t in chunk])
         out = full_forward(params, cfg, ids, mask)
         if cfg.task_head == BINARY:
-            probs = ad.softmax(out, axis=-1).data
+            probs = ad.softmax(out).data
             labels = probs.argmax(axis=1)          # ties resolve to class 0
             for text, lab, pr in zip(chunk, labels, probs):
                 results.append({"text": text, "label": int(lab),

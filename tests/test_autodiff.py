@@ -112,38 +112,35 @@ def test_gelu_values():
 
 
 def test_max_over_time_values():
-    x = t([[1.0, 5.0], [3.0, 2.0]])
-    mask = np.array([[True, True]])
-    # 2-d input is treated as (T, d) for a single row
-    out = ad.max_over_time(t([[[1.0, 5.0], [3.0, 2.0]]]), mask[:1].repeat(2, axis=1)[:, :2])
+    # (N, d) rows in: the real rows of the (B, T) mask
+    out = ad.max_over_time(t([[1.0, 5.0], [3.0, 2.0]]), np.array([[True, True]]))
     np.testing.assert_allclose(out.data, [[3.0, 5.0]])
-    out = ad.max_over_time(t([[[9.0, 0.0], [1.0, 1.0]]]), np.array([[False, True]]))
+    out = ad.max_over_time(t([[1.0, 1.0]]), np.array([[False, True]]))
     np.testing.assert_allclose(out.data, [[1.0, 1.0]])
-    single = ad.max_over_time(t([[[2.0, -1.0]]]), np.array([[True]]))
+    single = ad.max_over_time(t([[2.0, -1.0]]), np.array([[True]]))
     np.testing.assert_allclose(single.data, [[2.0, -1.0]])
 
 
 def test_max_over_time_empty_pool():
+    mask = np.array([[True] * 3, [False] * 3])
     with pytest.raises(EmptyPoolError):
-        ad.max_over_time(t(RNG.normal(size=(2, 3, 4))),
-                         np.array([[True] * 3, [False] * 3]))
+        ad.max_over_time(t(RNG.normal(size=(2, 3, 4))[mask]), mask)
 
 
 def test_max_over_time_grad_structure():
-    # gradient is one-hot per feature and never lands on masked steps
-    x = t([[[1.0, 9.0], [5.0, 2.0], [7.0, 8.0]]])
+    # gradient is one-hot per feature over the sequence's rows
+    x = t([[1.0, 9.0], [5.0, 2.0]])
     mask = np.array([[True, True, False]])
     out = ad.max_over_time(x, mask)
     backward(ad.sum_all(out))
-    g = x.grad[0]
-    np.testing.assert_allclose(g, [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+    np.testing.assert_allclose(x.grad, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_max_over_time_tie_goes_to_first_step():
-    x = t([[[3.0], [3.0]]])
+    x = t([[3.0], [3.0]])
     out = ad.max_over_time(x, np.array([[True, True]]))
     backward(ad.sum_all(out))
-    np.testing.assert_allclose(x.grad[0], [[1.0], [0.0]])
+    np.testing.assert_allclose(x.grad, [[1.0], [0.0]])
 
 
 def test_cross_entropy_values():
@@ -434,7 +431,7 @@ def test_grad_reshape_swap_concat_slice():
     def build():
         r = ad.reshape(x, (2, 12))
         s = ad.swap_axes(x, 1, 2)
-        c = ad.concat([x, y], axis=-1)
+        c = ad.concat([x, y])
         sl = ad.slice_last(c, 1, 4)
         return ad.add(ad.add(ad.sum_all(ad.tanh(r)), ad.sum_all(ad.tanh(s))),
                       ad.sum_all(ad.mul(sl, sl)))
@@ -452,9 +449,9 @@ def test_grad_time_ops():
 
 
 def test_grad_max_over_time():
-    x = t(RNG.normal(size=(3, 5, 4)))
     mask = np.ones((3, 5), dtype=bool)
     mask[1, 3:] = False
+    x = t(RNG.normal(size=(3, 5, 4))[mask])
     _gc(lambda: ad.sum_all(ad.tanh(ad.max_over_time(x, mask))), [x])
 
 
@@ -530,20 +527,20 @@ def test_untracked_linear_gelu_saves_no_derivative():
 
 def test_dropout_rate_zero_is_identity():
     x = t(RNG.normal(size=(3, 3)))
-    out = ad.dropout(x, 0.0, None)
+    out = ad.dropout(x, 0.0, None, np.ones((3, 1), dtype=bool))
     np.testing.assert_allclose(out.data, x.data, atol=0)
 
 
 def test_dropout_without_generator_is_identity():
     # inference passes the config's rate and no generator: no node, no draw
     x = Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
-    assert ad.dropout(x, 0.3, None) is x
+    assert ad.dropout(x, 0.3, None, np.ones((3, 1), dtype=bool)) is x
 
 
 def test_dropout_inverted_scaling():
     rng = np.random.default_rng(0)
     x = t(np.ones((200, 200)))
-    out = ad.dropout(x, 0.3, rng).data
+    out = ad.dropout(x, 0.3, rng, np.ones((200, 1), dtype=bool)).data
     kept = out[out != 0]
     np.testing.assert_allclose(kept, 1.0 / 0.7, atol=1e-12)
     assert abs(out.mean() - 1.0) < 0.02
@@ -551,13 +548,13 @@ def test_dropout_inverted_scaling():
 
 def test_dropout_bad_rate():
     with pytest.raises(ContractError):
-        ad.dropout(t([1.0]), 1.0, np.random.default_rng(0))
+        ad.dropout(t([[1.0]]), 1.0, np.random.default_rng(0), np.ones((1, 1), dtype=bool))
 
 
 def test_dropout_backward_masks_grad():
     rng = np.random.default_rng(1)
     x = t(np.ones((50, 50)))
-    out = ad.dropout(x, 0.5, rng)
+    out = ad.dropout(x, 0.5, rng, np.ones((50, 1), dtype=bool))
     backward(ad.sum_all(out))
     dropped = out.data == 0
     assert (x.grad[dropped] == 0).all()
@@ -565,40 +562,30 @@ def test_dropout_backward_masks_grad():
 
 
 def test_dropout_on_rows_keeps_the_padded_draw():
-    # the real rows of the (B, T, d) draw, and the generator left where the
-    # padded call leaves it, so training keeps its dropout masks
+    # the real rows of the (B, T, d) draw, and the generator left where a
+    # padded draw leaves it, so training keeps its dropout masks
     mask = np.array([[True, True, True, False], [True, False, False, False],
                      [True, True, False, False]])
     x = RNG.normal(size=mask.shape + (5,))
     rng_pad, rng_rows = np.random.default_rng(3), np.random.default_rng(3)
-    padded = ad.dropout(t(x), 0.4, rng_pad)
+    padded = x * ((rng_pad.random(x.shape) >= 0.4) / (1.0 - 0.4))
     rows = t(x[mask])
     out = ad.dropout(rows, 0.4, rng_rows, mask)
-    assert out.data.tobytes() == padded.data[mask].tobytes()
+    assert out.data.tobytes() == padded[mask].tobytes()
     assert rng_rows.bit_generator.state == rng_pad.bit_generator.state
     backward(ad.sum_all(out))
-    np.testing.assert_array_equal(rows.grad, (padded.data[mask] != 0) / 0.6)
+    np.testing.assert_array_equal(rows.grad, (padded[mask] != 0) / 0.6)
 
 
 # ---------------------------------------------------------------------------
-# pad_rows
+# ops on real-token rows
 
 
-def test_pad_rows_scatters_forward_and_gathers_backward():
-    mask = np.array([[True, False, True], [False, True, True]])
-    rows = t(RNG.normal(size=(4, 2)))
-    out = ad.pad_rows(rows, mask)
-    assert out.shape == (2, 3, 2)
-    np.testing.assert_array_equal(out.data[mask], rows.data)
-    assert (out.data[~mask] == 0.0).all()
-    g = RNG.normal(size=(2, 3, 2))
-    backward(ad.sum_all(ad.mul(out, g)))
-    np.testing.assert_array_equal(rows.grad, g[mask])
-
-
-@pytest.mark.parametrize("op", [ad.pad_rows,
+@pytest.mark.parametrize("op", [lambda x, m: ad.lstm(x, np.zeros((2, 8)), np.zeros((2, 8)),
+                                                     np.zeros(8), m),
+                                ad.max_over_time,
                                 lambda x, m: ad.dropout(x, 0.5, np.random.default_rng(0), m)],
-                         ids=["pad_rows", "dropout"])
+                         ids=["lstm", "max_over_time", "dropout"])
 @pytest.mark.parametrize("mask", [np.ones((2, 3), dtype=bool), np.ones((4,), dtype=bool)])
 def test_rows_ops_need_one_row_per_true_mask_entry(op, mask):
     with pytest.raises(ShapeError, match=r"\(B, T\) mask"):

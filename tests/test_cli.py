@@ -249,18 +249,20 @@ def test_predict_keeps_blank_lines(ws, capsys, monkeypatch, tmp_path, source):
 
 @pytest.mark.parametrize("source", ["input", "stdin"])
 def test_predict_splits_at_newlines_only(ws, capsys, monkeypatch, tmp_path, source):
-    # a form feed or U+2028 inside a line is text, not a line break
-    text = "yeah right\x0cgreat\nplain line\u2028too\n"
+    # a form feed, U+2028 or lone "\r" inside a line is text, not a line
+    # break; "\r\n" ends a line as "\n" does, read from a file or from stdin
+    text = "yeah right\x0cgreat\nplain line\u2028too\nends in crlf\r\noh\rsure\n"
     argv = ["predict", "--checkpoint", str(ws["fine"])]
     if source == "input":
         inp = tmp_path / "inputs.txt"
-        inp.write_text(text, encoding="utf-8")
+        inp.write_bytes(text.encode("utf-8"))
         argv += ["--input", str(inp)]
     else:
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
     assert cli.main(argv) == 0
     recs = [json.loads(l) for l in capsys.readouterr().out.split("\n")[:-1]]
-    assert [r["text"] for r in recs] == ["yeah right\x0cgreat", "plain line\u2028too"]
+    assert [r["text"] for r in recs] == ["yeah right\x0cgreat", "plain line\u2028too",
+                                         "ends in crlf", "oh\rsure"]
 
 
 def test_corpus_line_with_a_form_feed_is_one_line(ws, tmp_path):

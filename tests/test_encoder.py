@@ -43,7 +43,7 @@ def test_output_shape():
     params = init_params(encoder_param_shapes(cfg), rng)
     ids, mask = make_batch(rng, cfg, [5, 3, 7])
     h = encoder_forward(params, cfg, ids, mask)
-    assert h.shape == (3, 9, cfg.d_model)
+    assert h.shape == (mask.sum(), cfg.d_model)
 
 
 def test_too_long_sequence_rejected():
@@ -86,7 +86,7 @@ def test_padding_invariance_per_layer():
     encoder_forward(params, cfg, mutated, mask, collect_hidden=layers_b)
     assert len(layers_a) == cfg.n_layers
     for la, lb in zip(layers_a, layers_b):
-        diff = np.abs(la.data - lb.data)[mask]
+        diff = np.abs(la.data - lb.data)
         assert diff.max() < 1e-9
 
 
@@ -114,7 +114,9 @@ def test_batch_permutation_consistency():
     perm = np.array([2, 0, 1])
     h = encoder_forward(params, cfg, ids, mask).data
     hp = encoder_forward(params, cfg, ids[perm], mask[perm]).data
-    np.testing.assert_array_equal(h[perm], hp)
+    row_at = np.zeros(mask.shape, dtype=np.int64)
+    row_at[mask] = np.arange(mask.sum())
+    np.testing.assert_array_equal(h[row_at[perm][mask[perm]]], hp)
 
 
 def test_multihead_equals_per_head_bruteforce():
@@ -172,9 +174,17 @@ def _composed_attention(params, i, h, mask, cfg):
     q, k, v = (heads(proj(h, name)) for name in ("q", "k", "v"))
     scores = ad.mul(ad.matmul(q, ad.swap_axes(k, -1, -2)), 1.0 / np.sqrt(dk))
     key_bias = np.where(mask, 0.0, -1e30)[:, None, None, :]
-    probs = ad.softmax(ad.add(scores, Tensor(key_bias)), axis=-1)
+    probs = ad.softmax(ad.add(scores, Tensor(key_bias)))
     ctx = ad.reshape(ad.swap_axes(ad.matmul(probs, v), 1, 2), (B, T, d))
     return proj(ctx, "o")
+
+
+def _composed_pad(rows, mask):
+    """The rows laid out as (B, T, d), zeros at padded positions, as a
+    composed gather, mask multiply and reshape."""
+    at = np.maximum(np.cumsum(mask) - 1, 0)        # a padded slot reads any row
+    keep = mask.reshape(-1, 1).astype(np.float64)
+    return ad.reshape(ad.mul(ad.gather_rows(rows, at), keep), mask.shape + rows.shape[1:])
 
 
 def _composed_ffn(params, i, h):
@@ -234,7 +244,7 @@ def test_fused_attention_matches_composed_reference():
         rows, *(params[f"layer0.attn.{p}.{k}"] for p in "qkvo" for k in ("weight", "bias")),
         mask, cfg.n_heads), leaves, weight)
     want = _run(lambda: ad.gather_rows(ad.reshape(_composed_attention(
-        params, 0, ad.pad_rows(rows, mask), mask, cfg), (mask.size, cfg.d_model)), real),
+        params, 0, _composed_pad(rows, mask), mask, cfg), (mask.size, cfg.d_model)), real),
         leaves, weight)
     names = ["out", "h"] + [k for k in params if k.startswith("layer0.attn.")]
     scale = np.abs(want[names.index("layer0.attn.q.bias")]).max()
@@ -262,8 +272,8 @@ def test_fused_encoder_matches_composed_reference():
     for t in params.values():
         t.data = t.data + rng.normal(0.0, 0.3, size=t.shape)
     ids, mask = make_batch(rng, cfg, [9, 3, 6])
-    # only real positions are compared: the encoder's padded outputs are zeros
-    weight = Tensor(rng.normal(size=ids.shape + (cfg.d_model,)) * mask[..., None])
+    # only real positions are compared: the encoder outputs their rows only
+    weight = rng.normal(size=ids.shape + (cfg.d_model,)) * mask[..., None]
     leaves = list(params.values())
 
     def composed():
@@ -277,9 +287,9 @@ def test_fused_encoder_matches_composed_reference():
                               params[f"layer{i}.ln2.gain"], params[f"layer{i}.ln2.bias"])
         return h
 
-    got = _run(lambda: encoder_forward(params, cfg, ids, mask), leaves, weight)
-    want = _run(composed, leaves, weight)
-    got[0], want[0] = got[0][mask], want[0][mask]
+    got = _run(lambda: encoder_forward(params, cfg, ids, mask), leaves, Tensor(weight[mask]))
+    want = _run(composed, leaves, Tensor(weight))
+    want[0] = want[0][mask]
     # mlm.bias takes no gradient here; the k biases get rounding noise only
     skip = {i + 1 for i, k in enumerate(params) if k == "mlm.bias" or k.endswith("attn.k.bias")}
     _assert_close([a for i, a in enumerate(got) if i not in skip],
@@ -295,13 +305,16 @@ def test_padded_positions_are_zero_and_pass_no_gradient():
     layers = []
     h = encoder_forward(params, cfg, ids, mask, rng=np.random.default_rng(0),
                         collect_hidden=layers)
+    # padded positions have no row at all: one nonzero row per real token
     for out in [h] + layers:
-        assert (out.data[~mask] == 0.0).all()
-        assert (out.data[mask] != 0.0).all()
-    weight = rng.normal(size=h.shape) * ~mask[..., None]
-    backward(ad.sum_all(ad.mul(h, weight)))
-    for name, p in params.items():
-        assert p.grad is None or not p.grad.any(), name
+        assert out.shape == (mask.sum(), cfg.d_model)
+        assert (out.data != 0.0).all()
+    # a loss on every row reaches no token embedding row that only padding uses
+    backward(ad.sum_all(ad.mul(h, rng.normal(size=h.shape))))
+    pad_only = np.setdiff1d(ids[~mask], ids[mask])
+    grad = params["embed.token.weight"].grad
+    assert pad_only.size and not grad[pad_only].any()
+    assert grad[np.unique(ids[mask])].any(axis=1).all()
 
 
 def test_encoder_graph_uses_fused_blocks():
@@ -433,7 +446,7 @@ def test_collate_applies_replacements():
         for pos, orig, repl in zip(out.positions, out.original_ids,
                                    out.replacement_ids):
             flat = b * T + pos
-            assert batch.flat_positions[k] == flat
+            assert np.flatnonzero(batch.mask)[batch.rows[k]] == flat
             assert batch.targets[k] == orig
             assert batch.ids[b, pos] == repl
             k += 1
@@ -462,8 +475,8 @@ def test_mlm_batch_padding_matches_max_seq_len_padding():
         ids[b, out.positions] = out.replacement_ids
         mask[b, :len(seq)] = True
         flat.extend(b * T + out.positions)
-    ref = MlmBatch(ids=ids, mask=mask, flat_positions=np.array(flat, dtype=np.int64),
-                   targets=batch.targets)
+    rows = np.searchsorted(np.flatnonzero(mask), flat)   # index among the real tokens
+    ref = MlmBatch(ids=ids, mask=mask, rows=rows, targets=batch.targets)
     got_logits, got = mlm_forward(params, cfg, batch)
     want_logits, want = mlm_forward(params, cfg, ref)
     np.testing.assert_allclose(got_logits.data, want_logits.data, rtol=1e-12, atol=0)
@@ -500,7 +513,7 @@ def test_mlm_grads_ignore_pad_slots():
     junk[~batch.mask] = rng.integers(N_SPECIALS, V, size=(~batch.mask).sum())
     from figlang.encoder import MlmBatch
     batch2 = MlmBatch(ids=junk, mask=batch.mask,
-                      flat_positions=batch.flat_positions, targets=batch.targets)
+                      rows=batch.rows, targets=batch.targets)
     _, loss2 = mlm_forward(params, cfg, batch2)
     assert loss2.item() == loss.item()
     backward(loss2)
@@ -546,7 +559,7 @@ def test_mlm_requires_masked_positions():
     seqs = [content_seq(rng, 4, T=cfg.max_seq_len)]
     from figlang.encoder import MlmBatch
     empty = MlmBatch(ids=np.stack([seqs[0]]), mask=np.ones((1, len(seqs[0])), dtype=bool),
-                     flat_positions=np.array([], dtype=np.int64),
+                     rows=np.array([], dtype=np.int64),
                      targets=np.array([], dtype=np.int64))
     with pytest.raises(ContractError):
         mlm_forward(params, cfg, empty)

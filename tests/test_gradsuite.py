@@ -16,6 +16,6 @@ def test_tiny_batch_is_pinned():
     want = ids.copy()
     want[0, 2] = want[1, 1] = MASK_ID
     np.testing.assert_array_equal(mlm.ids, want)
-    np.testing.assert_array_equal(mlm.flat_positions, [2, 7])
+    np.testing.assert_array_equal(mlm.rows, [2, 7])
     np.testing.assert_array_equal(mlm.targets, [179, 88])
-    assert ids.dtype == mlm.ids.dtype == mlm.flat_positions.dtype == np.int64
+    assert ids.dtype == mlm.ids.dtype == mlm.rows.dtype == np.int64

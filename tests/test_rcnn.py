@@ -81,7 +81,7 @@ def test_scalar_lstm_matches_hand_recurrence():
         params[f"lstm.{direction}.bias"] = Tensor(rng.normal(size=4), requires_grad=True)
     x = rng.normal(size=(1, 2, 1))
     mask = np.ones((1, 2), dtype=bool)
-    out = bilstm_forward(params, Tensor(x), mask).data  # (1, 2, 2)
+    out = bilstm_forward(params, Tensor(x[mask]), mask).data  # (2, 2): one row a step
 
     def sweep(direction, order):
         w_in = params[f"lstm.{direction}.w_in.weight"].data
@@ -99,8 +99,8 @@ def test_scalar_lstm_matches_hand_recurrence():
 
     fw, bw = sweep("fw", [0, 1]), sweep("bw", [1, 0])
     for t in (0, 1):
-        assert abs(out[0, t, 0] - fw[t]) < 1e-12
-        assert abs(out[0, t, 1] - bw[t]) < 1e-12
+        assert abs(out[t, 0] - fw[t]) < 1e-12
+        assert abs(out[t, 1] - bw[t]) < 1e-12
 
 
 def test_zero_weights_give_zero_lstm_output():
@@ -109,8 +109,8 @@ def test_zero_weights_give_zero_lstm_output():
     for k in params:
         if k.startswith("lstm."):
             params[k].data[:] = 0.0
-    x = Tensor(np.random.default_rng(4).normal(size=(2, 5, cfg.d_model)))
     mask = np.ones((2, 5), dtype=bool)
+    x = Tensor(np.random.default_rng(4).normal(size=(2, 5, cfg.d_model))[mask])
     out = bilstm_forward(params, x, mask)
     # all gates at sigmoid(0)=0.5, candidate tanh(0)=0 -> c=0 -> h=0
     np.testing.assert_array_equal(out.data, 0.0)
@@ -123,9 +123,10 @@ def test_single_step_width():
     # zero state, so their halves must coincide
     for n in ("w_in.weight", "w_rec.weight", "bias"):
         params[f"lstm.bw.{n}"].data[:] = params[f"lstm.fw.{n}"].data
-    x = Tensor(np.random.default_rng(6).normal(size=(3, 1, cfg.d_model)))
-    out = bilstm_forward(params, x, np.ones((3, 1), dtype=bool))
-    assert out.shape == (3, 1, 2 * cfg.lstm_units)
+    mask = np.ones((3, 1), dtype=bool)
+    x = Tensor(np.random.default_rng(6).normal(size=(3, 1, cfg.d_model))[mask])
+    out = bilstm_forward(params, x, mask)
+    assert out.shape == (3, 2 * cfg.lstm_units)
     half = cfg.lstm_units
     np.testing.assert_array_equal(out.data[..., :half], out.data[..., half:])
 
@@ -134,27 +135,27 @@ def test_mask_gating_zeroes_pad_outputs():
     cfg = head_cfg()
     params = init_params(head_param_shapes(cfg), np.random.default_rng(7))
     rng = np.random.default_rng(8)
-    x = Tensor(rng.normal(size=(2, 6, cfg.d_model)))
+    x = rng.normal(size=(2, 6, cfg.d_model))
     mask = np.array([[1, 1, 1, 1, 0, 0], [1, 1, 0, 0, 0, 0]], dtype=bool)
-    out = bilstm_forward(params, x, mask).data
-    assert np.abs(out[0, 4:]).max() == 0.0
-    assert np.abs(out[1, 2:]).max() == 0.0
-    assert np.abs(out[0, :4]).min() >= 0.0 and np.abs(out[0, :4]).sum() > 0
+    out = bilstm_forward(params, Tensor(x[mask]), mask).data
+    # one output row per real step: padded steps output nothing
+    assert out.shape == (mask.sum(), 2 * cfg.lstm_units)
+    assert np.abs(out[:4]).min() >= 0.0 and np.abs(out[:4]).sum() > 0
 
 
 def test_mask_gating_blocks_pad_content():
-    # garbage parked behind the mask must not change any unmasked output,
-    # in either sweep direction
+    # garbage in the rows after a text's last step (the next text's) must
+    # not change any of its outputs, in either sweep direction
     cfg = head_cfg()
     params = init_params(head_param_shapes(cfg), np.random.default_rng(9))
     rng = np.random.default_rng(10)
-    x = rng.normal(size=(1, 6, cfg.d_model))
-    mask = np.array([[1, 1, 1, 1, 0, 0]], dtype=bool)
-    a = bilstm_forward(params, Tensor(x), mask).data
+    x = rng.normal(size=(2, 6, cfg.d_model))
+    mask = np.array([[1, 1, 1, 1, 0, 0], [1, 1, 1, 1, 1, 1]], dtype=bool)
+    a = bilstm_forward(params, Tensor(x[mask]), mask).data
     x2 = x.copy()
-    x2[0, 4:] = rng.normal(size=(2, cfg.d_model)) * 50
-    b = bilstm_forward(params, Tensor(x2), mask).data
-    np.testing.assert_array_equal(a, b)
+    x2[1] = rng.normal(size=(6, cfg.d_model)) * 50
+    b = bilstm_forward(params, Tensor(x2[mask]), mask).data
+    np.testing.assert_array_equal(a[:4], b[:4])
 
 
 def test_zero_proj_pools_to_tanh_bias():
@@ -163,9 +164,9 @@ def test_zero_proj_pools_to_tanh_bias():
     params["proj.weight"].data[:] = 0.0
     params["proj.bias"].data[:] = np.array([0.3, -0.2, 1.5, 0.0])
     rng = np.random.default_rng(12)
-    hidden = Tensor(rng.normal(size=(2, 4, cfg.d_model)))
-    lstm_out = Tensor(rng.normal(size=(2, 4, 2 * cfg.lstm_units)))
     mask = np.ones((2, 4), dtype=bool)
+    hidden = Tensor(rng.normal(size=(2, 4, cfg.d_model))[mask])
+    lstm_out = Tensor(rng.normal(size=(2, 4, 2 * cfg.lstm_units))[mask])
     out = rcnn_forward(params, hidden, lstm_out, mask).data
     want = np.tanh(params["proj.bias"].data) @ params["out.weight"].data \
         + params["out.bias"].data
@@ -184,8 +185,8 @@ def test_duplicated_timestep_is_pool_idempotent():
     l2 = np.concatenate([l1, l1[:, -1:]], axis=1)
     m1 = np.ones((1, 3), dtype=bool)
     m2 = np.ones((1, 4), dtype=bool)
-    a = rcnn_forward(params, Tensor(h1), Tensor(l1), m1).data
-    b = rcnn_forward(params, Tensor(h2), Tensor(l2), m2).data
+    a = rcnn_forward(params, Tensor(h1[m1]), Tensor(l1[m1]), m1).data
+    b = rcnn_forward(params, Tensor(h2[m2]), Tensor(l2[m2]), m2).data
     np.testing.assert_array_equal(a, b)
 
 
@@ -231,17 +232,21 @@ def test_fused_lstm_matches_unrolled_reference(reverse):
     mask = np.array([[1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 0, 0], [0, 1, 1, 0, 1, 0]], dtype=bool)
     weight = Tensor(rng.normal(size=(3, 6, cfg.lstm_units)))
     names = ["lstm.fw.w_in.weight", "lstm.fw.w_rec.weight", "lstm.fw.bias"]
-    leaves = [x] + [params[k] for k in names]
+    rows = Tensor(x.data[mask], requires_grad=True)
 
-    def run(build):
+    def run(build, x, weight):
+        leaves = [x] + [params[k] for k in names]
         ad.zero_grads(leaves)
         out = build()
         ad.backward(ad.sum_all(ad.mul(out, weight)))
         return [out.data] + [t.grad.copy() for t in leaves]
 
-    got = run(lambda: ad.lstm(x, *(params[k] for k in names), mask, reverse=reverse))
+    got = run(lambda: ad.lstm(rows, *(params[k] for k in names), mask, reverse=reverse),
+              rows, Tensor(weight.data[mask]))
     want = run(lambda: ad.stack_time(_lstm_direction(params, "lstm.fw", x, mask,
-                                                     cfg.lstm_units, reverse)))
+                                                     cfg.lstm_units, reverse)), x, weight)
+    # the reference is padded: compare its output and x gradient at the real rows
+    want[0], want[1] = want[0][mask], want[1][mask]
     for a, b in zip(got, want):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
 
@@ -257,8 +262,10 @@ def test_lstm_restarts_from_zero_state_after_a_hole(reverse):
     mask = np.ones((1, T), dtype=bool)
     mask[0, k] = False
     side = slice(None, k) if reverse else slice(k + 1, None)
-    out = ad.lstm(x, *weights, mask, reverse=reverse).data[:, side]
-    fresh = ad.lstm(x[:, side], *weights, mask[:, side], reverse=reverse).data
+    on_side = np.zeros_like(mask)
+    on_side[:, side] = True
+    out = ad.lstm(x[mask], *weights, mask, reverse=reverse).data[on_side[mask]]
+    fresh = ad.lstm(x[:, side][mask[:, side]], *weights, mask[:, side], reverse=reverse).data
     assert np.abs(out).min() > 0
     np.testing.assert_allclose(out, fresh, rtol=1e-12, atol=0)
 
@@ -270,6 +277,7 @@ def test_untracked_lstm_saves_nothing_for_backward():
     rng = np.random.default_rng(27)
     arrays = [rng.normal(size=s) for s in ((B, T, d), (d, 4 * u), (u, 4 * u), (4 * u,))]
     mask = np.ones((B, T), dtype=bool)
+    arrays[0] = arrays[0][mask]
 
     def sweep(requires_grad):
         tensors = [Tensor(a, requires_grad=requires_grad) for a in arrays]
