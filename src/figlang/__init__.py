@@ -39,5 +39,6 @@ _keep_freed_memory()
 
 def toy_corpus() -> list[str]:
     """The bundled 100-sentence corpus used for pretraining smoke runs."""
-    text = resources.files("figlang").joinpath("assets/toy_corpus.txt").read_text("utf-8")
-    return [line for line in text.splitlines() if line]
+    from .data import corpus_lines
+    return corpus_lines(resources.files("figlang").joinpath("assets/toy_corpus.txt")
+                        .read_text("utf-8"))

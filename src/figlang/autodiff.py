@@ -27,9 +27,9 @@ keeps arrays for its backward pass only when some input requires a gradient.
 
 Padding has one format: the (B, T) bool mask of `bpe.pad_batch`, true at
 real tokens. Hidden states have one layout: the (N, d) real-token rows,
-`x[mask]` in row-major order. `attention`, `lstm`, `max_over_time` and
-`dropout` take rows with their mask, so a row-wise op between them
-(`linear`, `add`, `layer_norm`, `concat`, `tanh`) computes nothing for
+`x[mask]` in row-major order. `attention`, `lstm` and `max_over_time` take
+rows with their mask, so a row-wise op between them (`linear`, `add`,
+`layer_norm`, `concat`, `tanh`, `dropout`) computes and draws nothing for
 padding. Only inside the ops that need time structure are the rows laid
 out as (B, T, ...), by `_pad`. `dropout` is on only when given a generator.
 
@@ -638,20 +638,15 @@ def sum_all(x) -> Tensor:
                  lambda g: (np.full_like(x.data, float(g)),))
 
 
-def dropout(x, rate, rng, mask) -> Tensor:
-    """Inverted dropout on the (N, d) rows of a (B, T) `mask`; identity (no
-    node, no draw) at rate 0 or with no `rng`.
-
-    The op draws for the padded (B, T, d) layout and keeps the real rows of
-    that draw, so the generator moves by the same amount for any lengths.
-    """
+def dropout(x, rate, rng) -> Tensor:
+    """Inverted dropout, one draw per element; identity (no node, no draw)
+    at rate 0 or with no `rng`."""
     x = as_tensor(x)
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0 or rng is None:
         return x
-    mask = _rows_mask("dropout", x, mask)
-    keep = (rng.random(mask.shape + x.data.shape[1:])[mask] >= rate) / (1.0 - rate)
+    keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
     return _node(x.data * keep, "dropout", (x,), lambda g: (g * keep,))
 
 

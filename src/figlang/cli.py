@@ -29,7 +29,7 @@ from .bpe import bpe_train, load_tokenizer, save_tokenizer
 from .checkpoint import check_params, load_checkpoint, save_checkpoint, sha256_file
 from .config import (BINARY, TASK_NAMES, ModelConfig, TrainConfig, paper_scale,
                      toy_scale)
-from .data import load_dataset, read_text, split_lines
+from .data import corpus_lines, load_dataset, read_text, split_lines
 from .errors import ConfigError, DataError, FiglangError, NumericError
 from .gradsuite import run_suite
 from .metrics import classification_metrics, regression_metrics, report_json
@@ -86,11 +86,6 @@ def _write_run_manifest(args, argv, started, *, manifest, seed, config, inputs,
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")
-
-
-def _read_lines(path) -> list[str]:
-    """Non-blank lines of a corpus file."""
-    return [line for line in split_lines(read_text(path, "corpus")) if line.strip()]
 
 
 def _resolve_configs(args, tokenizer, base: ModelConfig | None = None
@@ -188,7 +183,7 @@ def _write_report(path, report) -> Path:
 
 
 def _cmd_bpe_train(args):
-    lines = _read_lines(args.corpus)
+    lines = corpus_lines(read_text(args.corpus, "corpus"))
     model = bpe_train(lines, args.vocab_size)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -202,7 +197,7 @@ def _cmd_bpe_train(args):
 def _cmd_pretrain(args):
     tokenizer = load_tokenizer(args.tokenizer)
     model_cfg, train_cfg = _resolve_configs(args, tokenizer)
-    lines = toy_corpus() if args.corpus == "toy" else _read_lines(args.corpus)
+    lines = toy_corpus() if args.corpus == "toy" else corpus_lines(read_text(args.corpus, "corpus"))
 
     with _checkpoint_dir(args.out) as (out, log):
         params, log = pretrain_mlm(lines, tokenizer, model_cfg, train_cfg, log=log)

@@ -61,6 +61,11 @@ def split_lines(text: str) -> list[str]:
     return lines
 
 
+def corpus_lines(text: str) -> list[str]:
+    """The non-blank lines of a pretraining corpus, split by `split_lines`."""
+    return [line for line in split_lines(text) if line.strip()]
+
+
 def _parse_label(raw: str, schema: str, lineno: int):
     try:
         value = int(raw)
@@ -111,11 +116,11 @@ def load_dataset(path, schema: str) -> Dataset:
     return Dataset(examples=examples, schema=schema, class_counts=counts)
 
 
-def write_dataset(path, rows, header=HEADER) -> None:
-    """rows: iterable of (id, label, text). Utility for scripts and tests."""
+def write_dataset(path, rows) -> None:
+    """rows: iterable of (id, label, text), each read back as written by `load_dataset`."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write("\t".join(header) + "\n")
+        f.write(_HEADER_LINE + "\n")
         for ex_id, label, text in rows:
-            if "\t" in text or "\n" in text:
-                raise DataError(f"text for id {ex_id!r} contains tab or newline")
+            if "\t" in text or "\n" in text or text.endswith("\r"):
+                raise DataError(f"text for id {ex_id!r} contains tab or newline, or ends in \\r")
             f.write(f"{ex_id}\t{label}\t{text}\n")

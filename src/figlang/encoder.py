@@ -75,15 +75,15 @@ def encoder_forward(params, cfg: ModelConfig, ids, attn_mask, *, rng=None,
 
     tok = ad.embedding(params["embed.token.weight"], ids[attn_mask])
     pos = ad.embedding(params["embed.position.weight"], np.nonzero(attn_mask)[1])
-    h = ad.dropout(ad.add(tok, pos), cfg.dropout, rng, attn_mask)
+    h = ad.dropout(ad.add(tok, pos), cfg.dropout, rng)
     for i in range(cfg.n_layers):
         a = ad.dropout(_attention(params, i, h, attn_mask, cfg, collect=collect_attn),
-                       cfg.dropout, rng, attn_mask)
+                       cfg.dropout, rng)
         h = ad.layer_norm(ad.add(h, a), params[f"layer{i}.ln1.gain"], params[f"layer{i}.ln1.bias"])
         f = ad.linear(h, params[f"layer{i}.ff.fc1.weight"], params[f"layer{i}.ff.fc1.bias"],
                       gelu=True)
         f = ad.dropout(ad.linear(f, params[f"layer{i}.ff.fc2.weight"],
-                                 params[f"layer{i}.ff.fc2.bias"]), cfg.dropout, rng, attn_mask)
+                                 params[f"layer{i}.ff.fc2.bias"]), cfg.dropout, rng)
         h = ad.layer_norm(ad.add(h, f), params[f"layer{i}.ln2.gain"], params[f"layer{i}.ln2.bias"])
         if collect_hidden is not None:
             collect_hidden.append(h)

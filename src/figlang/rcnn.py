@@ -104,8 +104,8 @@ def full_forward(params, cfg: ModelConfig, ids, mask, *, rng=None) -> Tensor:
     BiLSTM's input and output; the concat keeps the raw encoder states.
     """
     h = encoder_forward(params, cfg, ids, mask, rng=rng)
-    lstm_out = bilstm_forward(params, ad.dropout(h, cfg.dropout, rng, mask), mask)
-    return rcnn_forward(params, h, ad.dropout(lstm_out, cfg.dropout, rng, mask), mask)
+    lstm_out = bilstm_forward(params, ad.dropout(h, cfg.dropout, rng), mask)
+    return rcnn_forward(params, h, ad.dropout(lstm_out, cfg.dropout, rng), mask)
 
 
 def predict(params, cfg: ModelConfig, tokenizer: TokenizerModel,

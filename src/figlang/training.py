@@ -216,7 +216,7 @@ def finetune(examples, tokenizer: TokenizerModel, model_cfg: ModelConfig,
         out = full_forward(forward_params, model_cfg, ids, mask, rng=streams["dropout"])
         if task == BINARY:
             return ad.cross_entropy(out, targets[idx])
-        return ad.mse_loss(ad.reshape(out, (len(idx),)), Tensor(targets[idx]))
+        return ad.mse_loss(out, targets[idx, None])
 
     log = log or TrainLog()
     _fit(params, len(examples), batch_loss, train_cfg, streams["shuffle"], log)

@@ -7,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from figlang import autodiff as ad
 from figlang.autodiff import ComputationGraph, Tensor, backward, grad_check, zero_grads
@@ -527,20 +527,20 @@ def test_untracked_linear_gelu_saves_no_derivative():
 
 def test_dropout_rate_zero_is_identity():
     x = t(RNG.normal(size=(3, 3)))
-    out = ad.dropout(x, 0.0, None, np.ones((3, 1), dtype=bool))
+    out = ad.dropout(x, 0.0, None)
     np.testing.assert_allclose(out.data, x.data, atol=0)
 
 
 def test_dropout_without_generator_is_identity():
     # inference passes the config's rate and no generator: no node, no draw
     x = Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
-    assert ad.dropout(x, 0.3, None, np.ones((3, 1), dtype=bool)) is x
+    assert ad.dropout(x, 0.3, None) is x
 
 
 def test_dropout_inverted_scaling():
     rng = np.random.default_rng(0)
     x = t(np.ones((200, 200)))
-    out = ad.dropout(x, 0.3, rng, np.ones((200, 1), dtype=bool)).data
+    out = ad.dropout(x, 0.3, rng).data
     kept = out[out != 0]
     np.testing.assert_allclose(kept, 1.0 / 0.7, atol=1e-12)
     assert abs(out.mean() - 1.0) < 0.02
@@ -548,33 +548,31 @@ def test_dropout_inverted_scaling():
 
 def test_dropout_bad_rate():
     with pytest.raises(ContractError):
-        ad.dropout(t([[1.0]]), 1.0, np.random.default_rng(0), np.ones((1, 1), dtype=bool))
+        ad.dropout(t([[1.0]]), 1.0, np.random.default_rng(0))
 
 
 def test_dropout_backward_masks_grad():
     rng = np.random.default_rng(1)
     x = t(np.ones((50, 50)))
-    out = ad.dropout(x, 0.5, rng, np.ones((50, 1), dtype=bool))
+    out = ad.dropout(x, 0.5, rng)
     backward(ad.sum_all(out))
     dropped = out.data == 0
     assert (x.grad[dropped] == 0).all()
     np.testing.assert_allclose(x.grad[~dropped], 2.0, atol=1e-12)
 
 
-def test_dropout_on_rows_keeps_the_padded_draw():
-    # the real rows of the (B, T, d) draw, and the generator left where a
-    # padded draw leaves it, so training keeps its dropout masks
-    mask = np.array([[True, True, True, False], [True, False, False, False],
-                     [True, True, False, False]])
-    x = RNG.normal(size=mask.shape + (5,))
-    rng_pad, rng_rows = np.random.default_rng(3), np.random.default_rng(3)
-    padded = x * ((rng_pad.random(x.shape) >= 0.4) / (1.0 - 0.4))
-    rows = t(x[mask])
-    out = ad.dropout(rows, 0.4, rng_rows, mask)
-    assert out.data.tobytes() == padded[mask].tobytes()
-    assert rng_rows.bit_generator.state == rng_pad.bit_generator.state
+def test_dropout_draws_one_number_per_element():
+    # the mask is numpy's rng.random(x.shape) draw, so the generator moves
+    # by the number of elements and by nothing else
+    x = RNG.normal(size=(6, 5))
+    rng_np, rng_op = np.random.default_rng(3), np.random.default_rng(3)
+    want = x * ((rng_np.random(x.shape) >= 0.4) / (1.0 - 0.4))
+    rows = t(x)
+    out = ad.dropout(rows, 0.4, rng_op)
+    assert out.data.tobytes() == want.tobytes()
+    assert rng_op.bit_generator.state == rng_np.bit_generator.state
     backward(ad.sum_all(out))
-    np.testing.assert_array_equal(rows.grad, (padded[mask] != 0) / 0.6)
+    np.testing.assert_array_equal(rows.grad, (want != 0) / 0.6)
 
 
 # ---------------------------------------------------------------------------
@@ -583,9 +581,8 @@ def test_dropout_on_rows_keeps_the_padded_draw():
 
 @pytest.mark.parametrize("op", [lambda x, m: ad.lstm(x, np.zeros((2, 8)), np.zeros((2, 8)),
                                                      np.zeros(8), m),
-                                ad.max_over_time,
-                                lambda x, m: ad.dropout(x, 0.5, np.random.default_rng(0), m)],
-                         ids=["lstm", "max_over_time", "dropout"])
+                                ad.max_over_time],
+                         ids=["lstm", "max_over_time"])
 @pytest.mark.parametrize("mask", [np.ones((2, 3), dtype=bool), np.ones((4,), dtype=bool)])
 def test_rows_ops_need_one_row_per_true_mask_entry(op, mask):
     with pytest.raises(ShapeError, match=r"\(B, T\) mask"):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from figlang.config import BINARY, REGRESSION
-from figlang.data import (HEADER, Dataset, LabeledExample, load_dataset,
+from figlang.data import (HEADER, Dataset, LabeledExample, corpus_lines, load_dataset,
                           write_dataset)
 from figlang.errors import DataError
 
@@ -117,12 +117,12 @@ def test_unknown_schema(tmp_path):
 
 
 def test_write_round_trip(tmp_path):
-    rows = [("r1", 1, "sure, great plan"), ("r2", 0, "the train left at nine")]
+    rows = [("r1", 1, "sure, great plan"), ("r2", 0, "the train left at nine"),
+            ("r3", 0, "a lone\rcarriage return")]
     path = tmp_path / "out.tsv"
     write_dataset(path, rows)
     ds = load_dataset(path, BINARY)
-    assert [(ex.id, ex.target, ex.text) for ex in ds] == [
-        ("r1", 1, "sure, great plan"), ("r2", 0, "the train left at nine")]
+    assert [(ex.id, ex.target, ex.text) for ex in ds] == rows
 
 
 def test_write_rejects_control_characters(tmp_path):
@@ -130,6 +130,13 @@ def test_write_rejects_control_characters(tmp_path):
         write_dataset(tmp_path / "t.tsv", [("a", 0, "has\ttab")])
     with pytest.raises(DataError, match="tab or newline"):
         write_dataset(tmp_path / "n.tsv", [("a", 0, "has\nnewline")])
+    # "\r\n" ends a line on reading, so a final "\r" would not come back
+    with pytest.raises(DataError, match=r"ends in \\r"):
+        write_dataset(tmp_path / "r.tsv", [("a", 0, "ends in cr\r")])
+
+
+def test_corpus_lines_split_at_newlines_and_skip_blank_lines():
+    assert corpus_lines("a\n\n \t\nb\x0cc\r\nd\re\n") == ["a", "b\x0cc", "d\re"]
 
 
 def test_header_constant():

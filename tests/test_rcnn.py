@@ -12,8 +12,9 @@ from figlang import rcnn
 from figlang.autodiff import Tensor
 from figlang.bpe import (CLS_ID, N_SPECIALS, PAD_ID, SEP_ID, bpe_train, encode,
                          pad_batch)
-from figlang.config import BINARY, REGRESSION, ModelConfig, TrainConfig
-from figlang.encoder import encoder_param_shapes
+from figlang.config import BINARY, REGRESSION, ModelConfig, TrainConfig, toy_scale
+from figlang.encoder import (MlmBatch, collate_mlm, dynamic_mask, encoder_param_shapes,
+                             mlm_forward)
 from figlang.rcnn import (bilstm_forward, full_forward, head_param_shapes,
                           init_model_params, init_params, model_param_shapes,
                           predict, rcnn_forward)
@@ -392,6 +393,34 @@ def test_full_forward_padding_invariance():
     a = full_forward(params, cfg, ids, mask).data
     b = full_forward(params, cfg, mutated, mask).data
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("extra", [1, 6])
+def test_dropout_training_forwards_ignore_padding_width(extra):
+    # with dropout on, the same batch padded `extra` columns wider gives the
+    # same logits and loss and leaves the dropout generator where it was
+    cfg = toy_scale()
+    rng = np.random.default_rng(25)
+    params = init_model_params(cfg, rng)
+    seqs = [np.concatenate([[CLS_ID], rng.integers(N_SPECIALS, cfg.vocab_size, size=n - 2),
+                            [SEP_ID]]) for n in (9, 4, 12)]
+    batch = collate_mlm(seqs, [dynamic_mask(s, rng, cfg.vocab_size) for s in seqs])
+
+    def forwards(ids, mask):
+        drop = np.random.default_rng(26)
+        logits = full_forward(params, cfg, ids, mask, rng=drop).data
+        mlm_logits, loss = mlm_forward(params, cfg, MlmBatch(ids, mask, batch.rows,
+                                                             batch.targets), rng=drop)
+        return [logits, mlm_logits.data, loss.data], drop.bit_generator.state
+
+    narrow, narrow_state = forwards(batch.ids, batch.mask)
+    wide, wide_state = forwards(np.pad(batch.ids, ((0, 0), (0, extra)), constant_values=PAD_ID),
+                                np.pad(batch.mask, ((0, 0), (0, extra))))
+    for a, b in zip(narrow, wide):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+    assert narrow_state == wide_state
+    # dropout was on: the logits differ from the deterministic forward's
+    assert np.abs(narrow[0] - full_forward(params, cfg, batch.ids, batch.mask).data).max() > 1e-6
 
 
 def test_batch_equals_one_by_one():
