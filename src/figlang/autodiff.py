@@ -246,15 +246,12 @@ def tanh(x) -> Tensor:
     return _node(t, "tanh", (x,), lambda g: (g * (1.0 - t * t),))
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Piecewise form keeps exp from overflowing for large |z|.
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def sigmoid(x) -> Tensor:
+    """σ(x) = (1 + tanh(x/2)) / 2, the form `lstm` uses: no exp, so no overflow."""
     x = as_tensor(x)
-    s = _sigmoid(x.data)
+    s = np.tanh(0.5 * x.data)
+    s *= 0.5
+    s += 0.5
     return _node(s, "sigmoid", (x,), lambda g: (g * s * (1.0 - s),))
 
 
@@ -493,15 +490,16 @@ def lstm(x, w_in, w_rec, bias, mask, reverse=False) -> Tensor:
     recorded as one node; its output is the (N, u) rows.
 
     Gates are packed i, f, g, o along the 4u axis of `w_in` (d, 4u),
-    `w_rec` (u, 4u) and `bias` (4u,). The input projection is one
-    (N, d) x (d, 4u) GEMM on the rows; each step gathers its B rows of it.
-    The sweep runs over t = 0..T-1, or T-1..0 when `reverse`. Each step
-    multiplies its new cell state by its `mask` entry; h = o * tanh(c) is
-    its output and the next step's state, so a padded step hands on a zero
-    state (under right padding, no real step reads it). The backward pass
-    runs the loop in reverse to fill the (B, T) pre-activation gradient of
-    every step, then takes the x and weight gradients from one GEMM (or
-    sum) each.
+    `w_rec` (u, 4u) and `bias` (4u,); i, f and o use `sigmoid`'s form, their
+    columns halved once per call (exact in binary), so one tanh a step
+    activates all four. The input projection is one (N, d) x (d, 4u) GEMM
+    on the rows; each step gathers its B rows of it. The sweep runs over
+    t = 0..T-1, or T-1..0 when `reverse`. Each step multiplies its new cell
+    state by its `mask` entry; h = o * tanh(c) is its output and the next
+    step's state, so a padded step hands on a zero state (under right
+    padding, no real step reads it). The backward pass runs the loop in
+    reverse to fill the (B, T) pre-activation gradient of every step, then
+    takes the x and weight gradients from one GEMM (or sum) each.
     """
     x, w_in, w_rec, bias = (as_tensor(a) for a in (x, w_in, w_rec, bias))
     mask = _rows_mask("lstm", x, mask)
@@ -513,12 +511,12 @@ def lstm(x, w_in, w_rec, bias, mask, reverse=False) -> Tensor:
         raise ShapeError(
             f"lstm on rows {x.data.shape} needs w_in (d, 4u), w_rec (u, 4u) and "
             f"bias (4u,), got {w_in.data.shape}, {w_rec.data.shape} and {bias.data.shape}")
-    wr = w_rec.data
-    zx = x.data @ w_in.data
-    zx += bias.data
-    # each step's rows of zx; a padded step reads row 0, which its zero
-    # multiplier then discards
-    row_at = _pad(np.arange(N), mask, 0).T.copy()         # (T, B)
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], u)     # i, f, o take z/2; g is a plain tanh
+    shift = 1.0 - scale
+    wr = w_rec.data * scale
+    zx = x.data @ (w_in.data * scale)
+    zx += bias.data * scale
+    row_at = _pad(np.arange(N), mask, 0).T.copy()   # (T, B) rows of zx; a padded step reads row 0
     # The backward pass is the only reader of what a step saves.
     track = any(p.requires_grad for p in (x, w_in, w_rec, bias))
     if track:
@@ -528,16 +526,16 @@ def lstm(x, w_in, w_rec, bias, mask, reverse=False) -> Tensor:
         c_prev = np.empty((B, T, u))
     m = mask.astype(np.float64)[..., None]   # (B, T, 1): each step's multiplier
     out = np.empty((B, T, u))
-    h = np.zeros((B, u))
-    c = np.zeros((B, u))
+    h = c = np.zeros((B, u))                 # both are rebound, never written
     steps = range(T - 1, -1, -1) if reverse else range(T)
     for t in steps:
         if track:
             h_prev[:, t], c_prev[:, t] = h, c
         z = zx[row_at[t]]
         z += h @ wr
-        a = _sigmoid(z)
-        a[:, 2 * u:3 * u] = np.tanh(z[:, 2 * u:3 * u])
+        a = np.tanh(z, out=z)
+        a *= scale
+        a += shift
         c = (a[:, u:2 * u] * c + a[:, :u] * a[:, 2 * u:3 * u]) * m[:, t]
         tc = np.tanh(c)
         h = out[:, t] = a[:, 3 * u:] * tc
@@ -561,7 +559,7 @@ def lstm(x, w_in, w_rec, bias, mask, reverse=False) -> Tensor:
             dc = (dc + dh * c_by_dh[:, t]) * m[:, t]
             dz[:, t, :3] = dc[:, None, :] * by_dc[:, t]
             dz[:, t, 3] = dh * o_by_dh[:, t]
-            dh = dz[:, t].reshape(B, 4 * u) @ wr.T
+            dh = dz[:, t].reshape(B, 4 * u) @ w_rec.data.T
             dc = dc * f[:, t]
         dz_rows = dz[mask].reshape(N, 4 * u)
         return (dz_rows @ w_in.data.T,

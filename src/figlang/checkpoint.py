@@ -3,7 +3,8 @@
 weights.bin is raw little-endian float32, row-major, tensors packed in the
 parameter-dict order recorded by the manifest: each entry's offset is where
 the entry before it ends (0 for the first), and loading rejects any other.
-Loading restores float64 working copies; save(load(x)) is bit-identical to x.
+Loading rejects a non-finite weight and restores float64 working copies;
+save(load(x)) is bit-identical to x.
 """
 
 from __future__ import annotations
@@ -166,8 +167,10 @@ def load_checkpoint(ckpt_dir) -> CheckpointBundle:
         raw = blob[start:end]
         if len(raw) != n:
             raise DataError(f"weights.bin truncated at tensor {entry['name']!r}")
-        arr = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"]).astype(np.float64)
-        params[entry["name"]] = Tensor(arr, requires_grad=True)
+        arr = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"])
+        if not np.isfinite(arr).all():
+            raise DataError(f"tensor {entry['name']!r} in weights.bin has a non-finite entry")
+        params[entry["name"]] = Tensor(arr.astype(np.float64), requires_grad=True)
     if len(blob) != end:
         raise DataError(f"weights.bin is {len(blob)} bytes but its tensors end at byte {end}")
 

@@ -172,7 +172,8 @@ def test_sigmoid_tanh_basics():
 
 
 def test_sigmoid_extreme_inputs_finite():
-    out = ad.sigmoid(t([-1e4, 1e4])).data
+    with np.errstate(all="raise"):
+        out = ad.sigmoid(t([-1e4, 1e4])).data
     assert np.isfinite(out).all()
     np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-12)
 

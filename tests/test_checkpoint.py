@@ -213,3 +213,18 @@ def test_interrupted_resave_leaves_no_manifest(tmp_path, tok_path, monkeypatch):
     monkeypatch.undo()
     with pytest.raises(DataError, match="no manifest.json"):
         load_checkpoint(out)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_weight_rejected(tmp_path, tok_path, value):
+    # training refuses a non-finite loss or gradient, so such a weight can only
+    # come from a damaged or edited weights.bin
+    out = save_checkpoint(tmp_path / "ckpt", fresh_params(), model_config=CFG,
+                          task="binary", tokenizer_path=tok_path)
+    man = json.loads((out / "manifest.json").read_text())
+    entry = next(e for e in man["tensors"] if e["name"] == "out.bias")
+    with open(out / "weights.bin", "r+b") as f:
+        f.seek(entry["offset"] + 4)
+        f.write(np.array([value], dtype="<f4").tobytes())
+    with pytest.raises(DataError, match="tensor 'out.bias' in weights.bin has a non-finite"):
+        load_checkpoint(out)

@@ -508,6 +508,31 @@ def test_weights_with_trailing_bytes_are_data_error(ws, capsys, tmp_path):
     assert "tensors end at byte" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_non_finite_weight_is_data_error(ws, capsys, tmp_path, command):
+    # a NaN head bias must reach neither predict's records (bare NaN is not
+    # JSON) nor an evaluate report
+    ckpt = tmp_path / "fine"
+    shutil.copytree(ws["fine"], ckpt)
+    man = json.loads((ckpt / "manifest.json").read_text())
+    entry = next(e for e in man["tensors"] if e["name"] == "out.bias")
+    with open(ckpt / "weights.bin", "r+b") as f:
+        f.seek(entry["offset"])
+        f.write(np.array([np.nan], dtype="<f4").tobytes())
+    inp = tmp_path / "inputs.txt"
+    inp.write_text("hello\n", encoding="utf-8")
+    report = tmp_path / "eval.json"
+    argv = {"predict": ["predict", "--checkpoint", str(ckpt), "--input", str(inp)],
+            "evaluate": ["evaluate", "--test", str(ws["test"]), "--checkpoint", str(ckpt),
+                         "--report", str(report)]}[command]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert "'out.bias'" in err and "non-finite" in err
+    assert not report.exists()
+
+
 def test_missing_weights_is_data_error(ws, capsys, tmp_path):
     ckpt = tmp_path / "fine"
     shutil.copytree(ws["fine"], ckpt)

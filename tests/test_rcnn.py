@@ -271,6 +271,36 @@ def test_lstm_restarts_from_zero_state_after_a_hole(reverse):
     np.testing.assert_allclose(out, fresh, rtol=1e-12, atol=0)
 
 
+def test_lstm_saturated_gates_are_exact_and_raise_nothing():
+    # pre-activations of +-1e3 (+-500 after the halving): the tanh-form gates
+    # need no overflow guard, and every sigmoid gate is exactly 0 or 1 and
+    # every candidate exactly -1 or 1, so a plain recurrence on those values
+    # gives the sweep's output bit for bit
+    B, T, u = 3, 6, 4
+    rng = np.random.default_rng(29)
+    mask = np.ones((B, T), dtype=bool)
+    mask[1, 4:] = False
+    signs = rng.choice([-1.0, 1.0], size=(B, T, 4 * u))
+    x = Tensor(signs[mask], requires_grad=True)
+    w_in = Tensor(1e3 * np.eye(4 * u), requires_grad=True)
+    w_rec = Tensor(rng.normal(size=(u, 4 * u)), requires_grad=True)   # |h @ w_rec| << 1e3
+    bias = Tensor(np.zeros(4 * u), requires_grad=True)
+    with np.errstate(all="raise"):
+        out = ad.lstm(x, w_in, w_rec, bias, mask)
+        ad.backward(ad.sum_all(out))
+    want = np.zeros((B, T, u))
+    c = np.zeros((B, u))
+    for t in range(T):
+        i, f, g, o = np.split(signs[:, t], 4, axis=-1)
+        i, f, o = (i > 0) * 1.0, (f > 0) * 1.0, (o > 0) * 1.0
+        c = (f * c + i * g) * mask[:, t, None]
+        want[:, t] = o * np.tanh(c)
+    np.testing.assert_array_equal(out.data, want[mask])
+    assert np.abs(out.data).max() > 0
+    for p in (x, w_in, w_rec, bias):
+        assert np.isfinite(p.grad).all()
+
+
 def test_untracked_lstm_saves_nothing_for_backward():
     # with no input requiring a gradient, the sweep must not hold the gates,
     # tanh(c) and previous h and c of every step: (B, T, 4u + 3u) float64
