@@ -30,8 +30,9 @@ real tokens. Hidden states have one layout: the (N, d) real-token rows,
 `x[mask]` in row-major order. `attention`, `lstm` and `max_over_time` take
 rows with their mask, so a row-wise op between them (`linear`, `add`,
 `layer_norm`, `concat`, `tanh`, `dropout`) computes and draws nothing for
-padding. Only inside the ops that need time structure are the rows laid
-out as (B, T, ...), by `_pad`. `dropout` is on only when given a generator.
+padding. `attention` lays out no padding either: texts of one length share
+one score block. Only `lstm` and `max_over_time` lay the rows out as
+(B, T, ...), by `_pad`. `dropout` is on only when given a generator.
 
 All arithmetic is 64-bit: the finite-difference oracle in `grad_check`
 needs the headroom, and desk-scale models do not need the speed.
@@ -405,23 +406,20 @@ def stack_time(steps) -> Tensor:
 # attention
 
 
-def attention(h, wq, bq, wk, bk, wv, bv, wo, bo, mask, n_heads, collect=None) -> Tensor:
+def attention(h, wq, bq, wk, bk, wv, bv, wo, bo, mask, n_heads) -> Tensor:
     """Multi-head scaled dot-product self-attention over real-token rows, one node.
 
-    `h` holds the (N, d) rows of the (B, T) key mask `mask` of
-    `bpe.pad_batch`, in row-major order (`x[mask]` of a (B, T, d) array);
-    N must equal `mask.sum()`. The q, k and v projections run on the N rows
-    as one (N, d) x (d, 3d) GEMM on the three weights concatenated per call.
-    Only the scores need the (B, T) layout: q, k and v are scattered into
-    zeros there, and the context is gathered back to its N rows before the
-    output projection. Keys where `mask` is false get exactly 0 weight, so
-    a row needs a true key (a row with none is a ContractError), and the
-    in-place softmax takes its row max over the true keys only. A list
-    `collect` receives the (B, H, T, T) probabilities as a tensor; a padded
-    query row, whose q is zero, spreads its weight evenly over the real
-    keys. The backward pass is written out by hand: the softmax gradient is
-    taken from the saved probabilities, and the q, k and v weights get
-    their gradients from one GEMM on the (N, 3d) gradient.
+    `h` holds the (N, d) rows of the (B, T) mask `mask` of `bpe.pad_batch`
+    in row-major order (`x[mask]`), N = `mask.sum()`, so text b owns the
+    `lengths[b] = mask[b].sum()` rows from `cumsum(lengths)[b] - lengths[b]`
+    on, wherever its padding lies; a text with no row is a ContractError.
+    q, k and v come from one (N, d) x (d, 3d) GEMM on the concatenated
+    weights. The g texts of one length n share one unpadded (g, H, n, n)
+    block: scaled scores, a plain max-subtracted softmax and p·v, with the
+    context rows scattered back for the output projection. The backward
+    pass is written out by hand over the same blocks, from the saved
+    probabilities; the q, k and v weights get their gradients from one GEMM
+    on the (N, 3d) gradient.
     """
     h, wq, bq, wk, bk, wv, bv, wo, bo = (as_tensor(a) for a in (h, wq, bq, wk, bk, wv, bv, wo, bo))
     mask = _rows_mask("attention", h, mask)
@@ -432,47 +430,47 @@ def attention(h, wq, bq, wk, bk, wv, bv, wo, bo, mask, n_heads, collect=None) ->
             or any(b.data.shape != (d,) for b in (bq, bk, bv, bo))):
         raise ShapeError(f"attention on rows {h.data.shape} needs (d, d) weights "
                          f"and (d,) biases")
-    if not mask.any(axis=-1).all():
+    lengths = mask.sum(axis=1)
+    if not lengths.all():
         raise ContractError("attention: a row has every key masked")
-    B, T = mask.shape
-    masked = ~mask[:, None, None, :]
+    starts = np.cumsum(lengths) - lengths
     H, dk = n_heads, d // n_heads
     scale = 1.0 / np.sqrt(dk)
     w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
-    qkv_rows = h.data @ w_qkv
-    qkv_rows += np.concatenate([bq.data, bk.data, bv.data])
-    qkv = _pad(qkv_rows, mask, 0.0)
-    q, k, v = qkv.reshape(B, T, 3, H, dk).transpose(2, 0, 3, 1, 4)   # (B, H, T, dk) each
-    p = q @ k.swapaxes(-1, -2)                                       # (B, H, T, T)
-    p *= scale
-    # -inf keeps masked keys out of the row max (in numpy 2.4 a max with
-    # `where=` takes about three times as long). Exponentiate zeros there,
-    # then write their 0.0 weight: numpy's exp takes a slow path below -708.
-    p += np.where(masked, -np.inf, 0.0)
-    p -= p.max(axis=-1, keepdims=True)
-    np.copyto(p, 0.0, where=masked)
-    np.exp(p, out=p)
-    np.copyto(p, 0.0, where=masked)
-    p /= p.sum(axis=-1, keepdims=True)
-    if collect is not None:
-        collect.append(Tensor(p))
-    ctx = (p @ v).swapaxes(1, 2)[mask].reshape(N, d)
+    qkv = h.data @ w_qkv
+    qkv += np.concatenate([bq.data, bk.data, bv.data])
+    track = any(a.requires_grad for a in (h, wq, bq, wk, bk, wv, bv, wo, bo))
+    blocks = []      # per length: the rows, then q, k, v and p as backward reads them
+    ctx = np.empty((N, d))
+    for n in sorted(set(lengths.tolist())):   # np.unique: ~13 ms on its first call (numpy 2.4)
+        at = (starts[lengths == n][:, None] + np.arange(n)).reshape(-1)   # text by text
+        q, k, v = qkv[at].reshape(-1, n, 3, H, dk).transpose(2, 0, 3, 1, 4)   # (g, H, n, dk) each
+        p = q @ k.swapaxes(-1, -2)                                          # (g, H, n, n)
+        p *= scale
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        ctx[at] = (p @ v).swapaxes(1, 2).reshape(-1, d)
+        if track:
+            blocks.append((at, q, k, v, p))
     out = ctx @ wo.data
     out += bo.data
 
     def _bw(g):
-        gctx = _pad(g @ wo.data.T, mask, 0.0)
-        dctx = gctx.reshape(B, T, H, dk).swapaxes(1, 2)
-        dqkv = np.empty((B, T, 3, H, dk))
-        dq, dkey, dv = dqkv.transpose(2, 0, 3, 1, 4)
-        np.matmul(p.swapaxes(-1, -2), dctx, out=dv)
-        ds = dctx @ v.swapaxes(-1, -2)
-        ds -= (ds * p).sum(axis=-1, keepdims=True)
-        ds *= p
-        ds *= scale
-        np.matmul(ds, k, out=dq)
-        np.matmul(ds.swapaxes(-1, -2), q, out=dkey)
-        dqkv = dqkv[mask].reshape(N, 3 * d)
+        gctx = g @ wo.data.T
+        dqkv = np.empty((N, 3 * d))
+        for at, q, k, v, p in blocks:
+            dctx = gctx[at].reshape(q.shape[0], -1, H, dk).swapaxes(1, 2)
+            dblock = np.empty((at.size, 3 * d))
+            dq, dkey, dv = dblock.reshape(q.shape[0], -1, 3, H, dk).transpose(2, 0, 3, 1, 4)
+            np.matmul(p.swapaxes(-1, -2), dctx, out=dv)
+            ds = dctx @ v.swapaxes(-1, -2)
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= scale
+            np.matmul(ds, k, out=dq)
+            np.matmul(ds.swapaxes(-1, -2), q, out=dkey)
+            dqkv[at] = dblock
         dw = h.data.T @ dqkv
         db = dqkv.sum(axis=0)
         return (dqkv @ w_qkv.T,

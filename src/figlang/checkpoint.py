@@ -3,8 +3,9 @@
 weights.bin is raw little-endian float32, row-major, tensors packed in the
 parameter-dict order recorded by the manifest: each entry's offset is where
 the entry before it ends (0 for the first), and loading rejects any other.
-Loading rejects a non-finite weight and restores float64 working copies;
-save(load(x)) is bit-identical to x.
+Saving refuses, and loading rejects, a weight that is not finite as float32;
+loading restores float64 working copies, and save(load(x)) is bit-identical
+to x.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .config import TASK_NAMES, ModelConfig, TrainConfig
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, ContractError, DataError, NumericError
 from .rcnn import model_param_shapes
 
 FORMAT_VERSION = 1
@@ -40,6 +41,19 @@ def save_checkpoint(out_dir, params: dict[str, Tensor], *, model_config: ModelCo
         # load_checkpoint would refuse it: write nothing
         raise ContractError(f"task {task!r} does not match the model's "
                             f"{model_config.task_head!r} head (task -> head: {TASK_NAMES})")
+    tensors, blobs, offset = [], [], 0
+    for name, t in params.items():
+        with np.errstate(over="ignore", invalid="ignore"):   # checked on the next line
+            arr = np.ascontiguousarray(t.data, dtype="<f4")
+        if not np.isfinite(arr).all():
+            # load_checkpoint would refuse it: write nothing
+            raise NumericError(f"tensor {name!r} has an entry that is not finite as float32")
+        raw = arr.tobytes()
+        tensors.append({"name": name, "shape": list(t.shape),
+                        "offset": offset, "nbytes": len(raw)})
+        blobs.append(raw)
+        offset += len(raw)
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # the manifest is the commit marker: written last, after the old one is
@@ -50,16 +64,6 @@ def save_checkpoint(out_dir, params: dict[str, Tensor], *, model_config: ModelCo
     src = Path(tokenizer_path)
     if src.resolve() != tok_dst.resolve():
         shutil.copyfile(src, tok_dst)
-
-    tensors = []
-    offset = 0
-    blobs = []
-    for name, t in params.items():
-        raw = np.ascontiguousarray(t.data, dtype="<f4").tobytes()
-        tensors.append({"name": name, "shape": list(t.shape),
-                        "offset": offset, "nbytes": len(raw)})
-        blobs.append(raw)
-        offset += len(raw)
     with open(out / "weights.bin", "wb") as f:
         for raw in blobs:
             f.write(raw)

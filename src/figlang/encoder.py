@@ -6,9 +6,9 @@ feed-forward -> residual -> layer norm. The self-attention is one fused
 the first with its GELU. The hidden states, output included, are the
 (N, d_model) rows of the real tokens of the (B, T) padding mask of
 `bpe.pad_batch` (`x[mask]`, row-major), so every position-wise op runs on
-real tokens only; attention lays the rows out as (B, T) for its scores,
-where padded keys receive exactly zero weight, so padding can never leak
-into a real token's state.
+real tokens only. Attention scores each text over its own rows, in one
+unpadded block per text length, so padding can never leak into a real
+token's state.
 """
 
 from __future__ import annotations
@@ -48,22 +48,17 @@ def encoder_param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _attention(p, i, h, mask, cfg, collect=None):
+def _attention(p, i, h, mask, cfg):
     return ad.attention(h, *(p[f"layer{i}.attn.{proj}.{kind}"]
                              for proj in "qkvo" for kind in ("weight", "bias")),
-                        mask, cfg.n_heads, collect)
+                        mask, cfg.n_heads)
 
 
-def encoder_forward(params, cfg: ModelConfig, ids, attn_mask, *, rng=None,
-                    collect_attn=None, collect_hidden=None) -> Tensor:
+def encoder_forward(params, cfg: ModelConfig, ids, attn_mask, *, rng=None) -> Tensor:
     """Hidden states of a right-padded batch: the (N, d_model) rows of the
     real tokens of `attn_mask`, in row-major order.
 
     Dropout at `cfg.dropout` runs exactly when a generator `rng` is passed.
-
-    `collect_attn`, when a list, receives the per-layer attention
-    probability tensors (B, H, T, T); `collect_hidden` the per-layer
-    block outputs (N, d_model).
     """
     ids = np.asarray(ids, dtype=np.int64)
     attn_mask = np.asarray(attn_mask, dtype=bool)
@@ -77,16 +72,13 @@ def encoder_forward(params, cfg: ModelConfig, ids, attn_mask, *, rng=None,
     pos = ad.embedding(params["embed.position.weight"], np.nonzero(attn_mask)[1])
     h = ad.dropout(ad.add(tok, pos), cfg.dropout, rng)
     for i in range(cfg.n_layers):
-        a = ad.dropout(_attention(params, i, h, attn_mask, cfg, collect=collect_attn),
-                       cfg.dropout, rng)
+        a = ad.dropout(_attention(params, i, h, attn_mask, cfg), cfg.dropout, rng)
         h = ad.layer_norm(ad.add(h, a), params[f"layer{i}.ln1.gain"], params[f"layer{i}.ln1.bias"])
         f = ad.linear(h, params[f"layer{i}.ff.fc1.weight"], params[f"layer{i}.ff.fc1.bias"],
                       gelu=True)
         f = ad.dropout(ad.linear(f, params[f"layer{i}.ff.fc2.weight"],
                                  params[f"layer{i}.ff.fc2.bias"]), cfg.dropout, rng)
         h = ad.layer_norm(ad.add(h, f), params[f"layer{i}.ln2.gain"], params[f"layer{i}.ln2.bias"])
-        if collect_hidden is not None:
-            collect_hidden.append(h)
     return h
 
 

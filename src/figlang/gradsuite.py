@@ -22,13 +22,13 @@ TINY = ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16, max_seq_len=8,
 
 
 def _tiny_batch(rng):
-    """Two rows, one padded, with one masked-LM target each."""
+    """Three rows, two of one length and padded, with one masked-LM target each."""
     seqs = [np.array([CLS_ID, *rng.integers(N_SPECIALS, TINY.vocab_size, size=n), SEP_ID])
-            for n in (4, 2)]
+            for n in (4, 2, 2)]
     ids, mask = pad_batch(seqs)
     masked = [MaskingOutcome(np.array([p]), s[[p]], np.array([MASK_ID]), ["mask"])
-              for s, p in zip(seqs, (2, 1))]
-    return ids, mask, np.array([0, 1], dtype=np.int64), collate_mlm(seqs, masked)
+              for s, p in zip(seqs, (2, 1, 2))]
+    return ids, mask, np.array([0, 1, 1], dtype=np.int64), collate_mlm(seqs, masked)
 
 
 def check_full_model(seed: int) -> float:

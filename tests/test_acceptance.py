@@ -80,10 +80,12 @@ def _primitive_cases(rng):
              lambda gelu=gelu: ad.sum_all(ad.mul(ad.linear(m1, m2, lb5, gelu=gelu), wlin)),
              m1, m2, lb5)
 
-    ah = leaf(5, 4)                                     # the real rows of amask
+    ah = leaf(8, 4)                                     # the real rows of amask
     aw = [leaf(*s) for s in ((4, 4), (4,)) * 4]        # q, k, v, o: weight, bias
-    amask = np.array([[True, True, True], [True, True, False]])
-    wat = Tensor(rng.normal(size=(5, 4)))
+    # lengths 3, 3 and 2: two texts share a score block, one through a hole
+    amask = np.array([[True, True, True, False], [True, False, True, True],
+                      [True, True, False, False]])
+    wat = Tensor(rng.normal(size=(8, 4)))
     # the k bias is left out: softmax ignores a shift shared by a row's
     # scores, so its gradient is 0 and central differences see only rounding
     case("attention",
@@ -211,8 +213,10 @@ def test_c02_padding_invariance():
     mutated[~mask] = rng.integers(N_SPECIALS, cfg.vocab_size, size=(~mask).sum())
 
     def stages(token_ids):
-        layers = []
-        h = encoder_forward(params, cfg, token_ids, mask, collect_hidden=layers)
+        # each layer's output, from an encoder cut after that layer
+        layers = [encoder_forward(params, dataclasses.replace(cfg, n_layers=i + 1),
+                                  token_ids, mask) for i in range(cfg.n_layers)]
+        h = layers[-1]
         lstm = bilstm_forward(params, h, mask)
         feats = ad.concat([h, lstm])
         z = ad.tanh(ad.add(ad.matmul(feats, params["proj.weight"]),
@@ -240,6 +244,9 @@ def test_c02_padding_invariance():
 
 
 def test_c03_attention_rows_normalized():
+    # each layer's attention on the rows it reads, with v = 1 and an identity
+    # output projection: every output entry is one query's weight sum, and
+    # padded positions have no row to take weight
     rng = np.random.default_rng(1)
     worst = 0.0
     for trial in range(5):
@@ -249,16 +256,21 @@ def test_c03_attention_rows_normalized():
         params = init_model_params(cfg, rng)
         lengths = rng.integers(1, 13, size=4).tolist()
         ids, mask = _padded_batch(rng, cfg, lengths)
-        probs = []
-        encoder_forward(params, cfg, ids, mask, collect_attn=probs)
-        for p in probs:
-            worst = max(worst, float(np.abs(p.data.sum(axis=-1) - 1.0).max()))
-            for b in range(len(mask)):
-                if (~mask[b]).any():
-                    assert p.data[b][:, :, ~mask[b]].max() == 0.0
+        d = cfg.d_model
+        inputs = [params["embed.token.weight"].data[ids[mask]]
+                  + params["embed.position.weight"].data[np.nonzero(mask)[1]]]
+        inputs += [encoder_forward(params, dataclasses.replace(cfg, n_layers=i), ids,
+                                   mask).data for i in range(1, cfg.n_layers)]
+        for i, h in enumerate(inputs):
+            sums = ad.attention(h, *(params[f"layer{i}.attn.{p}.{k}"] for p in "qk"
+                                     for k in ("weight", "bias")),
+                                np.zeros((d, d)), np.ones(d), np.eye(d), np.zeros(d),
+                                mask, cfg.n_heads).data
+            assert sums.shape == (mask.sum(), d)
+            worst = max(worst, float(np.abs(sums - 1.0).max()))
     assert worst <= ATTN_TOL
     report(3, f"attention row sums within {worst:.1e} of 1 "
-              f"(tolerance {ATTN_TOL:.0e}); masked keys exactly 0")
+              f"(tolerance {ATTN_TOL:.0e}); padding takes no row")
 
 
 # ---------------------------------------------------------------------------

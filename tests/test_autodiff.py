@@ -178,39 +178,51 @@ def test_sigmoid_extreme_inputs_finite():
     np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-12)
 
 
-def _attention_probs_by_plain_exp(h, ws, mask, n_heads):
-    """The attention probabilities with np.exp run on the masked scores
-    themselves, after a -1e30 additive bias at masked keys."""
-    (wq, bq, wk, bk, wv, bv), (B, T, d) = ws[:6], h.shape
-    dk = d // n_heads
-    qkv = h.reshape(B * T, d) @ np.concatenate([wq, wk, wv], axis=1)
-    qkv += np.concatenate([bq, bk, bv])
-    q, k, _ = qkv.reshape(B, T, 3, n_heads, dk).transpose(2, 0, 3, 1, 4)
-    s = q @ k.swapaxes(-1, -2)
-    s *= 1.0 / np.sqrt(dk)
-    s += np.where(mask, 0.0, -1e30)[:, None, None, :]
-    s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    return s / s.sum(axis=-1, keepdims=True)
+# Texts of lengths 5, 3, 3 and 5, with holes mid-row as well as padded tails.
+HOLES = np.array([[1, 0, 1, 1, 0, 1, 1], [1, 1, 1, 0, 0, 0, 0],
+                  [0, 1, 0, 1, 0, 1, 0], [1, 1, 1, 1, 1, 0, 0]], bool)
 
 
-def test_attention_masked_keys_get_exactly_zero_weight():
-    B, T, d, H = 3, 7, 8, 2
-    rng = np.random.default_rng(7)
-    h = rng.normal(size=(B, T, d))
-    ws = [rng.normal(size=shape) for _ in range(4) for shape in ((d, d), (d,))]
-    # holes mid-sequence as well as a padded tail
-    mask = np.array([[1, 0, 1, 1, 0, 1, 1], [1, 1, 1, 0, 0, 0, 0], [0, 1, 0, 1, 0, 1, 0]], bool)
-    collect = []
-    ad.attention(h[mask], *ws, mask, H, collect)
-    probs = collect[0].data
-    # real query rows only: a padded query row is not computed from h
-    real_q = (probs.transpose(0, 2, 1, 3)[mask],
-              _attention_probs_by_plain_exp(h, ws, mask, H).transpose(0, 2, 1, 3)[mask])
-    assert real_q[0].tobytes() == real_q[1].tobytes()
-    dead = np.broadcast_to(~mask[:, None, None, :], probs.shape)
-    assert (probs[dead] == 0.0).all()
-    assert (probs[~dead] > 0.0).all()
+def _attention_case(seed, d=8):
+    """Rows for HOLES, the eight weights, and a second draw of rows."""
+    rng = np.random.default_rng(seed)
+    n = HOLES.sum()
+    return (rng.normal(size=(n, d)), [rng.normal(size=s) for _ in range(4) for s in ((d, d), (d,))],
+            rng.normal(size=(n, d)))
+
+
+def _attention_grads(rows, ws, mask, weight):
+    """The output and the gradients of the rows and all eight weights."""
+    leaves = [Tensor(a, requires_grad=True) for a in [rows] + ws]
+    out = ad.attention(*leaves, mask, 2)
+    backward(ad.sum_all(ad.mul(out, weight)))
+    return [out.data] + [t.grad for t in leaves]
+
+
+def test_attention_mask_with_holes_matches_right_padding():
+    # a text owns its rows wherever its padding lies: holes in the mask give
+    # bit for bit what the right-padded mask of the same lengths gives
+    rows, ws, weight = _attention_case(7)
+    right = np.arange(HOLES.shape[1]) < HOLES.sum(axis=1, keepdims=True)
+    got = _attention_grads(rows, ws, HOLES, weight)
+    want = _attention_grads(rows, ws, right, weight)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_attention_text_sees_only_its_own_rows():
+    # new rows for one text change no other text's output row, not even in
+    # the text that shares its length and so its score block
+    rows, ws, new = _attention_case(8)
+    text_of_row = np.nonzero(HOLES)[0]
+    out = ad.attention(rows, *ws, HOLES, 2).data
+    for b in range(len(HOLES)):
+        own = text_of_row == b
+        changed = rows.copy()
+        changed[own] = new[own]
+        again = ad.attention(changed, *ws, HOLES, 2).data
+        assert again[~own].tobytes() == out[~own].tobytes()
+        assert (again[own] != out[own]).all()
 
 
 def test_attention_row_with_every_key_masked_rejected():

@@ -10,7 +10,7 @@ from figlang.bpe import bpe_train, save_tokenizer
 from figlang.checkpoint import (DTYPE, FORMAT_VERSION, load_checkpoint,
                                 save_checkpoint, sha256_file)
 from figlang.config import REGRESSION, ModelConfig, TrainConfig
-from figlang.errors import ContractError, DataError
+from figlang.errors import ContractError, DataError, NumericError
 from figlang.rcnn import init_model_params
 
 CFG = ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16, max_seq_len=8,
@@ -228,3 +228,16 @@ def test_non_finite_weight_rejected(tmp_path, tok_path, value):
         f.write(np.array([value], dtype="<f4").tobytes())
     with pytest.raises(DataError, match="tensor 'out.bias' in weights.bin has a non-finite"):
         load_checkpoint(out)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [1e300, -1e39, np.nan, np.inf], ids=["1e300", "-1e39", "nan", "inf"])
+def test_weight_not_finite_as_float32_writes_nothing(tmp_path, tok_path, value):
+    # load_checkpoint would refuse such a tensor, so save refuses it first,
+    # without the cast's overflow warning and before any file exists
+    params = fresh_params()
+    params["out.bias"].data[1] = value
+    with pytest.raises(NumericError, match="tensor 'out.bias' has an entry that is not finite"):
+        save_checkpoint(tmp_path / "ckpt", params, model_config=CFG, task="binary",
+                        tokenizer_path=tok_path)
+    assert not (tmp_path / "ckpt").exists()

@@ -164,6 +164,18 @@ def test_failed_training_run_keeps_an_existing_out_dir(ws, capsys, tmp_path, com
     assert (tmp_path / "keep.txt").read_text(encoding="utf-8") == "kept"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_weights_that_overflow_float32_are_not_saved(ws, capsys, tmp_path):
+    # one step at lr 1e308 leaves float64 weights near 1e308, past float32's
+    # range: saving them would write a checkpoint that every command refuses
+    made = tmp_path / "new"
+    argv, _ = MANIFEST_RUNS["finetune"](ws, made / "out")
+    assert cli.main(["finetune", *argv, "--lr", "1e308", "--max-steps", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: tensor '") and "not finite as float32" in err
+    assert tmp_path.is_dir() and not made.exists()
+
+
 @pytest.mark.parametrize("error", [OSError(28, "No space left on device"),
                                    KeyboardInterrupt()], ids=["disk-full", "ctrl-c"])
 @pytest.mark.parametrize("command", ["pretrain", "finetune"])

@@ -1,6 +1,7 @@
 """Encoder stack: shapes, padding invariance, attention normalization,
 multi-head consistency, dynamic masking statistics, and the MLM objective."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -73,6 +74,14 @@ def test_init_is_deterministic():
         np.testing.assert_array_equal(a[k].data, b[k].data)
 
 
+def _layers(params, cfg, ids, mask, rng_seed=None):
+    """Each layer's output, from encoder forwards cut after that layer;
+    with a generator seed, each forward draws the same dropout as a full one."""
+    return [encoder_forward(params, dataclasses.replace(cfg, n_layers=i + 1), ids, mask,
+                            rng=None if rng_seed is None else np.random.default_rng(rng_seed))
+            for i in range(cfg.n_layers)]
+
+
 def test_padding_invariance_per_layer():
     cfg = tiny_cfg()
     rng = np.random.default_rng(1)
@@ -81,29 +90,30 @@ def test_padding_invariance_per_layer():
     mutated = ids.copy()
     mutated[~mask] = rng.integers(N_SPECIALS, V, size=(~mask).sum())
 
-    layers_a, layers_b = [], []
-    encoder_forward(params, cfg, ids, mask, collect_hidden=layers_a)
-    encoder_forward(params, cfg, mutated, mask, collect_hidden=layers_b)
-    assert len(layers_a) == cfg.n_layers
-    for la, lb in zip(layers_a, layers_b):
+    for la, lb in zip(_layers(params, cfg, ids, mask), _layers(params, cfg, mutated, mask)):
         diff = np.abs(la.data - lb.data)
         assert diff.max() < 1e-9
 
 
 def test_attention_rows_sum_to_one_and_pads_get_zero():
+    # each layer's attention on the rows it reads, with v = 1 and an identity
+    # output projection, so every output entry is one query's weight sum;
+    # padded positions have no row, so the weight is all on real tokens
     cfg = tiny_cfg()
     rng = np.random.default_rng(2)
     params = init_params(encoder_param_shapes(cfg), rng)
-    ids, mask = make_batch(rng, cfg, [6, 2, 4])
-    probs = []
-    encoder_forward(params, cfg, ids, mask, collect_attn=probs)
-    assert len(probs) == cfg.n_layers
-    for p in probs:
-        np.testing.assert_allclose(p.data.sum(axis=-1), 1.0, atol=1e-9)
-        # masked keys carry exactly zero attention
-        for b in range(len(mask)):
-            if (~mask[b]).any():
-                assert p.data[b][:, :, ~mask[b]].max() == 0.0
+    ids, mask = make_batch(rng, cfg, [6, 2, 4, 2])
+    d = cfg.d_model
+    inputs = [params["embed.token.weight"].data[ids[mask]]
+              + params["embed.position.weight"].data[np.nonzero(mask)[1]]]
+    inputs += [h.data for h in _layers(params, cfg, ids, mask)[:-1]]
+    for i, h in enumerate(inputs):
+        sums = ad.attention(h, *(params[f"layer{i}.attn.{p}.{k}"] for p in "qk"
+                                 for k in ("weight", "bias")),
+                            np.zeros((d, d)), np.ones(d), np.eye(d), np.zeros(d),
+                            mask, cfg.n_heads).data
+        assert sums.shape == (mask.sum(), d)
+        np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
 
 def test_batch_permutation_consistency():
@@ -203,13 +213,15 @@ def _fused_ffn(params, i, h):
 
 def _parity_case(seed, prefix):
     """Unit-scale parameters (so softmax and GELU leave their linear range),
-    a right-padded batch, and the leaves whose gradients are compared."""
+    a padded batch of texts of lengths 8, 6, 6 and 4, the second 6 with a
+    hole, and the leaves whose gradients are compared."""
     cfg = tiny_cfg(n_layers=1, n_heads=2, d_model=8, d_ff=16)
     rng = np.random.default_rng(seed)
     params = init_params(encoder_param_shapes(cfg), rng)
     for t in params.values():
         t.data = rng.normal(size=t.shape)
-    _, mask = make_batch(rng, cfg, [6, 2, 4])
+    _, mask = make_batch(rng, cfg, [6, 4, 4, 2])
+    mask[2, 2], mask[2, 6] = False, True
     h = Tensor(rng.normal(size=mask.shape + (cfg.d_model,)), requires_grad=True)
     leaves = [h] + [params[k] for k in params if k.startswith(prefix)]
     return cfg, params, mask, h, leaves
@@ -232,7 +244,8 @@ def _assert_close(got, want, rtol=1e-12):
 
 
 def test_fused_attention_matches_composed_reference():
-    # attention on the real-token rows of a batch of three lengths, against
+    # attention on the real-token rows of a batch of three lengths, one of
+    # them shared by two texts, against
     # the composed graph on the padded layout read at the real rows: forward
     # values and the gradients of the rows and all eight weights
     cfg, params, mask, h, leaves = _parity_case(40, "layer0.attn.")
@@ -302,11 +315,9 @@ def test_padded_positions_are_zero_and_pass_no_gradient():
     params = init_params(encoder_param_shapes(cfg), rng)
     ids, mask = make_batch(rng, cfg, [7, 2, 4])
     ids[~mask] = rng.integers(N_SPECIALS, V, size=(~mask).sum())
-    layers = []
-    h = encoder_forward(params, cfg, ids, mask, rng=np.random.default_rng(0),
-                        collect_hidden=layers)
+    h = encoder_forward(params, cfg, ids, mask, rng=np.random.default_rng(0))
     # padded positions have no row at all: one nonzero row per real token
-    for out in [h] + layers:
+    for out in [h] + _layers(params, cfg, ids, mask, rng_seed=0):
         assert out.shape == (mask.sum(), cfg.d_model)
         assert (out.data != 0.0).all()
     # a loss on every row reaches no token embedding row that only padding uses
