@@ -20,10 +20,13 @@ copies a leaf's first gradient before storing it.
 Most ops wrap one numpy expression. Three fused ops record one node for a
 whole block and run it on plain arrays, with a backward pass written out
 by hand: `linear` (an affine map over the last axis as one GEMM, with GELU
-optionally applied in the same node), `attention` (multi-head self-attention
-from the q/k/v projections through the output projection) and `lstm` (a
-masked LSTM sweep, backpropagated through time). A fused op computes and
-keeps arrays for its backward pass only when some input requires a gradient.
+optionally applied in the same node), `attention` (scaled dot-product
+scores, softmax and context over q | k | v rows) and `lstm` (the recurrence
+of a masked LSTM sweep over input pre-activation rows, backpropagated
+through time). Every weight GEMM of the model is a `linear` node: the
+attention projections and the LSTM input projection included. A fused op
+computes and keeps arrays for its backward pass only when some input
+requires a gradient.
 
 Padding has one format: the (B, T) bool mask of `bpe.pad_batch`, true at
 real tokens. Hidden states have one layout: the (N, d) real-token rows,
@@ -192,6 +195,34 @@ def matmul(a, b) -> Tensor:
                             _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)))
 
 
+def _gelu(z, track):
+    """Tanh-approximation GELU of the array `z`, overwriting it:
+    0.5*z*(1 + tanh(sqrt(2/pi)*(z + 0.044715*z^3))). Returns y (the array
+    `z`) and dy/dz when `track`, else None."""
+    t = z * z
+    t *= z
+    t *= _GELU_A
+    t += z
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    dydz = None
+    if track:
+        du = z * z
+        du *= 3.0 * _GELU_A
+        du += 1.0
+        du *= _GELU_C
+        s = t * t
+        np.subtract(1.0, s, out=s)
+        dydz = 0.5 * z
+        dydz *= s
+        dydz *= du
+        dydz += 0.5 * (1.0 + t)
+    t += 1.0
+    z *= 0.5
+    z *= t
+    return z, dydz
+
+
 def linear(x, w, b, gelu=False) -> Tensor:
     """x @ w + b over the last axis of x, then GELU when `gelu`; one node.
 
@@ -210,28 +241,7 @@ def linear(x, w, b, gelu=False) -> Tensor:
     y += b.data
     dydz = None
     if gelu:
-        # The operations of `gelu`, in its order, mostly in place.
-        z = y
-        t = z * z
-        t *= z
-        t *= _GELU_A
-        t += z
-        t *= _GELU_C
-        np.tanh(t, out=t)
-        if any(p.requires_grad for p in (x, w, b)):
-            du = z * z
-            du *= 3.0 * _GELU_A
-            du += 1.0
-            du *= _GELU_C
-            s = t * t
-            np.subtract(1.0, s, out=s)
-            dydz = 0.5 * z
-            dydz *= s
-            dydz *= du
-            dydz += 0.5 * (1.0 + t)
-        t += 1.0
-        y = 0.5 * z
-        y *= t
+        y, dydz = _gelu(y, any(p.requires_grad for p in (x, w, b)))
 
     def _bw(g):
         g = g.reshape(-1, o)
@@ -257,17 +267,10 @@ def sigmoid(x) -> Tensor:
 
 
 def gelu(x) -> Tensor:
-    """Tanh-approximation GELU: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
+    """Tanh-approximation GELU, as `linear(gelu=True)` applies it."""
     x = as_tensor(x)
-    v = x.data
-    u = _GELU_C * (v + _GELU_A * (v * v * v))
-    t = np.tanh(u)
-
-    def _bw(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * v ** 2)
-        dydx = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du
-        return (g * dydx,)
-    return _node(0.5 * v * (1.0 + t), "gelu", (x,), _bw)
+    y, dydx = _gelu(x.data.copy(), x.requires_grad)
+    return _node(y, "gelu", (x,), lambda g: (g * dydx,))
 
 
 def softmax(x) -> Tensor:
@@ -406,61 +409,50 @@ def stack_time(steps) -> Tensor:
 # attention
 
 
-def attention(h, wq, bq, wk, bk, wv, bv, wo, bo, mask, n_heads) -> Tensor:
-    """Multi-head scaled dot-product self-attention over real-token rows, one node.
+def attention(qkv, mask, n_heads) -> Tensor:
+    """Multi-head scaled dot-product self-attention over real-token rows, one
+    node: the (N, 3d) q | k | v rows in, the (N, d) context rows out.
 
-    `h` holds the (N, d) rows of the (B, T) mask `mask` of `bpe.pad_batch`
-    in row-major order (`x[mask]`), N = `mask.sum()`, so text b owns the
+    The rows are those of the (B, T) mask `mask` of `bpe.pad_batch` in
+    row-major order (`x[mask]`), N = `mask.sum()`, so text b owns the
     `lengths[b] = mask[b].sum()` rows from `cumsum(lengths)[b] - lengths[b]`
     on, wherever its padding lies; a text with no row is a ContractError.
-    q, k and v come from one (N, d) x (d, 3d) GEMM on the concatenated
-    weights. The g texts of one length n share one unpadded (g, H, n, n)
-    block: scaled scores, a plain max-subtracted softmax and p·v, with the
-    context rows scattered back for the output projection. The backward
-    pass is written out by hand over the same blocks, from the saved
-    probabilities; the q, k and v weights get their gradients from one GEMM
-    on the (N, 3d) gradient.
+    The projections around it are `linear` nodes. The g texts of one length
+    n share one unpadded (g, H, n, n) block: scaled scores, a plain
+    max-subtracted softmax and p·v, with the context rows scattered back.
+    The backward pass is written out by hand over the same blocks, from the
+    saved probabilities, and returns the (N, 3d) gradient.
     """
-    h, wq, bq, wk, bk, wv, bv, wo, bo = (as_tensor(a) for a in (h, wq, bq, wk, bk, wv, bv, wo, bo))
-    mask = _rows_mask("attention", h, mask)
-    N, d = h.data.shape
-    if d % n_heads:
-        raise ShapeError(f"attention: width {d} not divisible by {n_heads} heads")
-    if (any(w.data.shape != (d, d) for w in (wq, wk, wv, wo))
-            or any(b.data.shape != (d,) for b in (bq, bk, bv, bo))):
-        raise ShapeError(f"attention on rows {h.data.shape} needs (d, d) weights "
-                         f"and (d,) biases")
+    qkv = as_tensor(qkv)
+    mask = _rows_mask("attention", qkv, mask)
+    N, d = qkv.data.shape[0], qkv.data.shape[1] // 3
+    if qkv.data.shape[1] != 3 * d or d % n_heads:
+        raise ShapeError(f"attention: rows {qkv.data.shape} are not q | k | v of a width "
+                         f"divisible by {n_heads} heads")
     lengths = mask.sum(axis=1)
     if not lengths.all():
         raise ContractError("attention: a row has every key masked")
     starts = np.cumsum(lengths) - lengths
     H, dk = n_heads, d // n_heads
     scale = 1.0 / np.sqrt(dk)
-    w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
-    qkv = h.data @ w_qkv
-    qkv += np.concatenate([bq.data, bk.data, bv.data])
-    track = any(a.requires_grad for a in (h, wq, bq, wk, bk, wv, bv, wo, bo))
     blocks = []      # per length: the rows, then q, k, v and p as backward reads them
     ctx = np.empty((N, d))
     for n in sorted(set(lengths.tolist())):   # np.unique: ~13 ms on its first call (numpy 2.4)
         at = (starts[lengths == n][:, None] + np.arange(n)).reshape(-1)   # text by text
-        q, k, v = qkv[at].reshape(-1, n, 3, H, dk).transpose(2, 0, 3, 1, 4)   # (g, H, n, dk) each
+        q, k, v = qkv.data[at].reshape(-1, n, 3, H, dk).transpose(2, 0, 3, 1, 4)   # (g, H, n, dk)
         p = q @ k.swapaxes(-1, -2)                                          # (g, H, n, n)
         p *= scale
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
         ctx[at] = (p @ v).swapaxes(1, 2).reshape(-1, d)
-        if track:
+        if qkv.requires_grad:
             blocks.append((at, q, k, v, p))
-    out = ctx @ wo.data
-    out += bo.data
 
     def _bw(g):
-        gctx = g @ wo.data.T
         dqkv = np.empty((N, 3 * d))
         for at, q, k, v, p in blocks:
-            dctx = gctx[at].reshape(q.shape[0], -1, H, dk).swapaxes(1, 2)
+            dctx = g[at].reshape(q.shape[0], -1, H, dk).swapaxes(1, 2)
             dblock = np.empty((at.size, 3 * d))
             dq, dkey, dv = dblock.reshape(q.shape[0], -1, 3, H, dk).transpose(2, 0, 3, 1, 4)
             np.matmul(p.swapaxes(-1, -2), dctx, out=dv)
@@ -471,52 +463,45 @@ def attention(h, wq, bq, wk, bk, wv, bv, wo, bo, mask, n_heads) -> Tensor:
             np.matmul(ds, k, out=dq)
             np.matmul(ds.swapaxes(-1, -2), q, out=dkey)
             dqkv[at] = dblock
-        dw = h.data.T @ dqkv
-        db = dqkv.sum(axis=0)
-        return (dqkv @ w_qkv.T,
-                dw[:, :d], db[:d], dw[:, d:2 * d], db[d:2 * d], dw[:, 2 * d:], db[2 * d:],
-                ctx.T @ g, g.sum(axis=0))
-    return _node(out, "attention", (h, wq, bq, wk, bk, wv, bv, wo, bo), _bw)
+        return (dqkv,)
+    return _node(ctx, "attention", (qkv,), _bw)
 
 
 # ---------------------------------------------------------------------------
 # recurrence
 
 
-def lstm(x, w_in, w_rec, bias, mask, reverse=False) -> Tensor:
-    """One masked LSTM sweep over the (N, d) rows of a (B, T) `mask`,
-    recorded as one node; its output is the (N, u) rows.
+def lstm(z, w_rec, mask, reverse=False) -> Tensor:
+    """One masked LSTM sweep over the (N, 4u) input pre-activation rows of a
+    (B, T) `mask`, recorded as one node; its output is the (N, u) rows.
 
-    Gates are packed i, f, g, o along the 4u axis of `w_in` (d, 4u),
-    `w_rec` (u, 4u) and `bias` (4u,); i, f and o use `sigmoid`'s form, their
-    columns halved once per call (exact in binary), so one tanh a step
-    activates all four. The input projection is one (N, d) x (d, 4u) GEMM
-    on the rows; each step gathers its B rows of it. The sweep runs over
-    t = 0..T-1, or T-1..0 when `reverse`. Each step multiplies its new cell
-    state by its `mask` entry; h = o * tanh(c) is its output and the next
-    step's state, so a padded step hands on a zero state (under right
-    padding, no real step reads it). The backward pass runs the loop in
-    reverse to fill the (B, T) pre-activation gradient of every step, then
-    takes the x and weight gradients from one GEMM (or sum) each.
+    The rows are x @ w_in + bias, one `linear` node. Gates are packed
+    i, f, g, o along the 4u axis of `z` and of `w_rec` (u, 4u); i, f and o
+    use `sigmoid`'s form, their columns of `z` and `w_rec` halved once per
+    call (exact in binary), so one tanh a step activates all four. Each step
+    gathers its B rows of `z`. The sweep runs over t = 0..T-1, or T-1..0
+    when `reverse`. Each step multiplies its new cell state by its `mask`
+    entry; h = o * tanh(c) is its output and the next step's state, so a
+    padded step hands on a zero state (under right padding, no real step
+    reads it). The backward pass runs the loop in reverse to fill the (B, T)
+    pre-activation gradient of every step, then returns its real rows and
+    the `w_rec` gradient from one GEMM.
     """
-    x, w_in, w_rec, bias = (as_tensor(a) for a in (x, w_in, w_rec, bias))
-    mask = _rows_mask("lstm", x, mask)
+    z, w_rec = as_tensor(z), as_tensor(w_rec)
+    mask = _rows_mask("lstm", z, mask)
     B, T = mask.shape
-    N, d = x.data.shape
+    N = z.data.shape[0]
     u = w_rec.data.shape[0]
-    if (w_in.data.shape != (d, 4 * u) or w_rec.data.shape != (u, 4 * u)
-            or bias.data.shape != (4 * u,)):
-        raise ShapeError(
-            f"lstm on rows {x.data.shape} needs w_in (d, 4u), w_rec (u, 4u) and "
-            f"bias (4u,), got {w_in.data.shape}, {w_rec.data.shape} and {bias.data.shape}")
+    if w_rec.data.shape != (u, 4 * u) or z.data.shape[1] != 4 * u:
+        raise ShapeError(f"lstm on rows {z.data.shape} needs (N, 4u) rows and w_rec "
+                         f"(u, 4u), got w_rec {w_rec.data.shape}")
     scale = np.repeat([0.5, 0.5, 1.0, 0.5], u)     # i, f, o take z/2; g is a plain tanh
     shift = 1.0 - scale
     wr = w_rec.data * scale
-    zx = x.data @ (w_in.data * scale)
-    zx += bias.data * scale
+    zx = z.data * scale
     row_at = _pad(np.arange(N), mask, 0).T.copy()   # (T, B) rows of zx; a padded step reads row 0
     # The backward pass is the only reader of what a step saves.
-    track = any(p.requires_grad for p in (x, w_in, w_rec, bias))
+    track = z.requires_grad or w_rec.requires_grad
     if track:
         gates = np.empty((B, T, 4 * u))      # activated i, f, g, o
         tanh_c = np.empty((B, T, u))         # tanh of the step's new cell state
@@ -529,9 +514,9 @@ def lstm(x, w_in, w_rec, bias, mask, reverse=False) -> Tensor:
     for t in steps:
         if track:
             h_prev[:, t], c_prev[:, t] = h, c
-        z = zx[row_at[t]]
-        z += h @ wr
-        a = np.tanh(z, out=z)
+        a = zx[row_at[t]]
+        a += h @ wr
+        np.tanh(a, out=a)
         a *= scale
         a += shift
         c = (a[:, u:2 * u] * c + a[:, :u] * a[:, 2 * u:3 * u]) * m[:, t]
@@ -559,12 +544,9 @@ def lstm(x, w_in, w_rec, bias, mask, reverse=False) -> Tensor:
             dz[:, t, 3] = dh * o_by_dh[:, t]
             dh = dz[:, t].reshape(B, 4 * u) @ w_rec.data.T
             dc = dc * f[:, t]
-        dz_rows = dz[mask].reshape(N, 4 * u)
-        return (dz_rows @ w_in.data.T,
-                x.data.T @ dz_rows,
-                h_prev.reshape(B * T, u).T @ dz.reshape(B * T, 4 * u),
-                dz_rows.sum(axis=0))
-    return _node(out[mask], "lstm", (x, w_in, w_rec, bias), _bw)
+        return (dz[mask].reshape(N, 4 * u),
+                h_prev.reshape(B * T, u).T @ dz.reshape(B * T, 4 * u))
+    return _node(out[mask], "lstm", (z, w_rec), _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -605,8 +587,9 @@ def cross_entropy(logits, targets) -> Tensor:
         raise ShapeError(f"target labels must lie in [0, {c})")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-    nll = -(z[np.arange(n), targets] - np.log(e.sum(axis=1)))
+    total = e.sum(axis=1, keepdims=True)
+    p = e / total
+    nll = -(z[np.arange(n), targets] - np.log(total[:, 0]))
 
     def _bw(g):
         d = p.copy()

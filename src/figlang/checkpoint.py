@@ -5,7 +5,9 @@ parameter-dict order recorded by the manifest: each entry's offset is where
 the entry before it ends (0 for the first), and loading rejects any other.
 Saving refuses, and loading rejects, a weight that is not finite as float32;
 loading restores float64 working copies, and save(load(x)) is bit-identical
-to x.
+to x. The manifest records the sha256 of tokenizer.json and, from format
+version 2 on, of weights.bin; loading rejects a file that does not match.
+Version 1 checkpoints, which carry no weights hash, still load.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .config import TASK_NAMES, ModelConfig, TrainConfig
 from .errors import ConfigError, ContractError, DataError, NumericError
 from .rcnn import model_param_shapes
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 DTYPE = "float32-le"
 
 
@@ -42,6 +44,7 @@ def save_checkpoint(out_dir, params: dict[str, Tensor], *, model_config: ModelCo
         raise ContractError(f"task {task!r} does not match the model's "
                             f"{model_config.task_head!r} head (task -> head: {TASK_NAMES})")
     tensors, blobs, offset = [], [], 0
+    weights_sha256 = hashlib.sha256()
     for name, t in params.items():
         with np.errstate(over="ignore", invalid="ignore"):   # checked on the next line
             arr = np.ascontiguousarray(t.data, dtype="<f4")
@@ -52,6 +55,7 @@ def save_checkpoint(out_dir, params: dict[str, Tensor], *, model_config: ModelCo
         tensors.append({"name": name, "shape": list(t.shape),
                         "offset": offset, "nbytes": len(raw)})
         blobs.append(raw)
+        weights_sha256.update(raw)
         offset += len(raw)
 
     out = Path(out_dir)
@@ -75,6 +79,7 @@ def save_checkpoint(out_dir, params: dict[str, Tensor], *, model_config: ModelCo
         "model_config": asdict(model_config),
         "train_config": asdict(train_config) if train_config is not None else None,
         "tokenizer_sha256": sha256_file(tok_dst),
+        "weights_sha256": weights_sha256.hexdigest(),
         "tensors": tensors,
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as f:
@@ -136,7 +141,7 @@ def load_checkpoint(ckpt_dir) -> CheckpointBundle:
         raise DataError(f"{man_path} is not valid JSON: {e}") from None
     if not isinstance(manifest, dict):
         raise DataError(f"{man_path} is not a JSON object")
-    if manifest.get("format_version") != FORMAT_VERSION:
+    if manifest.get("format_version") not in (1, FORMAT_VERSION):
         raise DataError(f"unsupported checkpoint format_version: "
                         f"{manifest.get('format_version')!r}")
     if manifest.get("dtype") != DTYPE:
@@ -177,6 +182,10 @@ def load_checkpoint(ckpt_dir) -> CheckpointBundle:
         params[entry["name"]] = Tensor(arr.astype(np.float64), requires_grad=True)
     if len(blob) != end:
         raise DataError(f"weights.bin is {len(blob)} bytes but its tensors end at byte {end}")
+    if manifest["format_version"] >= 2:
+        got, want = hashlib.sha256(blob).hexdigest(), manifest.get("weights_sha256")
+        if got != want:
+            raise DataError(f"weights.bin hash mismatch: manifest says {want}, file is {got}")
 
     try:
         model_config = ModelConfig(**manifest["model_config"])

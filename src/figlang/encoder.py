@@ -2,13 +2,14 @@
 
 Post-norm blocks: self-attention -> residual -> layer norm -> GELU
 feed-forward -> residual -> layer norm. The self-attention is one fused
-`autodiff.attention` node and the feed-forward two `autodiff.linear` nodes,
-the first with its GELU. The hidden states, output included, are the
-(N, d_model) rows of the real tokens of the (B, T) padding mask of
-`bpe.pad_batch` (`x[mask]`, row-major), so every position-wise op runs on
-real tokens only. Attention scores each text over its own rows, in one
-unpadded block per text length, so padding can never leak into a real
-token's state.
+`autodiff.attention` node between two `autodiff.linear` nodes (the q/k/v
+projection, on the concatenated weights, and the output projection), and
+the feed-forward two `linear` nodes, the first with its GELU. The hidden
+states, output included, are the (N, d_model) rows of the real tokens of
+the (B, T) padding mask of `bpe.pad_batch` (`x[mask]`, row-major), so every
+position-wise op runs on real tokens only. Attention scores each text over
+its own rows, in one unpadded block per text length, so padding can never
+leak into a real token's state.
 """
 
 from __future__ import annotations
@@ -49,9 +50,12 @@ def encoder_param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 def _attention(p, i, h, mask, cfg):
-    return ad.attention(h, *(p[f"layer{i}.attn.{proj}.{kind}"]
-                             for proj in "qkvo" for kind in ("weight", "bias")),
-                        mask, cfg.n_heads)
+    """Layer i's self-attention: q | k | v from one `linear` node on the
+    concatenated weights, `ad.attention`, then the output `linear`."""
+    qkv = ad.linear(h, ad.concat([p[f"layer{i}.attn.{x}.weight"] for x in "qkv"]),
+                    ad.concat([p[f"layer{i}.attn.{x}.bias"] for x in "qkv"]))
+    return ad.linear(ad.attention(qkv, mask, cfg.n_heads),
+                     p[f"layer{i}.attn.o.weight"], p[f"layer{i}.attn.o.bias"])
 
 
 def encoder_forward(params, cfg: ModelConfig, ids, attn_mask, *, rng=None) -> Tensor:

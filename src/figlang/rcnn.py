@@ -1,16 +1,17 @@
 """Recurrent-convolutional classification head over encoder hidden states.
 
 A BiLSTM contextualizes the final hidden states. Each of its two sweeps is
-one fused `autodiff.lstm` node (input projection hoisted out of the time
-loop, hand-written backward through time). Its output is concatenated
-per token with those states, pushed through a shared token-wise affine
-+ tanh (a width-1 "convolution" over the full feature stack, one fused
-`autodiff.linear` node), max-pooled over each text's tokens, and mapped by
-a second `linear` node to two logits (binary head) or one linear unit
-(regression head, clamped to the score range at predict time). Like the
-encoder's, every state here is the (N, ·) rows of a batch's real tokens
-(`x[mask]`, row-major): only `lstm` and `max_over_time` lay them out in
-time, inside their nodes.
+an `autodiff.linear` node (the input projection of every token, as one
+GEMM) and a fused `autodiff.lstm` node (the recurrence, with a hand-written
+backward through time). Its output is concatenated per token with those
+states, pushed through a shared token-wise affine + tanh (a width-1
+"convolution" over the full feature stack, one fused `autodiff.linear`
+node), max-pooled over each text's tokens, and mapped by a second `linear`
+node to two logits (binary head) or one linear unit (regression head,
+clamped to the score range at predict time). Like the encoder's, every
+state here is the (N, ·) rows of a batch's real tokens (`x[mask]`,
+row-major): only `lstm` and `max_over_time` lay them out in time, inside
+their nodes.
 
 `model_param_shapes` is the model's one parameter table: the encoder's
 parameters, then the head's. Initialization, the encoder freeze, the
@@ -78,12 +79,12 @@ def init_model_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, T
 
 def bilstm_forward(params, hidden: Tensor, mask) -> Tensor:
     """(N, d_model) rows -> (N, 2*units), units fixed by the LSTM weights:
-    forward and backward sweeps, one fused `ad.lstm` node each,
-    concatenated per token. A padded step hands a zero state on, so no
-    text's state reaches another's."""
-    fw, bw = (ad.lstm(hidden, params[f"lstm.{d}.w_in.weight"],
-                      params[f"lstm.{d}.w_rec.weight"], params[f"lstm.{d}.bias"],
-                      mask, reverse=d == "bw")
+    forward and backward sweeps, each an input-projection `ad.linear` node
+    and a fused `ad.lstm` node, concatenated per token. A padded step hands
+    a zero state on, so no text's state reaches another's."""
+    fw, bw = (ad.lstm(ad.linear(hidden, params[f"lstm.{d}.w_in.weight"],
+                                params[f"lstm.{d}.bias"]),
+                      params[f"lstm.{d}.w_rec.weight"], mask, reverse=d == "bw")
               for d in ("fw", "bw"))
     return ad.concat([fw, bw])
 

@@ -80,17 +80,12 @@ def _primitive_cases(rng):
              lambda gelu=gelu: ad.sum_all(ad.mul(ad.linear(m1, m2, lb5, gelu=gelu), wlin)),
              m1, m2, lb5)
 
-    ah = leaf(8, 4)                                     # the real rows of amask
-    aw = [leaf(*s) for s in ((4, 4), (4,)) * 4]        # q, k, v, o: weight, bias
+    aqkv = leaf(8, 12)                                  # q | k | v rows of amask
     # lengths 3, 3 and 2: two texts share a score block, one through a hole
     amask = np.array([[True, True, True, False], [True, False, True, True],
                       [True, True, False, False]])
     wat = Tensor(rng.normal(size=(8, 4)))
-    # the k bias is left out: softmax ignores a shift shared by a row's
-    # scores, so its gradient is 0 and central differences see only rounding
-    case("attention",
-         lambda: ad.sum_all(ad.mul(ad.attention(ah, *aw, amask, 2), wat)),
-         ah, *aw[:3], *aw[4:])
+    case("attention", lambda: ad.sum_all(ad.mul(ad.attention(aqkv, amask, 2), wat)), aqkv)
 
     x = leaf(3, 5)
     w = Tensor(rng.normal(size=(3, 5)))
@@ -155,15 +150,14 @@ def _primitive_cases(rng):
     case("dropout",
          lambda: ad.sum_all(ad.mul(ad.dropout(dx, 0.4, np.random.default_rng(1234)), wd)), dx)
 
-    lx, lw_in, lw_rec, lb = leaf(3, 4, 2), leaf(2, 8), leaf(2, 8), leaf(8)
+    lz, lw_rec = leaf(3, 4, 8), leaf(2, 8)
     lmask = np.array([[True] * 4, [True, True, True, False], [False, True, False, True]])
-    lx = Tensor(lx.data[lmask], requires_grad=True)                    # (9, 2) rows
+    lz = Tensor(lz.data[lmask], requires_grad=True)                    # (9, 8) rows
     wl = Tensor(rng.normal(size=(3, 4, 2))[lmask])
     for rev in (False, True):
         case(f"lstm.{'reverse' if rev else 'forward'}",
-             lambda rev=rev: ad.sum_all(ad.mul(
-                 ad.lstm(lx, lw_in, lw_rec, lb, lmask, reverse=rev), wl)),
-             lx, lw_in, lw_rec, lb)
+             lambda rev=rev: ad.sum_all(ad.mul(ad.lstm(lz, lw_rec, lmask, reverse=rev), wl)),
+             lz, lw_rec)
     return cases
 
 
@@ -244,9 +238,9 @@ def test_c02_padding_invariance():
 
 
 def test_c03_attention_rows_normalized():
-    # each layer's attention on the rows it reads, with v = 1 and an identity
-    # output projection: every output entry is one query's weight sum, and
-    # padded positions have no row to take weight
+    # each layer's attention on the q and k of the rows it reads, with v = 1:
+    # every output entry is one query's weight sum, and padded positions
+    # have no row to take weight
     rng = np.random.default_rng(1)
     worst = 0.0
     for trial in range(5):
@@ -256,17 +250,16 @@ def test_c03_attention_rows_normalized():
         params = init_model_params(cfg, rng)
         lengths = rng.integers(1, 13, size=4).tolist()
         ids, mask = _padded_batch(rng, cfg, lengths)
-        d = cfg.d_model
         inputs = [params["embed.token.weight"].data[ids[mask]]
                   + params["embed.position.weight"].data[np.nonzero(mask)[1]]]
         inputs += [encoder_forward(params, dataclasses.replace(cfg, n_layers=i), ids,
                                    mask).data for i in range(1, cfg.n_layers)]
         for i, h in enumerate(inputs):
-            sums = ad.attention(h, *(params[f"layer{i}.attn.{p}.{k}"] for p in "qk"
-                                     for k in ("weight", "bias")),
-                                np.zeros((d, d)), np.ones(d), np.eye(d), np.zeros(d),
+            q, k = (h @ params[f"layer{i}.attn.{p}.weight"].data
+                    + params[f"layer{i}.attn.{p}.bias"].data for p in "qk")
+            sums = ad.attention(np.concatenate([q, k, np.ones_like(q)], axis=1),
                                 mask, cfg.n_heads).data
-            assert sums.shape == (mask.sum(), d)
+            assert sums.shape == (mask.sum(), cfg.d_model)
             worst = max(worst, float(np.abs(sums - 1.0).max()))
     assert worst <= ATTN_TOL
     report(3, f"attention row sums within {worst:.1e} of 1 "

@@ -184,28 +184,27 @@ HOLES = np.array([[1, 0, 1, 1, 0, 1, 1], [1, 1, 1, 0, 0, 0, 0],
 
 
 def _attention_case(seed, d=8):
-    """Rows for HOLES, the eight weights, and a second draw of rows."""
+    """q | k | v rows for HOLES, an output weight, and a second draw of rows."""
     rng = np.random.default_rng(seed)
     n = HOLES.sum()
-    return (rng.normal(size=(n, d)), [rng.normal(size=s) for _ in range(4) for s in ((d, d), (d,))],
-            rng.normal(size=(n, d)))
+    return rng.normal(size=(n, 3 * d)), rng.normal(size=(n, d)), rng.normal(size=(n, 3 * d))
 
 
-def _attention_grads(rows, ws, mask, weight):
-    """The output and the gradients of the rows and all eight weights."""
-    leaves = [Tensor(a, requires_grad=True) for a in [rows] + ws]
-    out = ad.attention(*leaves, mask, 2)
+def _attention_grads(rows, mask, weight):
+    """The output and the gradient of the q | k | v rows."""
+    qkv = Tensor(rows, requires_grad=True)
+    out = ad.attention(qkv, mask, 2)
     backward(ad.sum_all(ad.mul(out, weight)))
-    return [out.data] + [t.grad for t in leaves]
+    return [out.data, qkv.grad]
 
 
 def test_attention_mask_with_holes_matches_right_padding():
     # a text owns its rows wherever its padding lies: holes in the mask give
     # bit for bit what the right-padded mask of the same lengths gives
-    rows, ws, weight = _attention_case(7)
+    rows, weight, _ = _attention_case(7)
     right = np.arange(HOLES.shape[1]) < HOLES.sum(axis=1, keepdims=True)
-    got = _attention_grads(rows, ws, HOLES, weight)
-    want = _attention_grads(rows, ws, right, weight)
+    got = _attention_grads(rows, HOLES, weight)
+    want = _attention_grads(rows, right, weight)
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
 
@@ -213,33 +212,31 @@ def test_attention_mask_with_holes_matches_right_padding():
 def test_attention_text_sees_only_its_own_rows():
     # new rows for one text change no other text's output row, not even in
     # the text that shares its length and so its score block
-    rows, ws, new = _attention_case(8)
+    rows, _, new = _attention_case(8)
     text_of_row = np.nonzero(HOLES)[0]
-    out = ad.attention(rows, *ws, HOLES, 2).data
+    out = ad.attention(rows, HOLES, 2).data
     for b in range(len(HOLES)):
         own = text_of_row == b
         changed = rows.copy()
         changed[own] = new[own]
-        again = ad.attention(changed, *ws, HOLES, 2).data
+        again = ad.attention(changed, HOLES, 2).data
         assert again[~own].tobytes() == out[~own].tobytes()
         assert (again[own] != out[own]).all()
 
 
 def test_attention_row_with_every_key_masked_rejected():
-    h = RNG.normal(size=(2, 3, 4))
-    ws = [RNG.normal(size=shape) for _ in range(4) for shape in ((4, 4), (4,))]
+    qkv = RNG.normal(size=(2, 3, 12))
     mask = np.array([[True, True, False], [False, False, False]])
     with pytest.raises(ContractError, match="every key masked"):
-        ad.attention(h[mask], *ws, mask, 2)
+        ad.attention(qkv[mask], mask, 2)
 
 
 @pytest.mark.parametrize("shape", [(2, 4), (2, 1, 1, 3)])
 def test_attention_mask_must_be_batch_by_time(shape):
     # one key too many, or a mask laid out to broadcast over the (B, H, T, T) scores
-    h = RNG.normal(size=(2, 3, 4)).reshape(6, 4)       # the rows of a (2, 3) mask
-    ws = [RNG.normal(size=s) for _ in range(4) for s in ((4, 4), (4,))]
+    qkv = RNG.normal(size=(6, 12))       # the rows of a (2, 3) mask
     with pytest.raises(ShapeError, match=r"\(B, T\) mask"):
-        ad.attention(h, *ws, np.ones(shape, dtype=bool), 2)
+        ad.attention(qkv, np.ones(shape, dtype=bool), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -496,13 +493,22 @@ def test_primitive_grads_across_seeds():
 
 @pytest.mark.parametrize("gelu", [False, True])
 def test_linear_equals_matmul_add(gelu):
-    # forward bit-identical to the composed ops it fuses
-    x = t(RNG.normal(size=(2, 3, 4)))
-    w = t(RNG.normal(size=(4, 5)))
-    b = t(RNG.normal(size=(5,)))
-    want = ad.add(ad.matmul(x, w), b)
-    want = ad.gelu(want) if gelu else want
-    np.testing.assert_array_equal(ad.linear(x, w, b, gelu=gelu).data, want.data)
+    # forward and the gradients of x, w and b bit-identical to the composed
+    # ops it fuses, on (N, d) rows as the model passes them (a stacked matmul
+    # sums dW batch by batch, so its rounding differs from one GEMM's)
+    arrays = [RNG.normal(size=s) for s in ((6, 4), (4, 5), (5,))]
+    weight = RNG.normal(size=(6, 5))
+
+    def run(build):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = build(*leaves)
+        backward(ad.sum_all(ad.mul(out, weight)))
+        return [out.data] + [p.grad for p in leaves]
+
+    got = run(lambda x, w, b: ad.linear(x, w, b, gelu=gelu))
+    want = run(lambda x, w, b: (ad.gelu if gelu else (lambda y: y))(ad.add(ad.matmul(x, w), b)))
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_linear_shape_errors():
@@ -592,8 +598,7 @@ def test_dropout_draws_one_number_per_element():
 # ops on real-token rows
 
 
-@pytest.mark.parametrize("op", [lambda x, m: ad.lstm(x, np.zeros((2, 8)), np.zeros((2, 8)),
-                                                     np.zeros(8), m),
+@pytest.mark.parametrize("op", [lambda x, m: ad.lstm(ad.concat([x] * 4), np.zeros((2, 8)), m),
                                 ad.max_over_time],
                          ids=["lstm", "max_over_time"])
 @pytest.mark.parametrize("mask", [np.ones((2, 3), dtype=bool), np.ones((4,), dtype=bool)])

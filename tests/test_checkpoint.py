@@ -61,11 +61,12 @@ def test_manifest_structure(tmp_path, tok_path):
     out = save_checkpoint(tmp_path / "ckpt", params, model_config=cfg,
                           task="score", tokenizer_path=tok_path)
     man = json.loads((out / "manifest.json").read_text())
-    assert man["format_version"] == FORMAT_VERSION == 1
+    assert man["format_version"] == FORMAT_VERSION == 2
     assert man["dtype"] == DTYPE == "float32-le"
     assert man["task"] == "score"
     assert man["train_config"] is None
     assert man["tokenizer_sha256"] == sha256_file(out / "tokenizer.json")
+    assert man["weights_sha256"] == sha256_file(out / "weights.bin")
     assert ModelConfig(**man["model_config"]) == cfg
 
     names = [e["name"] for e in man["tensors"]]
@@ -93,6 +94,30 @@ def test_tokenizer_tamper_detected(tmp_path, tok_path):
     tok.write_text(tok.read_text() + " ")
     with pytest.raises(DataError, match="hash mismatch"):
         load_checkpoint(out)
+
+
+def test_weights_tamper_detected(tmp_path, tok_path):
+    out = save_checkpoint(tmp_path / "ckpt", fresh_params(), model_config=CFG,
+                          task="binary", tokenizer_path=tok_path)
+    with open(out / "weights.bin", "r+b") as f:
+        f.seek(4003)
+        byte = f.read(1)[0]
+        f.seek(4003)
+        f.write(bytes([byte ^ 0x10]))
+    with pytest.raises(DataError, match="weights.bin hash mismatch"):
+        load_checkpoint(out)
+
+
+def test_version_1_checkpoint_without_weights_hash_loads(tmp_path, tok_path):
+    out = save_checkpoint(tmp_path / "ckpt", fresh_params(), model_config=CFG,
+                          task="binary", tokenizer_path=tok_path)
+    man = json.loads((out / "manifest.json").read_text())
+    man["format_version"] = 1
+    del man["weights_sha256"]
+    (out / "manifest.json").write_text(json.dumps(man))
+    bundle = load_checkpoint(out)
+    for k, t in fresh_params().items():
+        np.testing.assert_array_equal(bundle.params[k].data, t.data.astype("<f4"))
 
 
 def test_truncated_weights_detected(tmp_path, tok_path):

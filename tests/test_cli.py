@@ -520,6 +520,25 @@ def test_weights_with_trailing_bytes_are_data_error(ws, capsys, tmp_path):
     assert "tensors end at byte" in capsys.readouterr().err
 
 
+def test_changed_weights_byte_is_data_error(ws, capsys, tmp_path):
+    # one flipped bit that leaves every weight finite and every shape right:
+    # only the manifest's weights hash can tell, and predict prints no record
+    ckpt = tmp_path / "fine"
+    shutil.copytree(ws["fine"], ckpt)
+    with open(ckpt / "weights.bin", "r+b") as f:
+        f.seek(4003)
+        byte = f.read(1)[0]
+        f.seek(4003)
+        f.write(bytes([byte ^ 0x10]))
+    inp = tmp_path / "inputs.txt"
+    inp.write_text("oh great, rain again\n", encoding="utf-8")
+    assert cli.main(["predict", "--checkpoint", str(ckpt), "--input", str(inp)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert "weights.bin hash mismatch" in err
+
+
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
 def test_non_finite_weight_is_data_error(ws, capsys, tmp_path, command):
     # a NaN head bias must reach neither predict's records (bare NaN is not

@@ -11,7 +11,7 @@ from figlang import autodiff as ad
 from figlang.autodiff import Tensor, backward
 from figlang.bpe import CLS_ID, MASK_ID, N_SPECIALS, PAD_ID, SEP_ID, encode
 from figlang.config import ModelConfig, toy_scale
-from figlang.encoder import (MASK_RATE, _mask_count, collate_mlm, dynamic_mask,
+from figlang.encoder import (MASK_RATE, _attention, _mask_count, collate_mlm, dynamic_mask,
                              encoder_forward, encoder_param_shapes, mlm_forward)
 from figlang.errors import ConfigError, ContractError, MaskingError, ShapeError
 from figlang.rcnn import init_params
@@ -96,23 +96,22 @@ def test_padding_invariance_per_layer():
 
 
 def test_attention_rows_sum_to_one_and_pads_get_zero():
-    # each layer's attention on the rows it reads, with v = 1 and an identity
-    # output projection, so every output entry is one query's weight sum;
-    # padded positions have no row, so the weight is all on real tokens
+    # each layer's attention on the q and k of the rows it reads, with v = 1,
+    # so every output entry is one query's weight sum; padded positions have
+    # no row, so the weight is all on real tokens
     cfg = tiny_cfg()
     rng = np.random.default_rng(2)
     params = init_params(encoder_param_shapes(cfg), rng)
     ids, mask = make_batch(rng, cfg, [6, 2, 4, 2])
-    d = cfg.d_model
     inputs = [params["embed.token.weight"].data[ids[mask]]
               + params["embed.position.weight"].data[np.nonzero(mask)[1]]]
     inputs += [h.data for h in _layers(params, cfg, ids, mask)[:-1]]
     for i, h in enumerate(inputs):
-        sums = ad.attention(h, *(params[f"layer{i}.attn.{p}.{k}"] for p in "qk"
-                                 for k in ("weight", "bias")),
-                            np.zeros((d, d)), np.ones(d), np.eye(d), np.zeros(d),
+        q, k = (h @ params[f"layer{i}.attn.{p}.weight"].data
+                + params[f"layer{i}.attn.{p}.bias"].data for p in "qk")
+        sums = ad.attention(np.concatenate([q, k, np.ones_like(q)], axis=1),
                             mask, cfg.n_heads).data
-        assert sums.shape == (mask.sum(), d)
+        assert sums.shape == (mask.sum(), cfg.d_model)
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
 
@@ -244,18 +243,17 @@ def _assert_close(got, want, rtol=1e-12):
 
 
 def test_fused_attention_matches_composed_reference():
-    # attention on the real-token rows of a batch of three lengths, one of
-    # them shared by two texts, against
-    # the composed graph on the padded layout read at the real rows: forward
-    # values and the gradients of the rows and all eight weights
+    # the encoder's attention block (q | k | v linear, attention, output
+    # linear) on the real-token rows of a batch of three lengths, one of
+    # them shared by two texts, against the composed graph on the padded
+    # layout read at the real rows: forward values and the gradients of the
+    # rows and all eight weights
     cfg, params, mask, h, leaves = _parity_case(40, "layer0.attn.")
     rows = Tensor(h.data[mask], requires_grad=True)
     leaves[0] = rows
     real = np.flatnonzero(mask)
     weight = Tensor(np.random.default_rng(41).normal(size=rows.shape))
-    got = _run(lambda: ad.attention(
-        rows, *(params[f"layer0.attn.{p}.{k}"] for p in "qkvo" for k in ("weight", "bias")),
-        mask, cfg.n_heads), leaves, weight)
+    got = _run(lambda: _attention(params, 0, rows, mask, cfg), leaves, weight)
     want = _run(lambda: ad.gather_rows(ad.reshape(_composed_attention(
         params, 0, _composed_pad(rows, mask), mask, cfg), (mask.size, cfg.d_model)), real),
         leaves, weight)
@@ -329,8 +327,10 @@ def test_padded_positions_are_zero_and_pass_no_gradient():
 
 
 def test_encoder_graph_uses_fused_blocks():
-    # each layer is one attention node and two linear nodes; none of the
-    # composed ops they replaced may come back into the encoder
+    # each layer is one attention node, four linear nodes (q | k | v, output,
+    # and the two feed-forward ones) and two concat nodes (the q | k | v
+    # weights and biases); none of the composed ops they replaced may come
+    # back into the encoder
     cfg = tiny_cfg(n_layers=3, dropout=0.1)
     rng = np.random.default_rng(45)
     params = init_params(encoder_param_shapes(cfg), rng)
@@ -340,7 +340,8 @@ def test_encoder_graph_uses_fused_blocks():
     for op in ("matmul", "softmax", "gelu", "swap_axes", "reshape"):
         assert ops[op] == 0, op
     assert ops["attention"] == cfg.n_layers
-    assert ops["linear"] == 2 * cfg.n_layers
+    assert ops["linear"] == 4 * cfg.n_layers
+    assert ops["concat"] == 2 * cfg.n_layers
 
 
 def test_mlm_head_is_one_linear_node():
@@ -353,7 +354,8 @@ def test_mlm_head_is_one_linear_node():
     _, loss = mlm_forward(params, cfg, batch, rng=np.random.default_rng(0))
     ops = Counter(t.op for t in ad.ComputationGraph.trace(loss).nodes)
     assert ops["matmul"] == 0
-    assert ops["linear"] == 2 * cfg.n_layers + 1
+    assert ops["linear"] == 4 * cfg.n_layers + 1
+    assert ops["concat"] == 2 * cfg.n_layers
 
 
 # ---------------------------------------------------------------------------

@@ -220,9 +220,10 @@ def _lstm_direction(params, prefix: str, hidden: Tensor, mask: np.ndarray,
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_fused_lstm_matches_unrolled_reference(reverse):
-    # the fused sweep against the per-step graph it replaced: same output and
-    # same gradients of x and all three weights under a padded mask; the last
-    # row's holes make a real step start from a padded step's zero state
+    # the input projection's linear node and the fused sweep against the
+    # per-step graph they replaced: same output and same gradients of x and
+    # all three weights under a padded mask; the last row's holes make a
+    # real step start from a padded step's zero state
     cfg = head_cfg(d_model=6, lstm_units=4)
     params = init_params(head_param_shapes(cfg), np.random.default_rng(25))
     rng = np.random.default_rng(26)
@@ -242,7 +243,9 @@ def test_fused_lstm_matches_unrolled_reference(reverse):
         ad.backward(ad.sum_all(ad.mul(out, weight)))
         return [out.data] + [t.grad.copy() for t in leaves]
 
-    got = run(lambda: ad.lstm(rows, *(params[k] for k in names), mask, reverse=reverse),
+    got = run(lambda: ad.lstm(ad.linear(rows, params["lstm.fw.w_in.weight"],
+                                        params["lstm.fw.bias"]),
+                              params["lstm.fw.w_rec.weight"], mask, reverse=reverse),
               rows, Tensor(weight.data[mask]))
     want = run(lambda: ad.stack_time(_lstm_direction(params, "lstm.fw", x, mask,
                                                      cfg.lstm_units, reverse)), x, weight)
@@ -259,14 +262,15 @@ def test_lstm_restarts_from_zero_state_after_a_hole(reverse):
     T, k, d, u = 7, 3, 5, 4
     rng = np.random.default_rng(28)
     x = rng.normal(size=(1, T, d))
-    weights = [rng.normal(size=s) for s in ((d, 4 * u), (u, 4 * u), (4 * u,))]
+    w_in, w_rec, bias = (rng.normal(size=s) for s in ((d, 4 * u), (u, 4 * u), (4 * u,)))
+    z = x @ w_in + bias
     mask = np.ones((1, T), dtype=bool)
     mask[0, k] = False
     side = slice(None, k) if reverse else slice(k + 1, None)
     on_side = np.zeros_like(mask)
     on_side[:, side] = True
-    out = ad.lstm(x[mask], *weights, mask, reverse=reverse).data[on_side[mask]]
-    fresh = ad.lstm(x[:, side][mask[:, side]], *weights, mask[:, side], reverse=reverse).data
+    out = ad.lstm(z[mask], w_rec, mask, reverse=reverse).data[on_side[mask]]
+    fresh = ad.lstm(z[:, side][mask[:, side]], w_rec, mask[:, side], reverse=reverse).data
     assert np.abs(out).min() > 0
     np.testing.assert_allclose(out, fresh, rtol=1e-12, atol=0)
 
@@ -286,7 +290,7 @@ def test_lstm_saturated_gates_are_exact_and_raise_nothing():
     w_rec = Tensor(rng.normal(size=(u, 4 * u)), requires_grad=True)   # |h @ w_rec| << 1e3
     bias = Tensor(np.zeros(4 * u), requires_grad=True)
     with np.errstate(all="raise"):
-        out = ad.lstm(x, w_in, w_rec, bias, mask)
+        out = ad.lstm(ad.linear(x, w_in, bias), w_rec, mask)
         ad.backward(ad.sum_all(out))
     want = np.zeros((B, T, u))
     c = np.zeros((B, u))
@@ -304,9 +308,9 @@ def test_lstm_saturated_gates_are_exact_and_raise_nothing():
 def test_untracked_lstm_saves_nothing_for_backward():
     # with no input requiring a gradient, the sweep must not hold the gates,
     # tanh(c) and previous h and c of every step: (B, T, 4u + 3u) float64
-    B, T, d, u = 16, 40, 8, 8
+    B, T, u = 16, 40, 8
     rng = np.random.default_rng(27)
-    arrays = [rng.normal(size=s) for s in ((B, T, d), (d, 4 * u), (u, 4 * u), (4 * u,))]
+    arrays = [rng.normal(size=s) for s in ((B, T, 4 * u), (u, 4 * u))]
     mask = np.ones((B, T), dtype=bool)
     arrays[0] = arrays[0][mask]
 
@@ -323,6 +327,32 @@ def test_untracked_lstm_saves_nothing_for_backward():
     untracked, untracked_peak = sweep(False)
     np.testing.assert_array_equal(untracked, tracked)
     assert tracked_peak - untracked_peak >= B * T * 7 * u * 8
+
+
+def test_finetune_graph_reads_weights_only_through_linear_nodes():
+    # every weight GEMM is a linear node: attention reads only its q | k | v
+    # rows, an LSTM sweep only its input pre-activation rows and w_rec, and
+    # the only other ops that read a parameter are the embeddings, the layer
+    # norms and the concats that join the q, k and v weights for a linear
+    cfg = head_cfg(n_layers=2, dropout=0.1)
+    rng = np.random.default_rng(30)
+    params = init_model_params(cfg, rng)
+    ids, mask = make_batch(rng, cfg, [5, 2, 5])
+    loss = ad.cross_entropy(full_forward(params, cfg, ids, mask,
+                                         rng=np.random.default_rng(0)), [0, 1, 1])
+    nodes = ad.ComputationGraph.trace(loss).nodes
+    param_ids = {id(t) for t in params.values()}
+    readers = {t.op for t in nodes if any(id(p) in param_ids for p in t.parents)}
+    assert readers == {"linear", "concat", "embedding", "layer_norm", "lstm"}
+    attention = [t for t in nodes if t.op == "attention"]
+    assert len(attention) == cfg.n_layers
+    for t in attention:
+        assert [p.op for p in t.parents] == ["linear"]
+    lstm = [t for t in nodes if t.op == "lstm"]
+    assert [len(t.parents) for t in lstm] == [2, 2]
+    for t, d in zip(lstm, ("fw", "bw")):
+        assert t.parents[0].op == "linear"
+        assert t.parents[1] is params[f"lstm.{d}.w_rec.weight"]
 
 
 # ---------------------------------------------------------------------------
