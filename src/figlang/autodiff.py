@@ -29,13 +29,14 @@ computes and keeps arrays for its backward pass only when some input
 requires a gradient.
 
 Padding has one format: the (B, T) bool mask of `bpe.pad_batch`, true at
-real tokens. Hidden states have one layout: the (N, d) real-token rows,
-`x[mask]` in row-major order. `attention`, `lstm` and `max_over_time` take
-rows with their mask, so a row-wise op between them (`linear`, `add`,
-`layer_norm`, `concat`, `tanh`, `dropout`) computes and draws nothing for
-padding. `attention` lays out no padding either: texts of one length share
-one score block. Only `lstm` and `max_over_time` lay the rows out as
-(B, T, ...), by `_pad`. `dropout` is on only when given a generator.
+real tokens. Ids and hidden states are real-token rows in row-major order:
+(N,) ids into `embedding`, (N, d) rows `x[mask]` after it. `attention`,
+`lstm` and `max_over_time` take rows with their mask, so a row-wise op
+between them (`linear`, `add`, `layer_norm`, `concat`, `tanh`, `dropout`)
+computes and draws nothing for padding. `attention` lays out no padding
+either: texts of one length share one score block. Only `lstm` and
+`max_over_time` lay rows out as (B, T, ...), by `_pad`. `dropout` is on
+only when given a generator.
 
 All arithmetic is 64-bit: the finite-difference oracle in `grad_check`
 needs the headroom, and desk-scale models do not need the speed.
@@ -224,31 +225,27 @@ def _gelu(z, track):
 
 
 def linear(x, w, b, gelu=False) -> Tensor:
-    """x @ w + b over the last axis of x, then GELU when `gelu`; one node.
+    """x @ w + b over (N, d) rows x, then GELU when `gelu`; one node.
 
-    The leading axes of x are flattened into one (N, d) x (d, o) GEMM and
-    the bias is added in place. Backward takes dx and dW from one GEMM each
-    and db from one sum. The GELU derivative is saved only when some input
-    requires a gradient.
+    The (N, d) x (d, o) GEMM takes the bias in place. Backward takes dx and
+    dW from one GEMM each and db from one sum. The GELU derivative is saved
+    only when some input requires a gradient.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if w.ndim != 2 or x.data.shape[-1:] != w.data.shape[:1] or b.data.shape != w.data.shape[1:]:
-        raise ShapeError(f"linear needs x (..., d), w (d, o) and b (o,), got "
+    if x.ndim != 2 or b.ndim != 1 or w.data.shape != x.data.shape[1:] + b.data.shape:
+        raise ShapeError(f"linear needs x (N, d), w (d, o) and b (o,), got "
                          f"{x.data.shape}, {w.data.shape} and {b.data.shape}")
-    d, o = w.data.shape
-    x2 = x.data.reshape(-1, d)
-    y = x2 @ w.data
+    y = x.data @ w.data
     y += b.data
     dydz = None
     if gelu:
         y, dydz = _gelu(y, any(p.requires_grad for p in (x, w, b)))
 
     def _bw(g):
-        g = g.reshape(-1, o)
         if dydz is not None:
             g = g * dydz
-        return ((g @ w.data.T).reshape(x.data.shape), x2.T @ g, g.sum(axis=0))
-    return _node(y.reshape(x.data.shape[:-1] + (o,)), "linear", (x, w, b), _bw)
+        return (g @ w.data.T, x.data.T @ g, g.sum(axis=0))
+    return _node(y, "linear", (x, w, b), _bw)
 
 
 def tanh(x) -> Tensor:
@@ -320,14 +317,15 @@ def _scatter_rows(shape, idx, g) -> np.ndarray:
 
 
 def embedding(table, ids) -> Tensor:
-    """Gather rows of a (V, d) table by an integer id array of any shape."""
+    """Rows of a (V, d) table at (N,) integer ids; gradient scatter-adds back."""
     table = as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 1:
+        raise ShapeError(f"embedding needs (N,) ids, got shape {ids.shape}")
     if np.any(ids < 0) or np.any(ids >= table.data.shape[0]):
         raise ShapeError(f"embedding ids out of range [0, {table.data.shape[0]})")
-    shape = table.data.shape
     return _node(table.data[ids], "embedding", (table,),
-                 lambda g: (_scatter_rows(shape, ids.reshape(-1), g.reshape(-1, shape[1])),))
+                 lambda g: (_scatter_rows(table.data.shape, ids, g),))
 
 
 def gather_rows(x, idx) -> Tensor:

@@ -8,8 +8,8 @@ decode(encode(text)) reproduces the normalized text byte for byte.
 A model is its ordered merge list: `TokenizerModel(merges)` derives the
 token table, the vocab and the merge ranks once, and `bpe_train` and
 `load_tokenizer` both build it that way. `encode` returns one sequence's
-ids as a plain int64 array, unpadded; `pad_batch` right-pads a list of them
-to the longest in the batch and is the only place a padded batch is built.
+ids as a plain int64 array, unpadded; `pad_batch` joins a batch of them
+into its (N,) real-token ids and builds its (B, T) padding mask.
 
 Each model memoizes merges per chunk, as GPT-2's encoder caches them per
 word: the first time `encode` meets a chunk it runs the rank-ordered merge
@@ -20,7 +20,8 @@ splitting the text into chunks once the `max_seq_len - 2` content ids that
 fit the window exist, so the tail of a long text costs nothing.
 
 Id layout: specials 0..3 (<cls>, <sep>, <pad>, <mask>), the 256 byte tokens
-4..259, learned merges from 260 upward in rank order. `vocab_size` passed to
+4..259, learned merges from 260 upward in rank order; a batch holds real
+tokens only, so <pad> stays reserved and unused. `vocab_size` passed to
 training budgets the non-special part (256 byte tokens + merges); specials
 sit outside the budget on reserved low ids. tokenizer.json (version 1)
 stores the vocab beside the merges; loading checks that the two agree.
@@ -210,7 +211,7 @@ def encode(model: TokenizerModel, text: str, max_seq_len: int) -> np.ndarray:
     merged the first time this model sees it and read from `model.memo`
     after that, giving the same ids; the memo has no size limit and gains
     one entry per distinct chunk. Returns a new (length,) int64 array of
-    ids, unpadded; `pad_batch` pads a batch.
+    ids, unpadded; `pad_batch` joins a batch of them.
     """
     if max_seq_len < 2:
         raise ConfigError(f"max_seq_len must be at least 2 (cls + sep), got {max_seq_len}")
@@ -219,16 +220,12 @@ def encode(model: TokenizerModel, text: str, max_seq_len: int) -> np.ndarray:
 
 
 def pad_batch(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Right-pad id arrays from `encode` to the longest in the batch: ids
-    (B, T) int64 filled with PAD_ID, and the prefix-true attention mask
-    (B, T) bool."""
-    T = max(len(s) for s in seqs)
-    ids = np.full((len(seqs), T), PAD_ID, dtype=np.int64)
-    mask = np.zeros((len(seqs), T), dtype=bool)
-    for b, s in enumerate(seqs):
-        ids[b, :len(s)] = s
-        mask[b, :len(s)] = True
-    return ids, mask
+    """Join id arrays from `encode` into (N,) int64 ids, and build the
+    prefix-true (B, T) bool mask of their right-padded layout (T the longest
+    length): the ids are its real tokens in row-major order."""
+    lengths = np.array([len(s) for s in seqs])
+    return (np.concatenate(seqs, dtype=np.int64),
+            np.arange(lengths.max()) < lengths[:, None])
 
 
 def decode(model: TokenizerModel, ids) -> str:

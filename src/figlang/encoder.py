@@ -4,12 +4,12 @@ Post-norm blocks: self-attention -> residual -> layer norm -> GELU
 feed-forward -> residual -> layer norm. The self-attention is one fused
 `autodiff.attention` node between two `autodiff.linear` nodes (the q/k/v
 projection, on the concatenated weights, and the output projection), and
-the feed-forward two `linear` nodes, the first with its GELU. The hidden
-states, output included, are the (N, d_model) rows of the real tokens of
-the (B, T) padding mask of `bpe.pad_batch` (`x[mask]`, row-major), so every
-position-wise op runs on real tokens only. Attention scores each text over
-its own rows, in one unpadded block per text length, so padding can never
-leak into a real token's state.
+the feed-forward two `linear` nodes, the first with its GELU. A batch is
+the (N,) real-token ids and (B, T) padding mask of `bpe.pad_batch`; the
+hidden states, output included, are the (N, d_model) rows of those tokens
+(`x[mask]`, row-major), so every position-wise op runs on real tokens only.
+Attention scores each text over its own rows, in one unpadded block per
+text length, so padding can never leak into a real token's state.
 """
 
 from __future__ import annotations
@@ -59,20 +59,21 @@ def _attention(p, i, h, mask, cfg):
 
 
 def encoder_forward(params, cfg: ModelConfig, ids, attn_mask, *, rng=None) -> Tensor:
-    """Hidden states of a right-padded batch: the (N, d_model) rows of the
-    real tokens of `attn_mask`, in row-major order.
+    """The (N, d_model) rows of the (N,) real-token `ids` of the (B, T)
+    mask `attn_mask`, both as `bpe.pad_batch` returns them.
 
     Dropout at `cfg.dropout` runs exactly when a generator `rng` is passed.
     """
     ids = np.asarray(ids, dtype=np.int64)
     attn_mask = np.asarray(attn_mask, dtype=bool)
-    T = ids.shape[1]
+    if attn_mask.ndim != 2 or ids.shape != (attn_mask.sum(),):
+        raise ShapeError(f"encoder ids {ids.shape} are not the real tokens of a (B, T) "
+                         f"mask, got a mask of shape {attn_mask.shape}")
+    T = attn_mask.shape[1]
     if T > cfg.max_seq_len:
         raise ConfigError(f"sequence length {T} exceeds max_seq_len {cfg.max_seq_len}")
-    if attn_mask.shape != ids.shape:
-        raise ShapeError(f"encoder mask {attn_mask.shape} does not match ids {ids.shape}")
 
-    tok = ad.embedding(params["embed.token.weight"], ids[attn_mask])
+    tok = ad.embedding(params["embed.token.weight"], ids)
     pos = ad.embedding(params["embed.position.weight"], np.nonzero(attn_mask)[1])
     h = ad.dropout(ad.add(tok, pos), cfg.dropout, rng)
     for i in range(cfg.n_layers):
@@ -136,25 +137,22 @@ def dynamic_mask(seq: np.ndarray, rng: np.random.Generator,
 
 @dataclass
 class MlmBatch:
-    ids: np.ndarray         # (B, T) with replacements applied
-    mask: np.ndarray        # (B, T) attention mask
-    rows: np.ndarray        # masked positions as indices into the real-token rows
+    ids: np.ndarray         # (N,) real-token ids with replacements applied
+    mask: np.ndarray        # (B, T) padding mask
+    rows: np.ndarray        # masked positions as indices into the N rows
     targets: np.ndarray     # original ids at the masked positions
 
 
 def collate_mlm(sequences: list[np.ndarray],
                 outcomes: list[MaskingOutcome]) -> MlmBatch:
+    """`pad_batch` of the sequences, each outcome's replacements written at
+    its rows: its positions offset by its sequence's first row."""
     ids, mask = pad_batch(sequences)
-    rows, targets = [], []
-    start = 0      # row of the sequence's first token
-    for b, (s, o) in enumerate(zip(sequences, outcomes)):
-        ids[b, o.positions] = o.replacement_ids
-        rows.extend(start + o.positions)
-        targets.extend(o.original_ids)
-        start += len(s)
-    return MlmBatch(ids=ids, mask=mask,
-                    rows=np.array(rows, dtype=np.int64),
-                    targets=np.array(targets, dtype=np.int64))
+    starts = np.cumsum([0] + [len(s) for s in sequences[:-1]])
+    rows = np.concatenate([start + o.positions for start, o in zip(starts, outcomes)])
+    ids[rows] = np.concatenate([o.replacement_ids for o in outcomes])
+    return MlmBatch(ids=ids, mask=mask, rows=rows,
+                    targets=np.concatenate([o.original_ids for o in outcomes]))
 
 
 def mlm_forward(params, cfg: ModelConfig, batch: MlmBatch, *,

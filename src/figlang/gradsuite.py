@@ -22,7 +22,7 @@ TINY = ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16, max_seq_len=8,
 
 
 def _tiny_batch(rng):
-    """Three rows, two of one length and padded, with one masked-LM target each."""
+    """Three texts, two of one length and padded, with one masked-LM target each."""
     seqs = [np.array([CLS_ID, *rng.integers(N_SPECIALS, TINY.vocab_size, size=n), SEP_ID])
             for n in (4, 2, 2)]
     ids, mask = pad_batch(seqs)

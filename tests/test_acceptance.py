@@ -15,7 +15,7 @@ import figlang
 from figlang import autodiff as ad
 from figlang.autodiff import Tensor
 from figlang.bpe import (CLS_ID, N_SPECIALS, PAD_ID, SEP_ID, bpe_train, decode, encode,
-                         normalize)
+                         normalize, pad_batch)
 from figlang.config import ModelConfig, TrainConfig, paper_scale, toy_scale
 from figlang.data import LabeledExample
 from figlang.encoder import dynamic_mask, encoder_forward
@@ -73,12 +73,12 @@ def _primitive_cases(rng):
     case("mul.broadcast", lambda: ad.sum_all(ad.mul(a, c)), a, c)
     m1, m2 = leaf(2, 3, 4), leaf(4, 5)
     case("matmul.batched", lambda: ad.sum_all(ad.matmul(m1, m2)), m1, m2)
-    lb5 = leaf(5)
-    wlin = Tensor(rng.normal(size=(2, 3, 5)))
+    lx, lb5 = leaf(6, 4), leaf(5)
+    wlin = Tensor(rng.normal(size=(6, 5)))
     for gelu in (False, True):
         case("linear.gelu" if gelu else "linear",
-             lambda gelu=gelu: ad.sum_all(ad.mul(ad.linear(m1, m2, lb5, gelu=gelu), wlin)),
-             m1, m2, lb5)
+             lambda gelu=gelu: ad.sum_all(ad.mul(ad.linear(lx, m2, lb5, gelu=gelu), wlin)),
+             lx, m2, lb5)
 
     aqkv = leaf(8, 12)                                  # q | k | v rows of amask
     # lengths 3, 3 and 2: two texts share a score block, one through a hole
@@ -98,8 +98,8 @@ def _primitive_cases(rng):
          x, g, bsh)
 
     table = leaf(7, 4)
-    ids = rng.integers(0, 7, size=(2, 3))
-    wt = Tensor(rng.normal(size=(2, 3, 4)))
+    ids = rng.integers(0, 7, size=6)
+    wt = Tensor(rng.normal(size=(6, 4)))
     case("embedding", lambda: ad.sum_all(ad.mul(ad.embedding(table, ids), wt)),
          table)
 
@@ -184,16 +184,10 @@ def test_c01_gradient_suite():
 # 2. padding invariance
 
 
-def _padded_batch(rng, cfg, lengths):
-    B, T = len(lengths), max(lengths) + 2
-    ids = np.full((B, T), PAD_ID, dtype=np.int64)
-    mask = np.zeros((B, T), dtype=bool)
-    for i, n in enumerate(lengths):
-        ids[i, 0] = CLS_ID
-        ids[i, 1:1 + n] = rng.integers(N_SPECIALS, cfg.vocab_size, size=n)
-        ids[i, 1 + n] = SEP_ID
-        mask[i, :n + 2] = True
-    return ids, mask
+def _random_batch(rng, cfg, lengths):
+    """`pad_batch` of random texts with `lengths` content tokens."""
+    return pad_batch([np.array([CLS_ID, *rng.integers(N_SPECIALS, cfg.vocab_size, size=n),
+                                SEP_ID]) for n in lengths])
 
 
 def test_c02_padding_invariance():
@@ -202,14 +196,14 @@ def test_c02_padding_invariance():
                       lstm_units=4, d_proj=8)
     rng = np.random.default_rng(0)
     params = init_model_params(cfg, rng)
-    ids, mask = _padded_batch(rng, cfg, [9, 4, 6])
-    mutated = ids.copy()
-    mutated[~mask] = rng.integers(N_SPECIALS, cfg.vocab_size, size=(~mask).sum())
+    ids, tight = _random_batch(rng, cfg, [9, 4, 6])
+    # all-False columns out to max_seq_len: the same texts, padded wider
+    wide = np.pad(tight, ((0, 0), (0, cfg.max_seq_len - tight.shape[1])))
 
-    def stages(token_ids):
+    def stages(mask):
         # each layer's output, from an encoder cut after that layer
         layers = [encoder_forward(params, dataclasses.replace(cfg, n_layers=i + 1),
-                                  token_ids, mask) for i in range(cfg.n_layers)]
+                                  ids, mask) for i in range(cfg.n_layers)]
         h = layers[-1]
         lstm = bilstm_forward(params, h, mask)
         feats = ad.concat([h, lstm])
@@ -218,8 +212,8 @@ def test_c02_padding_invariance():
         pooled = ad.max_over_time(z, mask)
         return layers, lstm, pooled
 
-    layers_a, lstm_a, pooled_a = stages(ids)
-    layers_b, lstm_b, pooled_b = stages(mutated)
+    layers_a, lstm_a, pooled_a = stages(tight)
+    layers_b, lstm_b, pooled_b = stages(wide)
 
     worst = 0.0
     for la, lb in zip(layers_a, layers_b):
@@ -249,8 +243,8 @@ def test_c03_attention_rows_normalized():
                           lstm_units=4, d_proj=8)
         params = init_model_params(cfg, rng)
         lengths = rng.integers(1, 13, size=4).tolist()
-        ids, mask = _padded_batch(rng, cfg, lengths)
-        inputs = [params["embed.token.weight"].data[ids[mask]]
+        ids, mask = _random_batch(rng, cfg, lengths)
+        inputs = [params["embed.token.weight"].data[ids]
                   + params["embed.position.weight"].data[np.nonzero(mask)[1]]]
         inputs += [encoder_forward(params, dataclasses.replace(cfg, n_layers=i), ids,
                                    mask).data for i in range(1, cfg.n_layers)]

@@ -420,7 +420,7 @@ def test_grad_layer_norm():
 
 def test_grad_embedding_scatter():
     table = t(RNG.normal(size=(11, 4)))
-    ids = np.array([[0, 3, 3], [10, 0, 5]])  # repeats must accumulate
+    ids = np.array([0, 3, 3, 10, 0, 5])  # repeats must accumulate
     _gc(lambda: ad.sum_all(ad.tanh(ad.embedding(table, ids))), [table])
     zero_grads([table])
     backward(ad.sum_all(ad.embedding(table, ids)))
@@ -512,10 +512,20 @@ def test_linear_equals_matmul_add(gelu):
 
 
 def test_linear_shape_errors():
+    # x must be (N, d) rows: a stacked (B, T, d) or a single (d,) x is an error
     x, w, b = t(np.zeros((2, 4))), t(np.zeros((4, 3))), t(np.zeros(3))
-    for args in ((t(np.zeros((2, 5))), w, b), (x, t(np.zeros(4)), b), (x, w, t(np.zeros(4)))):
+    for args in ((t(np.zeros((2, 5))), w, b), (x, t(np.zeros(4)), b), (x, w, t(np.zeros(4))),
+                 (t(np.zeros((1, 2, 4))), w, b), (t(np.zeros(4)), w, b)):
         with pytest.raises(ShapeError):
             ad.linear(*args)
+
+
+def test_embedding_needs_row_ids():
+    table = t(np.arange(10.0).reshape(5, 2))
+    np.testing.assert_array_equal(ad.embedding(table, [4, 0, 4]).data, [[8, 9], [0, 1], [8, 9]])
+    for ids in (np.zeros((2, 3), dtype=np.int64), np.int64(1)):
+        with pytest.raises(ShapeError, match=r"\(N,\) ids"):
+            ad.embedding(table, ids)
 
 
 def test_untracked_linear_gelu_saves_no_derivative():

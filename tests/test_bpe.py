@@ -96,7 +96,7 @@ def test_encode_empty_string(toy_tok):
     assert seq.tolist() == [CLS_ID, SEP_ID]
     assert len(seq) == 2
     ids, mask = pad_batch([seq, encode(toy_tok, "the cat sees the dog " * 30, 8)])
-    assert ids[0].tolist() == [CLS_ID, SEP_ID] + [PAD_ID] * 6
+    assert ids[:2].tolist() == [CLS_ID, SEP_ID] and len(ids) == 2 + 8
     assert mask[0].tolist() == [True, True] + [False] * 6
     assert decode(toy_tok, seq) == ""
 
@@ -111,10 +111,24 @@ def test_encode_truncates_long_text(toy_tok):
 
 def test_encode_mask_is_prefix(toy_tok):
     seq = encode(toy_tok, "the cat", 16)
-    ids, mask = pad_batch([seq, encode(toy_tok, "the cat sees the dog " * 30, 16)])
+    long = encode(toy_tok, "the cat sees the dog " * 30, 16)
+    ids, mask = pad_batch([seq, long])
     m = mask[0]
     assert m[:len(seq)].all() and not m[len(seq):].any()
-    assert (ids[0, len(seq):] == PAD_ID).all()
+    # the short text's padded slots hold no id: the next text follows it
+    assert ids[len(seq):].tolist() == long.tolist()
+    assert PAD_ID not in ids
+
+
+def test_pad_batch_joins_ids_and_builds_prefix_mask():
+    seqs = [np.array([CLS_ID, 7, SEP_ID]), np.array([CLS_ID, SEP_ID]),
+            np.array([CLS_ID, 9, 8, 5, SEP_ID])]
+    ids, mask = pad_batch(seqs)
+    assert ids.dtype == np.int64 and mask.dtype == bool
+    np.testing.assert_array_equal(ids, np.concatenate(seqs))
+    np.testing.assert_array_equal(mask, [[1, 1, 1, 0, 0], [1, 1, 0, 0, 0], [1, 1, 1, 1, 1]])
+    ids[0] = 99
+    assert seqs[0][0] == CLS_ID        # a new array, not a view of the input
 
 
 def test_encode_rejects_tiny_window(toy_tok):

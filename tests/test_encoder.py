@@ -9,7 +9,7 @@ import pytest
 
 from figlang import autodiff as ad
 from figlang.autodiff import Tensor, backward
-from figlang.bpe import CLS_ID, MASK_ID, N_SPECIALS, PAD_ID, SEP_ID, encode
+from figlang.bpe import CLS_ID, MASK_ID, N_SPECIALS, PAD_ID, SEP_ID, encode, pad_batch
 from figlang.config import ModelConfig, toy_scale
 from figlang.encoder import (MASK_RATE, _attention, _mask_count, collate_mlm, dynamic_mask,
                              encoder_forward, encoder_param_shapes, mlm_forward)
@@ -27,15 +27,16 @@ def tiny_cfg(**kw):
 
 
 def make_batch(rng, cfg, lengths):
-    B, T = len(lengths), max(lengths) + 2
-    ids = np.full((B, T), PAD_ID, dtype=np.int64)
-    mask = np.zeros((B, T), dtype=bool)
-    for b, n in enumerate(lengths):
-        ids[b, 0] = CLS_ID
-        ids[b, 1:1 + n] = rng.integers(N_SPECIALS, cfg.vocab_size, size=n)
-        ids[b, 1 + n] = SEP_ID
-        mask[b, :n + 2] = True
-    return ids, mask
+    """`pad_batch` of random texts with `lengths` content tokens: (N,) ids
+    and the (B, T) mask, T the longest text."""
+    return pad_batch([np.array([CLS_ID, *rng.integers(N_SPECIALS, cfg.vocab_size, size=n),
+                                SEP_ID]) for n in lengths])
+
+
+def widen(mask, T):
+    """`mask` with all-False columns appended out to width T: the same
+    texts, padded further."""
+    return np.pad(mask, ((0, 0), (0, T - mask.shape[1])))
 
 
 def test_output_shape():
@@ -57,12 +58,18 @@ def test_too_long_sequence_rejected():
 
 
 def test_mask_must_match_ids():
+    # ids are the (N,) real tokens of the mask: a narrower mask, a padded
+    # (B, T) id matrix, or one id too few or too many is a shape error
     cfg = tiny_cfg()
     rng = np.random.default_rng(0)
     params = init_params(encoder_param_shapes(cfg), rng)
     ids, mask = make_batch(rng, cfg, [5, 3])
-    with pytest.raises(ShapeError, match="does not match ids"):
-        encoder_forward(params, cfg, ids, mask[:, :-1])
+    padded = np.zeros(mask.shape, dtype=np.int64)
+    padded[mask] = ids
+    for bad_ids, bad_mask in ((ids, mask[:, :-1]), (padded, mask), (ids[:-1], mask),
+                              (np.append(ids, SEP_ID), mask)):
+        with pytest.raises(ShapeError, match="not the real tokens"):
+            encoder_forward(params, cfg, bad_ids, bad_mask)
 
 
 def test_init_is_deterministic():
@@ -87,10 +94,9 @@ def test_padding_invariance_per_layer():
     rng = np.random.default_rng(1)
     params = init_params(encoder_param_shapes(cfg), rng)
     ids, mask = make_batch(rng, cfg, [7, 4])
-    mutated = ids.copy()
-    mutated[~mask] = rng.integers(N_SPECIALS, V, size=(~mask).sum())
+    wide = widen(mask, cfg.max_seq_len)
 
-    for la, lb in zip(_layers(params, cfg, ids, mask), _layers(params, cfg, mutated, mask)):
+    for la, lb in zip(_layers(params, cfg, ids, mask), _layers(params, cfg, ids, wide)):
         diff = np.abs(la.data - lb.data)
         assert diff.max() < 1e-9
 
@@ -103,7 +109,7 @@ def test_attention_rows_sum_to_one_and_pads_get_zero():
     rng = np.random.default_rng(2)
     params = init_params(encoder_param_shapes(cfg), rng)
     ids, mask = make_batch(rng, cfg, [6, 2, 4, 2])
-    inputs = [params["embed.token.weight"].data[ids[mask]]
+    inputs = [params["embed.token.weight"].data[ids]
               + params["embed.position.weight"].data[np.nonzero(mask)[1]]]
     inputs += [h.data for h in _layers(params, cfg, ids, mask)[:-1]]
     for i, h in enumerate(inputs):
@@ -119,10 +125,13 @@ def test_batch_permutation_consistency():
     cfg = tiny_cfg()
     rng = np.random.default_rng(4)
     params = init_params(encoder_param_shapes(cfg), rng)
-    ids, mask = make_batch(rng, cfg, [5, 3, 6])
+    seqs = [np.array([CLS_ID, *rng.integers(N_SPECIALS, V, size=n), SEP_ID]) for n in (5, 3, 6)]
+    ids, mask = pad_batch(seqs)
     perm = np.array([2, 0, 1])
     h = encoder_forward(params, cfg, ids, mask).data
-    hp = encoder_forward(params, cfg, ids[perm], mask[perm]).data
+    ids_p, mask_p = pad_batch([seqs[i] for i in perm])
+    np.testing.assert_array_equal(mask_p, mask[perm])
+    hp = encoder_forward(params, cfg, ids_p, mask_p).data
     row_at = np.zeros(mask.shape, dtype=np.int64)
     row_at[mask] = np.arange(mask.sum())
     np.testing.assert_array_equal(h[row_at[perm][mask[perm]]], hp)
@@ -135,11 +144,10 @@ def test_multihead_equals_per_head_bruteforce():
     rng = np.random.default_rng(5)
     params = init_params(encoder_param_shapes(cfg), rng)
     ids, mask = make_batch(rng, cfg, [4, 6])
-    B, T = ids.shape
+    B, T = mask.shape
 
-    tok = params["embed.token.weight"].data[ids]
-    pos = params["embed.position.weight"].data[:T]
-    h = tok + pos
+    h = params["embed.position.weight"].data[:T] + np.zeros((B, T, 1))
+    h[mask] += params["embed.token.weight"].data[ids]
 
     def lin(name):
         return h @ params[f"layer0.attn.{name}.weight"].data + params[f"layer0.attn.{name}.bias"].data
@@ -267,10 +275,13 @@ def test_fused_attention_matches_composed_reference():
 
 
 def test_fused_ffn_matches_composed_reference():
+    # on the real-token rows, as the encoder runs it
     cfg, params, mask, h, leaves = _parity_case(42, "layer0.ff.")
-    weight = Tensor(np.random.default_rng(43).normal(size=h.shape))
-    got = _run(lambda: _fused_ffn(params, 0, h), leaves, weight)
-    want = _run(lambda: _composed_ffn(params, 0, h), leaves, weight)
+    rows = Tensor(h.data[mask], requires_grad=True)
+    leaves[0] = rows
+    weight = Tensor(np.random.default_rng(43).normal(size=rows.shape))
+    got = _run(lambda: _fused_ffn(params, 0, rows), leaves, weight)
+    want = _run(lambda: _composed_ffn(params, 0, rows), leaves, weight)
     _assert_close(got, want)
 
 
@@ -284,12 +295,14 @@ def test_fused_encoder_matches_composed_reference():
         t.data = t.data + rng.normal(0.0, 0.3, size=t.shape)
     ids, mask = make_batch(rng, cfg, [9, 3, 6])
     # only real positions are compared: the encoder outputs their rows only
-    weight = rng.normal(size=ids.shape + (cfg.d_model,)) * mask[..., None]
+    weight = rng.normal(size=mask.shape + (cfg.d_model,)) * mask[..., None]
     leaves = list(params.values())
 
     def composed():
-        T = ids.shape[1]
-        h = ad.add(ad.embedding(params["embed.token.weight"], ids),
+        # the token rows laid out as (B, T, d), zeros at padded positions,
+        # plus the position embedding of every position
+        T = mask.shape[1]
+        h = ad.add(_composed_pad(ad.embedding(params["embed.token.weight"], ids), mask),
                    ad.embedding(params["embed.position.weight"], np.arange(T)))
         for i in range(cfg.n_layers):
             h = ad.layer_norm(ad.add(h, _composed_attention(params, i, h, mask, cfg)),
@@ -312,18 +325,21 @@ def test_padded_positions_are_zero_and_pass_no_gradient():
     rng = np.random.default_rng(47)
     params = init_params(encoder_param_shapes(cfg), rng)
     ids, mask = make_batch(rng, cfg, [7, 2, 4])
-    ids[~mask] = rng.integers(N_SPECIALS, V, size=(~mask).sum())
+    mask = widen(mask, cfg.max_seq_len)
     h = encoder_forward(params, cfg, ids, mask, rng=np.random.default_rng(0))
     # padded positions have no row at all: one nonzero row per real token
     for out in [h] + _layers(params, cfg, ids, mask, rng_seed=0):
         assert out.shape == (mask.sum(), cfg.d_model)
         assert (out.data != 0.0).all()
-    # a loss on every row reaches no token embedding row that only padding uses
+    # a loss on every row reaches exactly the token embedding rows of the
+    # batch's ids, and no position embedding row past its longest text
     backward(ad.sum_all(ad.mul(h, rng.normal(size=h.shape))))
-    pad_only = np.setdiff1d(ids[~mask], ids[mask])
     grad = params["embed.token.weight"].grad
-    assert pad_only.size and not grad[pad_only].any()
-    assert grad[np.unique(ids[mask])].any(axis=1).all()
+    used = np.unique(ids)
+    assert grad[used].any(axis=1).all()
+    assert not np.delete(grad, used, axis=0).any()
+    pos_grad = params["embed.position.weight"].grad
+    assert pos_grad[:9].any(axis=1).all() and not pos_grad[9:].any()
 
 
 def test_encoder_graph_uses_fused_blocks():
@@ -452,44 +468,39 @@ def mlm_batch_for(cfg, rng, lengths):
 def test_collate_applies_replacements():
     cfg = tiny_cfg()
     rng = np.random.default_rng(5)
-    seqs, outs, batch = mlm_batch_for(cfg, rng, [8, 5])
-    T = batch.ids.shape[1]
+    seqs, outs, batch = mlm_batch_for(cfg, rng, [10, 6, 10, 1])
+    # mask and random replacements both, so a replacement written at
+    # another masked row shows
+    assert {"mask", "random"} <= {c for o in outs for c in o.categories}
+    T = batch.mask.shape[1]
     k = 0
     for b, (seq, out) in enumerate(zip(seqs, outs)):
-        for pos, orig, repl in zip(out.positions, out.original_ids,
-                                   out.replacement_ids):
-            flat = b * T + pos
-            assert np.flatnonzero(batch.mask)[batch.rows[k]] == flat
+        for pos, orig in zip(out.positions, out.original_ids):
+            assert np.flatnonzero(batch.mask)[batch.rows[k]] == b * T + pos
             assert batch.targets[k] == orig
-            assert batch.ids[b, pos] == repl
             k += 1
-    # everything off the masked positions is untouched
-    for b, (seq, out) in enumerate(zip(seqs, outs)):
-        keep = np.ones(len(seq), dtype=bool)
-        keep[list(out.positions)] = False
-        np.testing.assert_array_equal(batch.ids[b, :len(seq)][keep], seq[keep])
+    # the ids are the joined sequences with each replacement at its row
+    # and everything off the masked rows untouched
+    assert batch.ids.shape == (batch.mask.sum(),)
+    np.testing.assert_array_equal(batch.ids[batch.rows],
+                                  np.concatenate([o.replacement_ids for o in outs]))
+    keep = np.ones(len(batch.ids), dtype=bool)
+    keep[batch.rows] = False
+    np.testing.assert_array_equal(batch.ids[keep], np.concatenate(seqs)[keep])
 
 
 def test_mlm_batch_padding_matches_max_seq_len_padding():
-    # collate_mlm pads to the longest sequence in the batch; the loss and
-    # logits equal those of the same batch padded to max_seq_len by hand
+    # collate_mlm's mask is as wide as the longest sequence in the batch;
+    # the loss and logits equal those of the same batch under its mask
+    # widened to max_seq_len
     from figlang.encoder import MlmBatch
     cfg = tiny_cfg()
     rng = np.random.default_rng(9)
     params = init_params(encoder_param_shapes(cfg), rng)
     seqs, outs, batch = mlm_batch_for(cfg, rng, [6, 3, 5])
-    T = cfg.max_seq_len
-    assert batch.ids.shape[1] == 8 < T
-    ids = np.full((len(seqs), T), PAD_ID, dtype=np.int64)
-    mask = np.zeros((len(seqs), T), dtype=bool)
-    flat = []
-    for b, (seq, out) in enumerate(zip(seqs, outs)):
-        ids[b, :len(seq)] = seq
-        ids[b, out.positions] = out.replacement_ids
-        mask[b, :len(seq)] = True
-        flat.extend(b * T + out.positions)
-    rows = np.searchsorted(np.flatnonzero(mask), flat)   # index among the real tokens
-    ref = MlmBatch(ids=ids, mask=mask, rows=rows, targets=batch.targets)
+    assert batch.mask.shape[1] == 8 < cfg.max_seq_len
+    ref = MlmBatch(ids=batch.ids, mask=widen(batch.mask, cfg.max_seq_len), rows=batch.rows,
+                   targets=batch.targets)
     got_logits, got = mlm_forward(params, cfg, batch)
     want_logits, want = mlm_forward(params, cfg, ref)
     np.testing.assert_allclose(got_logits.data, want_logits.data, rtol=1e-12, atol=0)
@@ -509,9 +520,10 @@ def test_mlm_initial_loss_near_log_vocab():
 
 
 def test_mlm_grads_ignore_pad_slots():
-    # pad positions contribute nothing to any gradient: overwriting the ids
-    # parked there must leave every parameter grad bit-identical. (The token
-    # table itself still gets grad at every row through the tied projection.)
+    # pad positions contribute nothing to any gradient: the same batch under
+    # its mask widened to max_seq_len must give the same loss and leave every
+    # parameter grad bit-identical. (The token table itself still gets grad
+    # at every row through the tied projection.)
     cfg = tiny_cfg()
     rng = np.random.default_rng(7)
     params = init_params(encoder_param_shapes(cfg), rng)
@@ -522,10 +534,8 @@ def test_mlm_grads_ignore_pad_slots():
     grads = {k: t.grad.copy() for k, t in params.items()}
     ad.zero_grads(params.values())
 
-    junk = batch.ids.copy()
-    junk[~batch.mask] = rng.integers(N_SPECIALS, V, size=(~batch.mask).sum())
     from figlang.encoder import MlmBatch
-    batch2 = MlmBatch(ids=junk, mask=batch.mask,
+    batch2 = MlmBatch(ids=batch.ids, mask=widen(batch.mask, cfg.max_seq_len),
                       rows=batch.rows, targets=batch.targets)
     _, loss2 = mlm_forward(params, cfg, batch2)
     assert loss2.item() == loss.item()

@@ -10,8 +10,7 @@ import pytest
 from figlang import autodiff as ad
 from figlang import rcnn
 from figlang.autodiff import Tensor
-from figlang.bpe import (CLS_ID, N_SPECIALS, PAD_ID, SEP_ID, bpe_train, encode,
-                         pad_batch)
+from figlang.bpe import CLS_ID, N_SPECIALS, SEP_ID, bpe_train, encode, pad_batch
 from figlang.config import BINARY, REGRESSION, ModelConfig, TrainConfig, toy_scale
 from figlang.encoder import (MlmBatch, collate_mlm, dynamic_mask, encoder_param_shapes,
                              mlm_forward)
@@ -360,22 +359,24 @@ def test_finetune_graph_reads_weights_only_through_linear_nodes():
 
 
 def make_batch(rng, cfg, lengths):
-    B, T = len(lengths), max(lengths) + 2
-    ids = np.full((B, T), PAD_ID, dtype=np.int64)
-    mask = np.zeros((B, T), dtype=bool)
-    for b, n in enumerate(lengths):
-        ids[b, 0] = CLS_ID
-        ids[b, 1:1 + n] = rng.integers(N_SPECIALS, cfg.vocab_size, size=n)
-        ids[b, 1 + n] = SEP_ID
-        mask[b, :n + 2] = True
-    return ids, mask
+    """`pad_batch` of random texts with `lengths` content tokens: (N,) ids
+    and the (B, T) mask, T the longest text."""
+    return pad_batch([np.array([CLS_ID, *rng.integers(N_SPECIALS, cfg.vocab_size, size=n),
+                                SEP_ID]) for n in lengths])
+
+
+def split_texts(ids, mask):
+    """The batch's ids cut back into one array per text."""
+    return np.split(ids, np.cumsum(mask.sum(axis=1))[:-1])
 
 
 def numpy_reference_forward(params, cfg, ids, mask):
-    """Straight-line float64 forward pass sharing no code with the package."""
+    """Straight-line float64 forward pass sharing no code with the package,
+    on the (B, T) layout: padded positions hold the position embedding only."""
     P = {k: t.data for k, t in params.items()}
-    B, T = ids.shape
-    h = P["embed.token.weight"][ids] + P["embed.position.weight"][:T]
+    B, T = mask.shape
+    h = P["embed.position.weight"][:T] + np.zeros((B, T, 1))
+    h[mask] += P["embed.token.weight"][ids]
 
     def layernorm(x, g, b):
         mu = x.mean(-1, keepdims=True)
@@ -447,11 +448,11 @@ def test_full_forward_padding_invariance():
     cfg = head_cfg()
     rng = np.random.default_rng(16)
     params = init_model_params(cfg, rng)
+    # the same texts under a mask widened to max_seq_len give the same logits
     ids, mask = make_batch(rng, cfg, [5, 2])
-    mutated = ids.copy()
-    mutated[~mask] = rng.integers(N_SPECIALS, V, size=(~mask).sum())
+    wide = np.pad(mask, ((0, 0), (0, cfg.max_seq_len - mask.shape[1])))
     a = full_forward(params, cfg, ids, mask).data
-    b = full_forward(params, cfg, mutated, mask).data
+    b = full_forward(params, cfg, ids, wide).data
     np.testing.assert_array_equal(a, b)
 
 
@@ -466,16 +467,15 @@ def test_dropout_training_forwards_ignore_padding_width(extra):
                             [SEP_ID]]) for n in (9, 4, 12)]
     batch = collate_mlm(seqs, [dynamic_mask(s, rng, cfg.vocab_size) for s in seqs])
 
-    def forwards(ids, mask):
+    def forwards(mask):
         drop = np.random.default_rng(26)
-        logits = full_forward(params, cfg, ids, mask, rng=drop).data
-        mlm_logits, loss = mlm_forward(params, cfg, MlmBatch(ids, mask, batch.rows,
+        logits = full_forward(params, cfg, batch.ids, mask, rng=drop).data
+        mlm_logits, loss = mlm_forward(params, cfg, MlmBatch(batch.ids, mask, batch.rows,
                                                              batch.targets), rng=drop)
         return [logits, mlm_logits.data, loss.data], drop.bit_generator.state
 
-    narrow, narrow_state = forwards(batch.ids, batch.mask)
-    wide, wide_state = forwards(np.pad(batch.ids, ((0, 0), (0, extra)), constant_values=PAD_ID),
-                                np.pad(batch.mask, ((0, 0), (0, extra))))
+    narrow, narrow_state = forwards(batch.mask)
+    wide, wide_state = forwards(np.pad(batch.mask, ((0, 0), (0, extra))))
     for a, b in zip(narrow, wide):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
     assert narrow_state == wide_state
@@ -489,9 +489,8 @@ def test_batch_equals_one_by_one():
     params = init_model_params(cfg, rng)
     ids, mask = make_batch(rng, cfg, [4, 4, 4])
     together = full_forward(params, cfg, ids, mask).data
-    singles = np.concatenate([
-        full_forward(params, cfg, ids[b:b + 1], mask[b:b + 1]).data
-        for b in range(3)])
+    singles = np.concatenate([full_forward(params, cfg, *pad_batch([s])).data
+                              for s in split_texts(ids, mask)])
     np.testing.assert_allclose(together, singles, atol=1e-9)
 
 
@@ -504,9 +503,8 @@ def test_ragged_batch_equals_one_by_one():
         t.data = rng.normal(0.0, 0.3, size=t.shape)
     ids, mask = make_batch(rng, cfg, [6, 1, 3])
     together = full_forward(params, cfg, ids, mask).data
-    singles = np.concatenate([
-        full_forward(params, cfg, ids[b:b + 1, m], mask[b:b + 1, m]).data
-        for b, m in enumerate(mask)])
+    singles = np.concatenate([full_forward(params, cfg, *pad_batch([s])).data
+                              for s in split_texts(ids, mask)])
     assert np.abs(together - singles).max() <= 1e-12 * np.abs(singles).max()
 
 
@@ -518,8 +516,8 @@ def test_word_order_reaches_the_logits():
     params = init_model_params(cfg, rng)
     ids, mask = make_batch(rng, cfg, [5])
     swapped = ids.copy()
-    swapped[0, 1], swapped[0, 2] = ids[0, 2], ids[0, 1]
-    assert ids[0, 1] != ids[0, 2]
+    swapped[1], swapped[2] = ids[2], ids[1]
+    assert ids[1] != ids[2]
     a = full_forward(params, cfg, ids, mask).data
     b = full_forward(params, cfg, swapped, mask).data
     assert np.abs(a - b).max() > 1e-9
@@ -537,7 +535,7 @@ def test_order_blindness_without_positions_or_recurrence():
             params[k].data[:] = 0.0
     ids, mask = make_batch(rng, cfg, [5])
     perm = ids.copy()
-    perm[0, 1:6] = ids[0, [3, 1, 5, 2, 4]]
+    perm[1:6] = ids[[3, 1, 5, 2, 4]]
     a = full_forward(params, cfg, ids, mask).data
     b = full_forward(params, cfg, perm, mask).data
     np.testing.assert_allclose(a, b, atol=1e-10)
@@ -562,15 +560,14 @@ def test_batch_padding_matches_max_seq_len_padding(tok):
     texts = ["the cat sees the ball .", "rain", "a dry remark"]
     seqs = [encode(tok, text, cfg.max_seq_len) for text in texts]
     ids, mask = pad_batch(seqs)
-    assert ids.shape == mask.shape == (3, max(len(s) for s in seqs))
-    assert ids.shape[1] < cfg.max_seq_len
-    ref_ids = np.full((3, cfg.max_seq_len), PAD_ID, dtype=np.int64)
+    assert mask.shape == (3, max(len(s) for s in seqs))
+    assert ids.shape == (mask.sum(),)
+    assert mask.shape[1] < cfg.max_seq_len
     ref_mask = np.zeros((3, cfg.max_seq_len), dtype=bool)
     for b, s in enumerate(seqs):
-        ref_ids[b, :len(s)] = s
         ref_mask[b, :len(s)] = True
     got = full_forward(params, cfg, ids, mask).data
-    want = full_forward(params, cfg, ref_ids, ref_mask).data
+    want = full_forward(params, cfg, ids, ref_mask).data
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
