@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import os
 import shutil
 import sys
 from datetime import datetime, timezone
@@ -83,9 +84,17 @@ def _write_run_manifest(args, argv, started, *, manifest, seed, config, inputs,
     }
     path = Path(args.manifest or manifest)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    # written beside the target and renamed over it: a failed or interrupted
+    # dump leaves the previous manifest as it was, and no partial file
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            json.dump(doc, f, indent=2)
+            f.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _resolve_configs(args, tokenizer, base: ModelConfig | None = None

@@ -9,7 +9,9 @@ the (N,) real-token ids and (B, T) padding mask of `bpe.pad_batch`; the
 hidden states, output included, are the (N, d_model) rows of those tokens
 (`x[mask]`, row-major), so every position-wise op runs on real tokens only.
 Attention scores each text over its own rows, in one unpadded block per
-text length, so padding can never leak into a real token's state.
+text length, so padding can never leak into a real token's state. Given
+`rows`, the output is those rows alone, and the last layer runs everything
+after its attention on them only: MLM pretraining reads just the masked rows.
 """
 
 from __future__ import annotations
@@ -49,20 +51,33 @@ def encoder_param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _attention(p, i, h, mask, cfg):
+def _attention(p, i, h, mask, cfg, rows=None):
     """Layer i's self-attention: q | k | v from one `linear` node on the
-    concatenated weights, `ad.attention`, then the output `linear`."""
+    concatenated weights, `ad.attention`, then the output `linear`. With
+    `rows`, the context is gathered at those rows first, so the output
+    projection runs on them alone; keys and values still come from every
+    row."""
     qkv = ad.linear(h, ad.concat([p[f"layer{i}.attn.{x}.weight"] for x in "qkv"]),
                     ad.concat([p[f"layer{i}.attn.{x}.bias"] for x in "qkv"]))
-    return ad.linear(ad.attention(qkv, mask, cfg.n_heads),
-                     p[f"layer{i}.attn.o.weight"], p[f"layer{i}.attn.o.bias"])
+    ctx = ad.attention(qkv, mask, cfg.n_heads)
+    if rows is not None:
+        ctx = ad.gather_rows(ctx, rows)
+    return ad.linear(ctx, p[f"layer{i}.attn.o.weight"], p[f"layer{i}.attn.o.bias"])
 
 
-def encoder_forward(params, cfg: ModelConfig, ids, attn_mask, *, rng=None) -> Tensor:
+def encoder_forward(params, cfg: ModelConfig, ids, attn_mask, *, rng=None,
+                    rows=None) -> Tensor:
     """The (N, d_model) rows of the (N,) real-token `ids` of the (B, T)
-    mask `attn_mask`, both as `bpe.pad_batch` returns them.
+    mask `attn_mask`, both as `bpe.pad_batch` returns them; with `rows`,
+    indices into those N rows, only the (R, d_model) rows at `rows`.
 
-    Dropout at `cfg.dropout` runs exactly when a generator `rng` is passed.
+    Every op of the last layer after its attention is row-wise, so with
+    `rows` it runs on the R rows alone: the attention context and the
+    residual input are gathered there before the output projection.
+
+    Dropout at `cfg.dropout` runs exactly when a generator `rng` is passed:
+    one (N, d_model) draw after the embedding and two per layer, the last
+    layer's two (R, d_model) with `rows`.
     """
     ids = np.asarray(ids, dtype=np.int64)
     attn_mask = np.asarray(attn_mask, dtype=bool)
@@ -77,7 +92,10 @@ def encoder_forward(params, cfg: ModelConfig, ids, attn_mask, *, rng=None) -> Te
     pos = ad.embedding(params["embed.position.weight"], np.nonzero(attn_mask)[1])
     h = ad.dropout(ad.add(tok, pos), cfg.dropout, rng)
     for i in range(cfg.n_layers):
-        a = ad.dropout(_attention(params, i, h, attn_mask, cfg), cfg.dropout, rng)
+        at = rows if i == cfg.n_layers - 1 else None
+        a = ad.dropout(_attention(params, i, h, attn_mask, cfg, at), cfg.dropout, rng)
+        if at is not None:
+            h = ad.gather_rows(h, at)
         h = ad.layer_norm(ad.add(h, a), params[f"layer{i}.ln1.gain"], params[f"layer{i}.ln1.bias"])
         f = ad.linear(h, params[f"layer{i}.ff.fc1.weight"], params[f"layer{i}.ff.fc1.bias"],
                       gelu=True)
@@ -159,13 +177,14 @@ def mlm_forward(params, cfg: ModelConfig, batch: MlmBatch, *,
                 rng=None) -> tuple[Tensor, Tensor]:
     """Logits at masked positions plus cross-entropy over those positions.
 
-    The output projection is tied to the token embedding matrix.
+    The encoder returns the masked rows alone (`encoder_forward`'s `rows`),
+    so its last layer after attention and the output projection, which is
+    tied to the token embedding matrix, run only where the loss reads.
     """
     if batch.rows.size == 0:
         raise ContractError("mlm_forward requires at least one masked position in the batch")
-    h = encoder_forward(params, cfg, batch.ids, batch.mask, rng=rng)
-    sel = ad.gather_rows(h, batch.rows)
-    logits = ad.linear(sel, ad.swap_axes(params["embed.token.weight"], 0, 1),
+    h = encoder_forward(params, cfg, batch.ids, batch.mask, rng=rng, rows=batch.rows)
+    logits = ad.linear(h, ad.swap_axes(params["embed.token.weight"], 0, 1),
                        params["mlm.bias"])
     loss = ad.cross_entropy(logits, batch.targets)
     return logits, loss

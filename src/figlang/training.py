@@ -74,12 +74,15 @@ def adam_step(params: dict[str, Tensor], state: AdamState, cfg: TrainConfig) -> 
 
 def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most max_norm.
-    Returns the pre-clip norm."""
+    Returns the pre-clip norm. A non-finite norm is a NumericError: scaling
+    by max_norm / inf would zero gradients whose squared sum overflowed."""
     total = 0.0
     grads = [p.grad for p in params.values() if p.grad is not None and p.requires_grad]
     for g in grads:
         total += float((g * g).sum())
     norm = float(np.sqrt(total))
+    if not np.isfinite(norm):
+        raise NumericError(f"non-finite gradient norm: {norm!r}")
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
         for g in grads:

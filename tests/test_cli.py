@@ -10,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from figlang import cli, gradsuite
+from figlang import autodiff as ad
+from figlang import cli, gradsuite, training
 from figlang.checkpoint import sha256_file
 
 TINY_MODEL = {"n_layers": 1, "n_heads": 2, "d_model": 16, "d_ff": 32,
@@ -176,6 +177,24 @@ def test_weights_that_overflow_float32_are_not_saved(ws, capsys, tmp_path):
     assert tmp_path.is_dir() and not made.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_gradient_norm_is_a_numeric_exit(ws, capsys, tmp_path, monkeypatch):
+    # finite gradients whose squared sum overflows float64: clipping cannot
+    # scale them, so the run stops instead of stepping on zeroed gradients
+    def huge_backward(loss):
+        ad.backward(loss)
+        for t in ad.ComputationGraph.trace(loss).nodes:
+            if t.grad is not None:
+                t.grad *= 1e160
+
+    monkeypatch.setattr(training, "backward", huge_backward)
+    made = tmp_path / "new"
+    argv, _ = MANIFEST_RUNS["finetune"](ws, made / "out")
+    assert cli.main(["finetune", *argv, "--grad-clip", "1.0", "--max-steps", "1"]) == 3
+    assert "numeric failure: non-finite gradient norm: inf" in capsys.readouterr().err
+    assert tmp_path.is_dir() and not made.exists()
+
+
 @pytest.mark.parametrize("error", [OSError(28, "No space left on device"),
                                    KeyboardInterrupt()], ids=["disk-full", "ctrl-c"])
 @pytest.mark.parametrize("command", ["pretrain", "finetune"])
@@ -201,6 +220,32 @@ def test_any_failure_removes_the_out_dir_it_made(ws, capsys, tmp_path, monkeypat
     (tmp_path / "keep.txt").write_text("kept", encoding="utf-8")
     run(tmp_path)
     assert (tmp_path / "keep.txt").read_text(encoding="utf-8") == "kept"
+
+
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"),
+                                   KeyboardInterrupt()], ids=["disk-full", "ctrl-c"])
+def test_failed_manifest_write_keeps_the_previous_one(ws, capsys, tmp_path, monkeypatch,
+                                                      error):
+    argv, manifest = MANIFEST_RUNS["evaluate"](ws, tmp_path)
+    assert cli.main(["evaluate", *argv]) == 0
+    before = manifest.read_bytes()
+    names = sorted(p.name for p in tmp_path.iterdir())
+    dumps = json.dumps
+
+    def partial_dump(obj, f, **kwargs):
+        # evaluate's only json.dump is its run manifest
+        f.write(dumps(obj, **kwargs)[:40])
+        raise error
+
+    monkeypatch.setattr(json, "dump", partial_dump)
+    if isinstance(error, OSError):
+        assert cli.main(["evaluate", *argv]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["evaluate", *argv])
+    assert manifest.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
 
 
 def test_pretrain_loss_trajectory(ws):

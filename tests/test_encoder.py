@@ -547,6 +547,86 @@ def test_mlm_grads_ignore_pad_slots():
     assert np.abs(grads["embed.position.weight"][8:]).max() == 0.0
 
 
+def _mlm_reference(params, cfg, batch):
+    """The MLM head composed on the full encoder: every row through every
+    layer, then the masked rows gathered, then the tied projection."""
+    h = ad.gather_rows(encoder_forward(params, cfg, batch.ids, batch.mask), batch.rows)
+    logits = ad.linear(h, ad.swap_axes(params["embed.token.weight"], 0, 1), params["mlm.bias"])
+    return logits, ad.cross_entropy(logits, batch.targets)
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_mlm_forward_matches_full_encoder_then_gather(n_layers):
+    # the last layer run on the masked rows alone against the full encoder
+    # read at those rows, on ragged texts, one of them a single content
+    # token: logits, loss and every parameter gradient
+    cfg = tiny_cfg(n_layers=n_layers)
+    rng = np.random.default_rng(60 + n_layers)
+    params = init_params(encoder_param_shapes(cfg), rng)
+    for t in params.values():
+        t.data = t.data + rng.normal(0.0, 0.3, size=t.shape)
+    _, _, batch = mlm_batch_for(cfg, rng, [9, 1, 5, 5, 3])
+
+    def run(forward):
+        ad.zero_grads(params.values())
+        logits, loss = forward(params, cfg, batch)
+        backward(loss)
+        return logits.data, loss.item(), {k: t.grad.copy() for k, t in params.items()}
+
+    got_logits, got_loss, got = run(mlm_forward)
+    want_logits, want_loss, want = run(_mlm_reference)
+    assert np.abs(got_logits - want_logits).max() <= 1e-12 * np.abs(want_logits).max()
+    assert got_loss == pytest.approx(want_loss, rel=1e-12, abs=0)
+    # one bound for all: the key biases' true gradient is 0, so theirs is
+    # rounding noise whose relative error means nothing
+    scale = max(np.abs(g).max() for g in want.values())
+    for k in params:
+        assert np.abs(got[k] - want[k]).max() <= 1e-12 * scale, k
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_mlm_last_layer_draws_dropout_for_masked_rows(n_layers):
+    # one (N, d) draw after the embedding and two per layer before the
+    # last; the last layer's two are (R, d), one per masked row
+    cfg = tiny_cfg(n_layers=n_layers, dropout=0.1)
+    rng = np.random.default_rng(64)
+    params = init_params(encoder_param_shapes(cfg), rng)
+    _, _, batch = mlm_batch_for(cfg, rng, [9, 1, 5])
+    g = np.random.default_rng(3)
+    mlm_forward(params, cfg, batch, rng=g)
+    want = np.random.default_rng(3)
+    N, R, d = len(batch.ids), len(batch.rows), cfg.d_model
+    for _ in range(1 + 2 * (n_layers - 1)):
+        want.random((N, d))
+    for _ in range(2):
+        want.random((R, d))
+    assert g.bit_generator.state == want.bit_generator.state
+
+
+def test_mlm_last_layer_feed_forward_runs_on_masked_rows():
+    # in the MLM graph the first layer's fc1 runs on all N rows and the
+    # last layer's on the R masked rows; the encoder without rows still
+    # returns all N
+    cfg = tiny_cfg(n_layers=2, dropout=0.1)
+    rng = np.random.default_rng(65)
+    params = init_params(encoder_param_shapes(cfg), rng)
+    _, _, batch = mlm_batch_for(cfg, rng, [9, 1, 5])
+    N, R = len(batch.ids), len(batch.rows)
+    assert R < N
+    _, loss = mlm_forward(params, cfg, batch, rng=np.random.default_rng(0))
+    nodes = ad.ComputationGraph.trace(loss).nodes
+
+    def fc1_rows(i):
+        w = params[f"layer{i}.ff.fc1.weight"]
+        [node] = [t for t in nodes if t.op == "linear" and any(p is w for p in t.parents)]
+        return node.shape[0]
+
+    assert fc1_rows(0) == N
+    assert fc1_rows(1) == R
+    assert sum(t.op == "gather_rows" for t in nodes) == 2
+    assert encoder_forward(params, cfg, batch.ids, batch.mask).shape == (N, cfg.d_model)
+
+
 def test_mlm_overfits_single_sentence():
     # repeated dynamic masking of one sentence: 500 steps must pin every
     # masked token exactly

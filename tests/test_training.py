@@ -139,6 +139,15 @@ def test_clip_grad_norm():
     assert p2["a.weight"].grad[0] == 0.3
 
 
+def test_clip_grad_norm_rejects_an_overflowing_norm():
+    # finite gradients whose squared sum overflows: scaling by max_norm / inf
+    # would zero every one of them, and Adam would step on the zeros
+    p = {"a.weight": tensor_with_grad([0.0, 0.0, 0.0], [1e160, -2e160, 3.0])}
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="gradient norm"):
+        clip_grad_norm(p, max_norm=1.0)
+    np.testing.assert_array_equal(p["a.weight"].grad, [1e160, -2e160, 3.0])
+
+
 def test_rng_streams_are_deterministic_and_independent():
     assert STREAMS == ("init", "shuffle", "mask", "dropout")
     a = rng_streams(7)
