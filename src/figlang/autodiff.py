@@ -631,6 +631,11 @@ def dropout(x, rate, rng) -> Tensor:
 # finite-difference oracle
 
 _FD_STEP = 1e-5
+# Central differences at _FD_STEP resolve no gradient finer than one ulp of
+# the loss over 2 * _FD_STEP (4.4e-11 at a loss of 6.3), so near a zero true
+# gradient (a key bias, which softmax ignores; a faint LSTM path) the error
+# is taken against _FD_FLOOR: 1e-9 absolute at a 1e-4 tolerance.
+_FD_FLOOR = 1e-5
 
 
 def grad_check(build, tensors, max_coords=None, rng=None) -> float:
@@ -638,10 +643,10 @@ def grad_check(build, tensors, max_coords=None, rng=None) -> float:
 
     `build` must rebuild the scalar loss from the current `.data` of the
     given tensors (deterministically: dropout off). Relative error per
-    coordinate is |a - n| / max(1e-8, |a| + |n|), with central differences
-    at step `_FD_STEP`. A NaN error on any coordinate makes the result NaN.
-    When `max_coords` is set, that many coordinates per tensor are checked
-    (seeded sample) instead of all of them.
+    coordinate is |a - n| / max(`_FD_FLOOR`, |a| + |n|), with central
+    differences at step `_FD_STEP`. A NaN error on any coordinate makes the
+    result NaN. When `max_coords` is set, that many coordinates per tensor
+    are checked (seeded sample) instead of all of them.
     """
     zero_grads(tensors)
     loss = build()
@@ -667,6 +672,6 @@ def grad_check(build, tensors, max_coords=None, rng=None) -> float:
             flat[i] = orig
             num = (fp - fm) / (2.0 * _FD_STEP)
             ana = aflat[i]
-            rel = abs(ana - num) / max(1e-8, abs(ana) + abs(num))
+            rel = abs(ana - num) / max(_FD_FLOOR, abs(ana) + abs(num))
             worst = np.maximum(worst, rel)  # a NaN stays NaN; max() would drop it
     return float(worst)

@@ -4,10 +4,15 @@ weights.bin is raw little-endian float32, row-major, tensors packed in the
 parameter-dict order recorded by the manifest: each entry's offset is where
 the entry before it ends (0 for the first), and loading rejects any other.
 Saving refuses, and loading rejects, a weight that is not finite as float32;
-loading restores float64 working copies, and save(load(x)) is bit-identical
-to x. The manifest records the sha256 of tokenizer.json and, from format
-version 2 on, of weights.bin; loading rejects a file that does not match.
-Version 1 checkpoints, which carry no weights hash, still load.
+loading restores float64 working copies, and save(load(x)) of a format 3
+checkpoint is bit-identical to x. The manifest records the sha256 of
+tokenizer.json and, from format version 2 on, of weights.bin; loading
+rejects a file that does not match.
+
+Format 3 stores each layer's q/k/v projection as one (d, 3d) weight and
+(3d,) bias, `layer{i}.attn.qkv.*`. Formats 1 and 2 stored separate q, k and
+v tensors, which loading joins in q | k | v column order where q was, so
+they still load (version 1 without a weights hash) and save as format 3.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .config import TASK_NAMES, ModelConfig, TrainConfig
 from .errors import ConfigError, ContractError, DataError, NumericError
 from .rcnn import model_param_shapes
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 DTYPE = "float32-le"
 
 
@@ -130,6 +135,25 @@ def check_params(params: dict[str, Tensor], cfg: ModelConfig) -> None:
                     f"missing {missing}, unexpected {extra}, wrong shape {wrong}")
 
 
+def _join_qkv(params: dict[str, Tensor], version: int) -> dict[str, Tensor]:
+    """A format 1 or 2 checkpoint's q, k and v tensors of each layer, joined
+    in q | k | v column order where the q tensor was."""
+    joined = {}
+    for name, t in params.items():
+        if ".attn.k." in name or ".attn.v." in name:
+            continue
+        if ".attn.q." in name:
+            parts = [name.replace(".attn.q.", f".attn.{x}.") for x in "qkv"]
+            missing = [n for n in parts if n not in params]
+            if missing:
+                raise DataError(f"format {version} checkpoint has {name!r} but no {missing[0]!r}")
+            name = name.replace(".attn.q.", ".attn.qkv.")
+            t = Tensor(np.concatenate([params[n].data for n in parts], axis=-1),
+                       requires_grad=True)
+        joined[name] = t
+    return joined
+
+
 def load_checkpoint(ckpt_dir) -> CheckpointBundle:
     root = Path(ckpt_dir)
     man_path = root / "manifest.json"
@@ -141,7 +165,7 @@ def load_checkpoint(ckpt_dir) -> CheckpointBundle:
         raise DataError(f"{man_path} is not valid JSON: {e}") from None
     if not isinstance(manifest, dict):
         raise DataError(f"{man_path} is not a JSON object")
-    if manifest.get("format_version") not in (1, FORMAT_VERSION):
+    if manifest.get("format_version") not in (1, 2, FORMAT_VERSION):
         raise DataError(f"unsupported checkpoint format_version: "
                         f"{manifest.get('format_version')!r}")
     if manifest.get("dtype") != DTYPE:
@@ -186,6 +210,8 @@ def load_checkpoint(ckpt_dir) -> CheckpointBundle:
         got, want = hashlib.sha256(blob).hexdigest(), manifest.get("weights_sha256")
         if got != want:
             raise DataError(f"weights.bin hash mismatch: manifest says {want}, file is {got}")
+    if manifest["format_version"] < 3:
+        params = _join_qkv(params, manifest["format_version"])
 
     try:
         model_config = ModelConfig(**manifest["model_config"])

@@ -3,8 +3,8 @@
 Post-norm blocks: self-attention -> residual -> layer norm -> GELU
 feed-forward -> residual -> layer norm. The self-attention is one fused
 `autodiff.attention` node between two `autodiff.linear` nodes (the q/k/v
-projection, on the concatenated weights, and the output projection), and
-the feed-forward two `linear` nodes, the first with its GELU. A batch is
+projection, on one (d, 3d) q | k | v weight, and the output projection),
+and the feed-forward two `linear` nodes, the first with its GELU. A batch is
 the (N,) real-token ids and (B, T) padding mask of `bpe.pad_batch`; the
 hidden states, output included, are the (N, d_model) rows of those tokens
 (`x[mask]`, row-major), so every position-wise op runs on real tokens only.
@@ -36,9 +36,10 @@ def encoder_param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes = {"embed.token.weight": (cfg.vocab_size, d),
               "embed.position.weight": (cfg.max_seq_len, d)}
     for i in range(cfg.n_layers):
-        for proj in ("q", "k", "v", "o"):
-            shapes[f"layer{i}.attn.{proj}.weight"] = (d, d)
-            shapes[f"layer{i}.attn.{proj}.bias"] = (d,)
+        shapes[f"layer{i}.attn.qkv.weight"] = (d, 3 * d)
+        shapes[f"layer{i}.attn.qkv.bias"] = (3 * d,)
+        shapes[f"layer{i}.attn.o.weight"] = (d, d)
+        shapes[f"layer{i}.attn.o.bias"] = (d,)
         shapes[f"layer{i}.ln1.gain"] = (d,)
         shapes[f"layer{i}.ln1.bias"] = (d,)
         shapes[f"layer{i}.ff.fc1.weight"] = (d, cfg.d_ff)
@@ -53,12 +54,11 @@ def encoder_param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 def _attention(p, i, h, mask, cfg, rows=None):
     """Layer i's self-attention: q | k | v from one `linear` node on the
-    concatenated weights, `ad.attention`, then the output `linear`. With
-    `rows`, the context is gathered at those rows first, so the output
+    layer's (d, 3d) `qkv` weight, `ad.attention`, then the output `linear`.
+    With `rows`, the context is gathered at those rows first, so the output
     projection runs on them alone; keys and values still come from every
     row."""
-    qkv = ad.linear(h, ad.concat([p[f"layer{i}.attn.{x}.weight"] for x in "qkv"]),
-                    ad.concat([p[f"layer{i}.attn.{x}.bias"] for x in "qkv"]))
+    qkv = ad.linear(h, p[f"layer{i}.attn.qkv.weight"], p[f"layer{i}.attn.qkv.bias"])
     ctx = ad.attention(qkv, mask, cfg.n_heads)
     if rows is not None:
         ctx = ad.gather_rows(ctx, rows)

@@ -55,11 +55,15 @@ def model_param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
 def init_params(shapes: dict[str, tuple[int, ...]],
                 rng: np.random.Generator) -> dict[str, Tensor]:
     """One trainable tensor per name, in order, drawn by its suffix:
-    `.weight` ~ normal(0, 0.02), `.gain` ones, biases zero but the forget
-    gate quarter of an LSTM bias, which starts open at one."""
+    `.weight` ~ normal(0, 0.02) (a `.qkv.weight` as its q, k and v blocks
+    in turn), `.gain` ones, biases zero but the forget gate quarter of an
+    LSTM bias, which starts open at one."""
     p: dict[str, Tensor] = {}
     for name, shape in shapes.items():
-        if name.endswith(".weight"):
+        if name.endswith(".qkv.weight"):
+            data = np.hstack([rng.normal(0.0, INIT_STD, size=(shape[0], shape[0]))
+                              for _ in "qkv"])
+        elif name.endswith(".weight"):
             data = rng.normal(0.0, INIT_STD, size=shape)
         elif name.endswith(".gain"):
             data = np.ones(shape)

@@ -249,9 +249,10 @@ def test_c03_attention_rows_normalized():
         inputs += [encoder_forward(params, dataclasses.replace(cfg, n_layers=i), ids,
                                    mask).data for i in range(1, cfg.n_layers)]
         for i, h in enumerate(inputs):
-            q, k = (h @ params[f"layer{i}.attn.{p}.weight"].data
-                    + params[f"layer{i}.attn.{p}.bias"].data for p in "qk")
-            sums = ad.attention(np.concatenate([q, k, np.ones_like(q)], axis=1),
+            d = cfg.d_model        # q | k: the first 2d columns of the qkv projection
+            qk = (h @ params[f"layer{i}.attn.qkv.weight"].data[:, :2 * d]
+                  + params[f"layer{i}.attn.qkv.bias"].data[:2 * d])
+            sums = ad.attention(np.concatenate([qk, np.ones((len(h), d))], axis=1),
                                 mask, cfg.n_heads).data
             assert sums.shape == (mask.sum(), cfg.d_model)
             worst = max(worst, float(np.abs(sums - 1.0).max()))

@@ -61,7 +61,7 @@ def test_manifest_structure(tmp_path, tok_path):
     out = save_checkpoint(tmp_path / "ckpt", params, model_config=cfg,
                           task="score", tokenizer_path=tok_path)
     man = json.loads((out / "manifest.json").read_text())
-    assert man["format_version"] == FORMAT_VERSION == 2
+    assert man["format_version"] == FORMAT_VERSION == 3
     assert man["dtype"] == DTYPE == "float32-le"
     assert man["task"] == "score"
     assert man["train_config"] is None
@@ -148,18 +148,18 @@ def test_shape_that_disagrees_with_nbytes_detected(tmp_path, tok_path):
         load_checkpoint(out)
 
 
-def _offsets_aliasing_q_into_k(man):
-    # k's weight would be read from q's bytes: an overlap, and a gap where
-    # k's own bytes sit
+def _offsets_aliasing_qkv_into_o(man):
+    # o's weight would be read from qkv's bytes: an overlap, and a gap where
+    # o's own bytes sit
     by_name = {e["name"]: e for e in man["tensors"]}
-    by_name["layer0.attn.k.weight"]["offset"] = by_name["layer0.attn.q.weight"]["offset"]
+    by_name["layer0.attn.o.weight"]["offset"] = by_name["layer0.attn.qkv.weight"]["offset"]
 
 
 def _offset_past_a_gap(man):
     man["tensors"][1]["offset"] += 4
 
 
-@pytest.mark.parametrize("edit", [_offsets_aliasing_q_into_k, _offset_past_a_gap],
+@pytest.mark.parametrize("edit", [_offsets_aliasing_qkv_into_o, _offset_past_a_gap],
                          ids=["overlap", "gap"])
 def test_unpacked_tensor_offsets_rejected(tmp_path, tok_path, edit):
     out = save_checkpoint(tmp_path / "ckpt", fresh_params(), model_config=CFG,

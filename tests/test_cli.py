@@ -725,8 +725,8 @@ def test_manifest_field_faults_are_data_errors(ws, capsys, tmp_path, fault):
 def test_manifest_tensors_must_match_model_config(ws, capsys, tmp_path, fault):
     def edit(man):
         if fault == "renamed":
-            entry = next(e for e in man["tensors"] if e["name"] == "layer0.attn.q.weight")
-            entry["name"] = "layer0.attn.query.weight"
+            entry = next(e for e in man["tensors"] if e["name"] == "layer0.attn.qkv.weight")
+            entry["name"] = "layer0.attn.in_proj.weight"
         else:
             man["model_config"]["d_ff"] *= 2
     assert _predict_with_manifest(ws, tmp_path, edit) == 2
@@ -734,11 +734,11 @@ def test_manifest_tensors_must_match_model_config(ws, capsys, tmp_path, fault):
 
 
 def test_overlapping_tensor_offsets_are_data_error(ws, capsys, tmp_path):
-    def alias_k_to_q(man):
+    def alias_o_to_qkv(man):
         by_name = {e["name"]: e for e in man["tensors"]}
-        by_name["layer0.attn.k.weight"]["offset"] = by_name["layer0.attn.q.weight"]["offset"]
-    assert _predict_with_manifest(ws, tmp_path, alias_k_to_q) == 2
-    assert "'layer0.attn.k.weight' starts at byte" in capsys.readouterr().err
+        by_name["layer0.attn.o.weight"]["offset"] = by_name["layer0.attn.qkv.weight"]["offset"]
+    assert _predict_with_manifest(ws, tmp_path, alias_o_to_qkv) == 2
+    assert "'layer0.attn.o.weight' starts at byte" in capsys.readouterr().err
 
 
 def test_unknown_checkpoint_task_is_data_error(ws, capsys, tmp_path):

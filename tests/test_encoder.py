@@ -113,9 +113,10 @@ def test_attention_rows_sum_to_one_and_pads_get_zero():
               + params["embed.position.weight"].data[np.nonzero(mask)[1]]]
     inputs += [h.data for h in _layers(params, cfg, ids, mask)[:-1]]
     for i, h in enumerate(inputs):
-        q, k = (h @ params[f"layer{i}.attn.{p}.weight"].data
-                + params[f"layer{i}.attn.{p}.bias"].data for p in "qk")
-        sums = ad.attention(np.concatenate([q, k, np.ones_like(q)], axis=1),
+        d = cfg.d_model        # q | k: the first 2d columns of the qkv projection
+        qk = (h @ params[f"layer{i}.attn.qkv.weight"].data[:, :2 * d]
+              + params[f"layer{i}.attn.qkv.bias"].data[:2 * d])
+        sums = ad.attention(np.concatenate([qk, np.ones((len(h), d))], axis=1),
                             mask, cfg.n_heads).data
         assert sums.shape == (mask.sum(), cfg.d_model)
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
@@ -149,10 +150,10 @@ def test_multihead_equals_per_head_bruteforce():
     h = params["embed.position.weight"].data[:T] + np.zeros((B, T, 1))
     h[mask] += params["embed.token.weight"].data[ids]
 
-    def lin(name):
-        return h @ params[f"layer0.attn.{name}.weight"].data + params[f"layer0.attn.{name}.bias"].data
-
-    q, k, v = lin("q"), lin("k"), lin("v")
+    # the qkv weight and bias hold q | k | v in their columns
+    w = np.split(params["layer0.attn.qkv.weight"].data, 3, axis=1)
+    b = np.split(params["layer0.attn.qkv.bias"].data, 3)
+    q, k, v = (h @ w[j] + b[j] for j in range(3))
     dk = 4
     outs = []
     for head in range(2):
@@ -174,9 +175,10 @@ def test_multihead_equals_per_head_bruteforce():
 
 
 def _composed_attention(params, i, h, mask, cfg):
-    """Self-attention as the composed graph `ad.attention` replaced: three
-    projections, head split, scaled scores, a -1e30 additive bias at masked
-    keys, softmax, merge, output projection, one node per op."""
+    """Self-attention as the composed graph `ad.attention` replaced: the
+    q | k | v projection sliced into q, k and v, head split, scaled scores, a
+    -1e30 additive bias at masked keys, softmax, merge, output projection,
+    one node per op."""
     B, T, d = h.shape
     H = cfg.n_heads
     dk = d // H
@@ -188,7 +190,8 @@ def _composed_attention(params, i, h, mask, cfg):
     def heads(x):
         return ad.swap_axes(ad.reshape(x, (B, T, H, dk)), 1, 2)   # (B, H, T, dk)
 
-    q, k, v = (heads(proj(h, name)) for name in ("q", "k", "v"))
+    qkv = proj(h, "qkv")
+    q, k, v = (heads(ad.slice_last(qkv, j * d, (j + 1) * d)) for j in range(3))
     scores = ad.mul(ad.matmul(q, ad.swap_axes(k, -1, -2)), 1.0 / np.sqrt(dk))
     key_bias = np.where(mask, 0.0, -1e30)[:, None, None, :]
     probs = ad.softmax(ad.add(scores, Tensor(key_bias)))
@@ -242,6 +245,21 @@ def _run(build, leaves, weight):
                          for t in leaves]
 
 
+def _per_projection(names, arrays, d):
+    """Names and arrays with each qkv tensor cut into its q, k and v column
+    blocks, so each block is compared at its own scale."""
+    out_names, out = [], []
+    for name, a in zip(names, arrays):
+        if ".attn.qkv." in name:
+            for j, x in enumerate("qkv"):
+                out_names.append(name.replace(".qkv.", f".{x}."))
+                out.append(a[..., j * d:(j + 1) * d])
+        else:
+            out_names.append(name)
+            out.append(a)
+    return out_names, out
+
+
 def _assert_close(got, want, rtol=1e-12):
     # relative to each array's largest entry: entries that cancel to ~0
     # carry only rounding, whatever their relative error
@@ -255,7 +273,7 @@ def test_fused_attention_matches_composed_reference():
     # linear) on the real-token rows of a batch of three lengths, one of
     # them shared by two texts, against the composed graph on the padded
     # layout read at the real rows: forward values and the gradients of the
-    # rows and all eight weights
+    # rows and all four weights, the qkv ones compared per q, k and v block
     cfg, params, mask, h, leaves = _parity_case(40, "layer0.attn.")
     rows = Tensor(h.data[mask], requires_grad=True)
     leaves[0] = rows
@@ -266,9 +284,12 @@ def test_fused_attention_matches_composed_reference():
         params, 0, _composed_pad(rows, mask), mask, cfg), (mask.size, cfg.d_model)), real),
         leaves, weight)
     names = ["out", "h"] + [k for k in params if k.startswith("layer0.attn.")]
+    _, got = _per_projection(names, got, cfg.d_model)
+    names, want = _per_projection(names, want, cfg.d_model)
     scale = np.abs(want[names.index("layer0.attn.q.bias")]).max()
-    # the key bias shifts every score of a row equally, which softmax ignores:
-    # its true gradient is 0 and both paths return rounding noise
+    # the key bias (columns d:2d of the qkv bias) shifts every score of a row
+    # equally, which softmax ignores: its true gradient is 0 and both paths
+    # return rounding noise
     for arrays in (got, want):
         assert np.abs(arrays.pop(names.index("layer0.attn.k.bias"))).max() < 1e-12 * scale
     _assert_close(got, want)
@@ -311,11 +332,14 @@ def test_fused_encoder_matches_composed_reference():
                               params[f"layer{i}.ln2.gain"], params[f"layer{i}.ln2.bias"])
         return h
 
-    got = _run(lambda: encoder_forward(params, cfg, ids, mask), leaves, Tensor(weight[mask]))
-    want = _run(composed, leaves, Tensor(weight))
+    names = ["out"] + list(params)
+    _, got = _per_projection(names, _run(lambda: encoder_forward(params, cfg, ids, mask),
+                                         leaves, Tensor(weight[mask])), cfg.d_model)
+    names, want = _per_projection(names, _run(composed, leaves, Tensor(weight)), cfg.d_model)
     want[0] = want[0][mask]
-    # mlm.bias takes no gradient here; the k biases get rounding noise only
-    skip = {i + 1 for i, k in enumerate(params) if k == "mlm.bias" or k.endswith("attn.k.bias")}
+    # mlm.bias takes no gradient here; the k biases (columns d:2d of each
+    # qkv bias) get rounding noise only
+    skip = {i for i, k in enumerate(names) if k == "mlm.bias" or k.endswith("attn.k.bias")}
     _assert_close([a for i, a in enumerate(got) if i not in skip],
                   [b for i, b in enumerate(want) if i not in skip])
 
@@ -343,10 +367,10 @@ def test_padded_positions_are_zero_and_pass_no_gradient():
 
 
 def test_encoder_graph_uses_fused_blocks():
-    # each layer is one attention node, four linear nodes (q | k | v, output,
-    # and the two feed-forward ones) and two concat nodes (the q | k | v
-    # weights and biases); none of the composed ops they replaced may come
-    # back into the encoder
+    # each layer is one attention node and four linear nodes (q | k | v,
+    # output, and the two feed-forward ones), each linear on its stored
+    # weight and bias with no concat; none of the composed ops they replaced
+    # may come back into the encoder
     cfg = tiny_cfg(n_layers=3, dropout=0.1)
     rng = np.random.default_rng(45)
     params = init_params(encoder_param_shapes(cfg), rng)
@@ -357,7 +381,7 @@ def test_encoder_graph_uses_fused_blocks():
         assert ops[op] == 0, op
     assert ops["attention"] == cfg.n_layers
     assert ops["linear"] == 4 * cfg.n_layers
-    assert ops["concat"] == 2 * cfg.n_layers
+    assert ops["concat"] == 0
 
 
 def test_mlm_head_is_one_linear_node():
@@ -371,7 +395,7 @@ def test_mlm_head_is_one_linear_node():
     ops = Counter(t.op for t in ad.ComputationGraph.trace(loss).nodes)
     assert ops["matmul"] == 0
     assert ops["linear"] == 4 * cfg.n_layers + 1
-    assert ops["concat"] == 2 * cfg.n_layers
+    assert ops["concat"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,19 @@ def test_param_shapes_match_init(head):
     assert list(model_param_shapes(cfg)) == list(params)
 
 
+def test_qkv_weight_is_drawn_as_its_q_k_v_blocks_in_turn():
+    # the same numbers as three (d, d) q, k and v weights drawn one after
+    # another, so joining them into one tensor left every init unchanged
+    joined = init_params({"attn.qkv.weight": (8, 24), "attn.qkv.bias": (24,),
+                          "attn.o.weight": (8, 8)}, np.random.default_rng(2))
+    apart = init_params({f"attn.{x}.weight": (8, 8) for x in "qkvo"},
+                        np.random.default_rng(2))
+    np.testing.assert_array_equal(joined["attn.qkv.weight"].data, np.hstack(
+        [apart[f"attn.{x}.weight"].data for x in "qkv"]))
+    np.testing.assert_array_equal(joined["attn.o.weight"].data, apart["attn.o.weight"].data)
+    np.testing.assert_array_equal(joined["attn.qkv.bias"].data, 0.0)
+
+
 def test_forget_gate_bias_starts_open():
     cfg = head_cfg()
     head = init_params(head_param_shapes(cfg), np.random.default_rng(1))
@@ -329,10 +342,10 @@ def test_untracked_lstm_saves_nothing_for_backward():
 
 
 def test_finetune_graph_reads_weights_only_through_linear_nodes():
-    # every weight GEMM is a linear node: attention reads only its q | k | v
-    # rows, an LSTM sweep only its input pre-activation rows and w_rec, and
-    # the only other ops that read a parameter are the embeddings, the layer
-    # norms and the concats that join the q, k and v weights for a linear
+    # every weight GEMM is a linear node on one stored weight: attention
+    # reads only its q | k | v rows, an LSTM sweep only its input
+    # pre-activation rows and w_rec, and the only other ops that read a
+    # parameter are the embeddings and the layer norms
     cfg = head_cfg(n_layers=2, dropout=0.1)
     rng = np.random.default_rng(30)
     params = init_model_params(cfg, rng)
@@ -342,7 +355,7 @@ def test_finetune_graph_reads_weights_only_through_linear_nodes():
     nodes = ad.ComputationGraph.trace(loss).nodes
     param_ids = {id(t) for t in params.values()}
     readers = {t.op for t in nodes if any(id(p) in param_ids for p in t.parents)}
-    assert readers == {"linear", "concat", "embedding", "layer_norm", "lstm"}
+    assert readers == {"linear", "embedding", "layer_norm", "lstm"}
     attention = [t for t in nodes if t.op == "attention"]
     assert len(attention) == cfg.n_layers
     for t in attention:
@@ -386,11 +399,11 @@ def numpy_reference_forward(params, cfg, ids, mask):
     def gelu(x):
         return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x ** 3)))
 
-    dk = cfg.d_model // cfg.n_heads
+    d = cfg.d_model
+    dk = d // cfg.n_heads
     for i in range(cfg.n_layers):
-        q = h @ P[f"layer{i}.attn.q.weight"] + P[f"layer{i}.attn.q.bias"]
-        k = h @ P[f"layer{i}.attn.k.weight"] + P[f"layer{i}.attn.k.bias"]
-        v = h @ P[f"layer{i}.attn.v.weight"] + P[f"layer{i}.attn.v.bias"]
+        w, bias = P[f"layer{i}.attn.qkv.weight"], P[f"layer{i}.attn.qkv.bias"]
+        q, k, v = (h @ w[:, j * d:(j + 1) * d] + bias[j * d:(j + 1) * d] for j in range(3))
         ctx = np.zeros_like(h)
         for b in range(B):
             for head in range(cfg.n_heads):
