@@ -102,7 +102,8 @@ class CheckpointBundle:
 
 
 def _naturals(xs) -> bool:
-    return isinstance(xs, list) and all(isinstance(n, int) and n >= 0 for n in xs)
+    # type(), not isinstance: JSON true and false load as bools, ints equal to 1 and 0
+    return isinstance(xs, list) and all(type(n) is int and n >= 0 for n in xs)
 
 
 def _check_fields(manifest: dict) -> None:
@@ -165,9 +166,9 @@ def load_checkpoint(ckpt_dir) -> CheckpointBundle:
         raise DataError(f"{man_path} is not valid JSON: {e}") from None
     if not isinstance(manifest, dict):
         raise DataError(f"{man_path} is not a JSON object")
-    if manifest.get("format_version") not in (1, 2, FORMAT_VERSION):
-        raise DataError(f"unsupported checkpoint format_version: "
-                        f"{manifest.get('format_version')!r}")
+    version = manifest.get("format_version")
+    if type(version) is not int or version not in (1, 2, FORMAT_VERSION):   # not a bool
+        raise DataError(f"unsupported checkpoint format_version: {version!r}")
     if manifest.get("dtype") != DTYPE:
         raise DataError(f"unsupported checkpoint dtype: {manifest.get('dtype')!r}")
     _check_fields(manifest)
@@ -206,12 +207,12 @@ def load_checkpoint(ckpt_dir) -> CheckpointBundle:
         params[entry["name"]] = Tensor(arr.astype(np.float64), requires_grad=True)
     if len(blob) != end:
         raise DataError(f"weights.bin is {len(blob)} bytes but its tensors end at byte {end}")
-    if manifest["format_version"] >= 2:
+    if version >= 2:
         got, want = hashlib.sha256(blob).hexdigest(), manifest.get("weights_sha256")
         if got != want:
             raise DataError(f"weights.bin hash mismatch: manifest says {want}, file is {got}")
-    if manifest["format_version"] < 3:
-        params = _join_qkv(params, manifest["format_version"])
+    if version < 3:
+        params = _join_qkv(params, version)
 
     try:
         model_config = ModelConfig(**manifest["model_config"])

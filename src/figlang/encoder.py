@@ -111,46 +111,39 @@ def encoder_forward(params, cfg: ModelConfig, ids, attn_mask, *, rng=None,
 
 @dataclass
 class MaskingOutcome:
-    """One fresh masking draw: where, what was there, what replaced it."""
+    """One fresh masking draw over a batch: the masked rows (ascending indices
+    into its joined (N,) ids, as `MlmBatch.rows`), the ids there, their replacements."""
 
-    positions: np.ndarray        # sorted indices into the sequence
+    rows: np.ndarray
     original_ids: np.ndarray
     replacement_ids: np.ndarray
-    categories: list[str]        # "mask" | "random" | "unchanged", parallel
 
 
-def _mask_count(n_content: int) -> int:
-    # Half-up rounding of the 15% rate, at least one position.
-    return max(1, int(np.floor(MASK_RATE * n_content + 0.5)))
+def _mask_count(n_content):
+    # Half-up rounding of the 15% rate, at least one position, per length.
+    return np.maximum(1, np.floor(MASK_RATE * n_content + 0.5).astype(np.int64))
 
 
-def dynamic_mask(seq: np.ndarray, rng: np.random.Generator,
+def dynamic_mask(seqs: list[np.ndarray], rng: np.random.Generator,
                  vocab_size: int) -> MaskingOutcome:
-    """Sample a fresh mask over `encode` ids: 80% mask token, 10% random, 10% unchanged.
-
-    Only content positions are candidates; cls/sep are never masked.
-    """
-    n_content = len(seq) - 2
-    if n_content < 1:
+    """Sample a fresh mask over a batch of `encode` id arrays: each text's
+    `_mask_count(len - 2)` content positions of smallest uniform key (cls/sep
+    are never masked), each then the mask token (80%), a uniform id in
+    [N_SPECIALS, vocab_size) (10%) or itself (10%)."""
+    lengths = np.array([len(s) for s in seqs])
+    if (lengths < 3).any():
         raise MaskingError("sequence has no maskable content position")
-    candidates = np.arange(1, len(seq) - 1)
-    count = _mask_count(n_content)
-    positions = np.sort(rng.choice(candidates, size=count, replace=False))
-    original = seq[positions].copy()
-    replacement = original.copy()
-    categories = []
-    for j in range(count):
-        roll = rng.random()
-        if roll < 0.8:
-            replacement[j] = MASK_ID
-            categories.append("mask")
-        elif roll < 0.9:
-            replacement[j] = int(rng.integers(N_SPECIALS, vocab_size))
-            categories.append("random")
-        else:
-            categories.append("unchanged")
-    return MaskingOutcome(positions=positions, original_ids=original,
-                          replacement_ids=replacement, categories=categories)
+    starts = np.cumsum(lengths) - lengths
+    keys = rng.random(lengths.sum())
+    keys[starts] = keys[starts + lengths - 1] = 1.0         # cls and sep sort last
+    text = np.repeat(np.arange(len(seqs)), lengths)
+    by_key = np.lexsort((keys, text))                       # by text, then by key
+    rows = np.sort(by_key[np.arange(len(keys)) < (starts + _mask_count(lengths - 2))[text]])
+    original = np.concatenate(seqs, dtype=np.int64)[rows]
+    roll = rng.random(len(rows))
+    random_ids = rng.integers(N_SPECIALS, vocab_size, size=len(rows))
+    replacement = np.where(roll < 0.8, MASK_ID, np.where(roll < 0.9, random_ids, original))
+    return MaskingOutcome(rows=rows, original_ids=original, replacement_ids=replacement)
 
 
 @dataclass
@@ -161,16 +154,12 @@ class MlmBatch:
     targets: np.ndarray     # original ids at the masked positions
 
 
-def collate_mlm(sequences: list[np.ndarray],
-                outcomes: list[MaskingOutcome]) -> MlmBatch:
-    """`pad_batch` of the sequences, each outcome's replacements written at
-    its rows: its positions offset by its sequence's first row."""
+def collate_mlm(sequences: list[np.ndarray], outcome: MaskingOutcome) -> MlmBatch:
+    """`pad_batch` of the sequences, the outcome's replacements written at
+    its rows."""
     ids, mask = pad_batch(sequences)
-    starts = np.cumsum([0] + [len(s) for s in sequences[:-1]])
-    rows = np.concatenate([start + o.positions for start, o in zip(starts, outcomes)])
-    ids[rows] = np.concatenate([o.replacement_ids for o in outcomes])
-    return MlmBatch(ids=ids, mask=mask, rows=rows,
-                    targets=np.concatenate([o.original_ids for o in outcomes]))
+    ids[outcome.rows] = outcome.replacement_ids
+    return MlmBatch(ids=ids, mask=mask, rows=outcome.rows, targets=outcome.original_ids)
 
 
 def mlm_forward(params, cfg: ModelConfig, batch: MlmBatch, *,

@@ -4,7 +4,8 @@ Builds a tiny model whose combined loss (classification + masked-LM) touches
 every parameter tensor, then compares backward-pass gradients against central
 finite differences on sampled coordinates. Dropout stays off: the check
 needs a deterministic loss surface. The batch comes from the trainers' own
-builders, `pad_batch` and `collate_mlm`, so the check follows their layout.
+builders, `pad_batch` and `collate_mlm` (on a fixed `MaskingOutcome`, not a
+draw), so the check follows their layout.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ TINY = ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16, max_seq_len=8,
 
 
 def _tiny_batch(rng):
-    """Three texts, two of one length and padded, with one masked-LM target each."""
+    """Three texts, two of one length and padded, masked at rows 2, 7 and 12."""
     seqs = [np.array([CLS_ID, *rng.integers(N_SPECIALS, TINY.vocab_size, size=n), SEP_ID])
             for n in (4, 2, 2)]
     ids, mask = pad_batch(seqs)
-    masked = [MaskingOutcome(np.array([p]), s[[p]], np.array([MASK_ID]), ["mask"])
-              for s, p in zip(seqs, (2, 1, 2))]
+    rows = np.array([2, 7, 12])
+    masked = MaskingOutcome(rows, ids[rows], np.full(len(rows), MASK_ID))
     return ids, mask, np.array([0, 1, 1], dtype=np.int64), collate_mlm(seqs, masked)
 
 

@@ -180,9 +180,8 @@ def pretrain_mlm(lines: list[str], tokenizer: TokenizerModel, model_cfg: ModelCo
 
     def batch_loss(idx):
         batch_seqs = [seqs[i] for i in idx]
-        outcomes = [dynamic_mask(s, streams["mask"], model_cfg.vocab_size)
-                    for s in batch_seqs]
-        return mlm_forward(params, model_cfg, collate_mlm(batch_seqs, outcomes),
+        outcome = dynamic_mask(batch_seqs, streams["mask"], model_cfg.vocab_size)
+        return mlm_forward(params, model_cfg, collate_mlm(batch_seqs, outcome),
                            rng=streams["dropout"])[1]
 
     log = log or TrainLog()

@@ -276,14 +276,15 @@ def test_c04_dynamic_masking():
         ids[1:1 + n_content] = rng.integers(N_SPECIALS, 300, size=n_content)
         ids[1 + n_content] = SEP_ID
         seq = ids
-        first = dynamic_mask(seq, rng, 300)
-        second = dynamic_mask(seq, rng, 300)
+        # a batch of the one text: its rows are its positions
+        first = dynamic_mask([seq], rng, 300)
+        second = dynamic_mask([seq], rng, 300)
         for out in (first, second):
-            assert len(out.positions) == 3
-            assert all(1 <= p <= n_content for p in out.positions)
-            assert len(set(out.positions)) == 3
-        if (tuple(first.positions), tuple(first.replacement_ids)) != \
-           (tuple(second.positions), tuple(second.replacement_ids)):
+            assert len(out.rows) == 3
+            assert all(1 <= p <= n_content for p in out.rows)
+            assert len(set(out.rows)) == 3
+        if (tuple(first.rows), tuple(first.replacement_ids)) != \
+           (tuple(second.rows), tuple(second.replacement_ids)):
             differ += 1
     fraction = differ / MASK_TRIALS
     assert fraction > MASK_DIFFER_FRACTION

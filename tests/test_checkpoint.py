@@ -207,6 +207,40 @@ def test_unsupported_version_rejected(tmp_path, tok_path):
     with pytest.raises(DataError, match="dtype"):
         load_checkpoint(out)
 
+    # JSON true equals 1 in Python: read as format 1, it would skip the
+    # weights hash, so a flipped weight byte would load
+    man["format_version"] = True
+    man["dtype"] = DTYPE
+    (out / "manifest.json").write_text(json.dumps(man))
+    with open(out / "weights.bin", "r+b") as f:
+        byte = f.read(1)[0]
+        f.seek(0)
+        f.write(bytes([byte ^ 0x10]))
+    with pytest.raises(DataError, match="format_version"):
+        load_checkpoint(out)
+
+
+def _first_offset_false(man):
+    man["tensors"][0]["offset"] = False
+
+
+def _bias_shape_with_true(man):
+    by_name = {e["name"]: e for e in man["tensors"]}
+    by_name["layer0.attn.o.bias"]["shape"].append(True)
+
+
+@pytest.mark.parametrize("edit", [_first_offset_false, _bias_shape_with_true],
+                         ids=["offset-false", "shape-true"])
+def test_boolean_tensor_fields_rejected(tmp_path, tok_path, edit):
+    # false and true equal 0 and 1 in Python, but are not byte counts or sizes
+    out = save_checkpoint(tmp_path / "ckpt", fresh_params(), model_config=CFG,
+                          task="binary", tokenizer_path=tok_path)
+    man = json.loads((out / "manifest.json").read_text())
+    edit(man)
+    (out / "manifest.json").write_text(json.dumps(man))
+    with pytest.raises(DataError, match="malformed checkpoint tensor entry"):
+        load_checkpoint(out)
+
 
 def test_resave_into_same_directory(tmp_path, tok_path):
     # saving a loaded bundle back into its own directory must not trip on

@@ -422,59 +422,96 @@ def test_mask_rate_constant():
     assert MASK_RATE == 0.15
 
 
+def text_rows(seqs):
+    """The first row of each text in the joined ids, and one past its last."""
+    ends = np.cumsum([len(s) for s in seqs])
+    return ends - [len(s) for s in seqs], ends
+
+
+def categories(out):
+    """Each masked row's category, read from the ids. A random replacement
+    that draws the original id (probability 1 / (V - N_SPECIALS)) cannot be
+    told from an unchanged row and counts as "unchanged"; content ids are
+    never MASK_ID, so a "mask" row is always a mask-token replacement."""
+    return np.where(out.replacement_ids == MASK_ID, "mask",
+                    np.where(out.replacement_ids == out.original_ids, "unchanged", "random"))
+
+
 def test_dynamic_mask_basics():
+    # a batch of mixed lengths: each text gets exactly _mask_count(n) rows,
+    # all inside its content
     rng = np.random.default_rng(0)
-    seq = content_seq(rng, 20, T=32)
-    out = dynamic_mask(seq, rng, V)
-    assert len(out.positions) == 3
-    assert all(1 <= p <= 20 for p in out.positions)
-    assert len(set(out.positions)) == 3
-    for pos, orig, repl, cat in zip(out.positions, out.original_ids,
-                                    out.replacement_ids, out.categories):
-        assert orig == seq[pos]
+    lengths = [20, 1, 7, 10, 33, 2]
+    seqs = [content_seq(rng, n) for n in lengths]
+    out = dynamic_mask(seqs, rng, V)
+    assert np.all(np.diff(out.rows) > 0)
+    starts, _ = text_rows(seqs)
+    for start, n in zip(starts, lengths):
+        mine = out.rows[(out.rows >= start) & (out.rows < start + n + 2)]
+        assert len(mine) == _mask_count(n)
+        assert np.all((mine >= start + 1) & (mine <= start + n))
+    joined = np.concatenate(seqs)
+    np.testing.assert_array_equal(out.original_ids, joined[out.rows])
+    for orig, repl, cat in zip(out.original_ids, out.replacement_ids, categories(out)):
         if cat == "mask":
             assert repl == MASK_ID
         elif cat == "random":
-            assert repl >= N_SPECIALS
+            assert N_SPECIALS <= repl < V
         else:
-            assert cat == "unchanged" and repl == orig
+            assert repl == orig
+    assert out.rows.dtype == out.original_ids.dtype == out.replacement_ids.dtype == np.int64
 
 
 def test_dynamic_mask_category_split():
     rng = np.random.default_rng(1)
-    seq = content_seq(rng, 50, T=64)
+    seqs = [content_seq(rng, 9), content_seq(rng, 50, T=64)]
+    start = len(seqs[0])
     cats = {"mask": 0, "random": 0, "unchanged": 0}
+    picked = np.zeros(50, dtype=np.int64)
     total = 0
-    for _ in range(3000):
-        out = dynamic_mask(seq, rng, V)
-        for c in out.categories:
+    draws = 3000
+    for _ in range(draws):
+        out = dynamic_mask(seqs, rng, V)
+        for c in categories(out):
             cats[c] += 1
             total += 1
+        mine = out.rows[out.rows >= start] - start - 1
+        picked[mine] += 1
+    hit = 1 / (V - N_SPECIALS)      # a random draw that lands on the original id
     assert abs(cats["mask"] / total - 0.8) < 0.02
-    assert abs(cats["random"] / total - 0.1) < 0.02
-    assert abs(cats["unchanged"] / total - 0.1) < 0.02
+    assert abs(cats["random"] / total - 0.1 * (1 - hit)) < 0.02
+    assert abs(cats["unchanged"] / total - 0.1 * (1 + hit)) < 0.02
+    # each of the 50 content positions of the second text is picked with
+    # probability 8/50 a draw: every count within 5 binomial standard
+    # deviations of its mean
+    p = _mask_count(50) / 50
+    mean, sd = draws * p, np.sqrt(draws * p * (1 - p))
+    assert np.abs(picked - mean).max() < 5 * sd
 
 
 def test_dynamic_mask_never_touches_specials():
     rng = np.random.default_rng(2)
-    seq = content_seq(rng, 5, T=12)
+    seqs = [content_seq(rng, n) for n in (5, 1, 5)]
+    starts, ends = text_rows(seqs)
+    specials = np.concatenate([starts, ends - 1])
     for _ in range(2000):
-        out = dynamic_mask(seq, rng, V)
-        assert all(1 <= p <= 5 for p in out.positions)
+        out = dynamic_mask(seqs, rng, V)
+        assert not np.isin(out.rows, specials).any()
 
 
 def test_dynamic_mask_contentless_rejected():
     rng = np.random.default_rng(3)
-    seq = content_seq(rng, 0)
-    with pytest.raises(MaskingError):
-        dynamic_mask(seq, rng, V)
+    for lengths in ([0], [4, 0, 3]):
+        seqs = [content_seq(rng, n) for n in lengths]
+        with pytest.raises(MaskingError):
+            dynamic_mask(seqs, rng, V)
 
 
 def test_masks_differ_across_draws():
     rng = np.random.default_rng(4)
     seq = content_seq(rng, 20, T=24)
-    a = [tuple(dynamic_mask(seq, rng, V).positions) for _ in range(500)]
-    b = [tuple(dynamic_mask(seq, rng, V).positions) for _ in range(500)]
+    a = [tuple(dynamic_mask([seq], rng, V).rows) for _ in range(500)]
+    b = [tuple(dynamic_mask([seq], rng, V).rows) for _ in range(500)]
     differ = sum(x != y for x, y in zip(a, b))
     assert differ / 500 > 0.99
 
@@ -485,29 +522,28 @@ def test_masks_differ_across_draws():
 
 def mlm_batch_for(cfg, rng, lengths):
     seqs = [content_seq(rng, n, T=cfg.max_seq_len) for n in lengths]
-    outs = [dynamic_mask(s, rng, cfg.vocab_size) for s in seqs]
-    return seqs, outs, collate_mlm(seqs, outs)
+    out = dynamic_mask(seqs, rng, cfg.vocab_size)
+    return seqs, out, collate_mlm(seqs, out)
 
 
 def test_collate_applies_replacements():
     cfg = tiny_cfg()
     rng = np.random.default_rng(5)
-    seqs, outs, batch = mlm_batch_for(cfg, rng, [10, 6, 10, 1])
+    lengths = [10, 6, 10, 1]
+    seqs, out, batch = mlm_batch_for(cfg, rng, lengths)
     # mask and random replacements both, so a replacement written at
     # another masked row shows
-    assert {"mask", "random"} <= {c for o in outs for c in o.categories}
+    assert {"mask", "random"} <= set(categories(out))
+    np.testing.assert_array_equal(batch.rows, out.rows)
+    np.testing.assert_array_equal(batch.targets, out.original_ids)
+    # every row is a content slot of its text in the padded layout
     T = batch.mask.shape[1]
-    k = 0
-    for b, (seq, out) in enumerate(zip(seqs, outs)):
-        for pos, orig in zip(out.positions, out.original_ids):
-            assert np.flatnonzero(batch.mask)[batch.rows[k]] == b * T + pos
-            assert batch.targets[k] == orig
-            k += 1
+    text, pos = np.divmod(np.flatnonzero(batch.mask)[batch.rows], T)
+    assert np.all((pos >= 1) & (pos <= np.array(lengths)[text]))
     # the ids are the joined sequences with each replacement at its row
     # and everything off the masked rows untouched
     assert batch.ids.shape == (batch.mask.sum(),)
-    np.testing.assert_array_equal(batch.ids[batch.rows],
-                                  np.concatenate([o.replacement_ids for o in outs]))
+    np.testing.assert_array_equal(batch.ids[batch.rows], out.replacement_ids)
     keep = np.ones(len(batch.ids), dtype=bool)
     keep[batch.rows] = False
     np.testing.assert_array_equal(batch.ids[keep], np.concatenate(seqs)[keep])
@@ -670,8 +706,7 @@ def test_mlm_overfits_single_sentence():
     seq = encode(tok, lines[0], cfg.max_seq_len)
     hits = total = 0
     for _ in range(20):
-        out = dynamic_mask(seq, rng, tok.size)
-        batch = collate_mlm([seq], [out])
+        batch = collate_mlm([seq], dynamic_mask([seq], rng, tok.size))
         logits, _ = mlm_forward(params, cfg, batch)
         pred = logits.data.argmax(axis=1)
         hits += (pred == batch.targets).sum()

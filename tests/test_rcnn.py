@@ -478,7 +478,7 @@ def test_dropout_training_forwards_ignore_padding_width(extra):
     params = init_model_params(cfg, rng)
     seqs = [np.concatenate([[CLS_ID], rng.integers(N_SPECIALS, cfg.vocab_size, size=n - 2),
                             [SEP_ID]]) for n in (9, 4, 12)]
-    batch = collate_mlm(seqs, [dynamic_mask(s, rng, cfg.vocab_size) for s in seqs])
+    batch = collate_mlm(seqs, dynamic_mask(seqs, rng, cfg.vocab_size))
 
     def forwards(mask):
         drop = np.random.default_rng(26)

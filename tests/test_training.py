@@ -10,7 +10,7 @@ import pytest
 
 from figlang import training
 from figlang.autodiff import Tensor
-from figlang.bpe import bpe_train
+from figlang.bpe import bpe_train, encode
 from figlang.config import ModelConfig, TrainConfig, toy_scale
 from figlang.data import LabeledExample
 from figlang.errors import DataError, NumericError
@@ -200,24 +200,41 @@ def test_pretrain_is_seed_deterministic(small):
 
 
 def test_pretrain_resamples_masks_each_batch(small, monkeypatch):
+    # one dynamic_mask and one collate_mlm call a step, both from training
+    # and both given that step's sequences: the draw stays where the
+    # benchmark's encoder.mask span wraps it
     lines, tok, cfg = small
-    seen = []
+    calls = []
     import figlang.training as tr
-    real = tr.dynamic_mask
+    real_mask, real_collate = tr.dynamic_mask, tr.collate_mlm
 
-    def spy(seq, rng, vocab):
-        out = real(seq, rng, vocab)
-        seen.append((seq.tobytes(), tuple(out.positions),
-                     tuple(out.replacement_ids)))
+    def mask_spy(seqs, rng, vocab):
+        out = real_mask(seqs, rng, vocab)
+        calls.append(("mask", seqs, out))
         return out
 
-    monkeypatch.setattr(tr, "dynamic_mask", spy)
+    def collate_spy(seqs, outcome):
+        calls.append(("collate", seqs, outcome))
+        return real_collate(seqs, outcome)
+
+    monkeypatch.setattr(tr, "dynamic_mask", mask_spy)
+    monkeypatch.setattr(tr, "collate_mlm", collate_spy)
     tc = TrainConfig(batch_size=len(lines), epochs=4, learning_rate=1e-4, seed=0)
-    pretrain_mlm(lines, tok, cfg, tc)
-    # same sequence, four epochs: the draws must not repeat wholesale
+    _, log = pretrain_mlm(lines, tok, cfg, tc)
+    encoded = sorted(s.tobytes() for s in (encode(tok, line, cfg.max_seq_len)
+                                           for line in lines) if len(s) > 2)
+    assert len(calls) == 2 * len(log.records) == 8
     by_seq = {}
-    for key, pos, repl in seen:
-        by_seq.setdefault(key, []).append((pos, repl))
+    for (kind_m, seqs, out), (kind_c, seqs_c, out_c) in zip(calls[::2], calls[1::2]):
+        assert (kind_m, kind_c) == ("mask", "collate")
+        assert seqs_c is seqs and out_c is out
+        assert sorted(s.tobytes() for s in seqs) == encoded     # one batch a step
+        ends = np.cumsum([len(s) for s in seqs])
+        for seq, start, end in zip(seqs, ends - [len(s) for s in seqs], ends):
+            mine = (out.rows >= start) & (out.rows < end)
+            by_seq.setdefault(seq.tobytes(), []).append(
+                (tuple(out.rows[mine] - start), tuple(out.replacement_ids[mine])))
+    # same sequence, four epochs: the draws must not repeat wholesale
     assert all(len(v) == 4 for v in by_seq.values())
     changed = sum(len(set(v)) > 1 for v in by_seq.values())
     assert changed >= len(by_seq) - 1
